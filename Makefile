@@ -13,9 +13,15 @@ test:
 bench:
 	$(PYTHON) benchmarks/record_baseline.py
 
-## Differential equivalence suite: fast engine vs reference interpreter.
+## Differential equivalence suites: every fast lane against its retained
+## reference oracle (CPU engine, ensemble sweep, batched attacks, batched
+## power capture, memoized scanner).  The fast lanes are the default
+## product path, so these guard what users run.
 diff:
-	$(PYTHON) -m pytest -q tests/test_differential.py
+	$(PYTHON) -m pytest -q tests/test_differential.py \
+		tests/test_ensemble_differential.py \
+		tests/test_attack_differential.py \
+		tests/test_power_differential.py tests/test_spec_memo.py
 
 ## Quick evaluation matrix (Figure 1) from the CLI.
 matrix:

@@ -12,6 +12,14 @@ Usage::
     python -m repro advisor            # Section-6 recommendations demo
     python -m repro all                # everything above
 
+Every artefact command runs the fast execution lanes: attack cells and
+TAB-S41 go through the batched attack kernels (:mod:`repro.attacks.batch`)
+and workload cells through the vectorized kernel sweep
+(:mod:`repro.cpu.ensemble`).  Both are bit-identical to the retained
+scalar oracles, which library callers select with ``batch=False`` /
+``ensemble=False``; configurations the kernels do not model fall back
+to the scalar path on their own.
+
 Evaluation as a service (the crash-safe multi-host job layer,
 :mod:`repro.service`)::
 

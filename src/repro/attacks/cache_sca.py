@@ -23,6 +23,10 @@ The attacks receive the victim's table base address as *profiled
 knowledge* (real attackers recover it with an alignment/profiling phase);
 whether the channel exists at all is decided entirely by the architecture
 underneath, which is the property the experiments measure.
+
+``run()`` goes through the bit-identical batched kernels of
+:mod:`repro.attacks.batch` by default, falling back to the scalar loop
+when they decline; ``batch=False`` forces the scalar reference oracle.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ class PrimeProbeAttack:
     def __init__(self, victim: AESVictim, attacker: AttackerProcess,
                  rng: XorShiftRNG | None = None,
                  config: _CacheAttackConfig | None = None,
-                 batch: bool = False) -> None:
+                 batch: bool = True) -> None:
         self.victim = victim
         self.attacker = attacker
         self.rng = rng or XorShiftRNG(0x9927)
@@ -190,7 +194,7 @@ class FlushReloadAttack:
     def __init__(self, victim, attacker: AttackerProcess,
                  rng: XorShiftRNG | None = None,
                  config: _CacheAttackConfig | None = None,
-                 batch: bool = False) -> None:
+                 batch: bool = True) -> None:
         self.victim = victim
         self.attacker = attacker
         self.rng = rng or XorShiftRNG(0xF77E)
@@ -260,7 +264,7 @@ class EvictTimeAttack:
     def __init__(self, victim: AESVictim, attacker: AttackerProcess,
                  rng: XorShiftRNG | None = None,
                  config: _CacheAttackConfig | None = None,
-                 batch: bool = False) -> None:
+                 batch: bool = True) -> None:
         self.victim = victim
         self.attacker = attacker
         self.rng = rng or XorShiftRNG(0xE71C)

@@ -49,9 +49,9 @@ class MatrixKnobs:
     calibration sweep (:mod:`repro.core.sweep`): N seed-varied instances
     running an ``iters``-iteration kernel.  Quick keeps them small so
     tier-1 tests that execute real cells stay fast; the sweep is the
-    part of a cell the ``ensemble=`` knob vectorizes, and its summary is
-    bit-identical either way — the knob sizes the measurement, never
-    changes it.
+    part of a cell the ``ensemble=`` knob (on by default) vectorizes,
+    and its summary is bit-identical either way — the knob sizes the
+    measurement, never changes it.
     """
 
     secret_len: int = 4
@@ -106,12 +106,13 @@ def local_suite(arch: NullArchitecture, rng: XorShiftRNG,
 
 def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
                     knobs: MatrixKnobs,
-                    batch: bool = False) -> list[AttackResult]:
-    """``batch`` routes the Flush+Reload cell through the batched attack
-    kernels (:mod:`repro.attacks.batch`) — an execution strategy, not a
-    measurement input: results, RNG streams and SoC end state are
-    bit-identical to the scalar path, with automatic scalar fallback
-    for configurations the kernels don't cover."""
+                    batch: bool = True) -> list[AttackResult]:
+    """``batch`` (the default) routes the Flush+Reload cell through the
+    batched attack kernels (:mod:`repro.attacks.batch`) — an execution
+    strategy, not a measurement input: results, RNG streams and SoC end
+    state are bit-identical to the scalar path, with automatic scalar
+    fallback for configurations the kernels don't cover.
+    ``batch=False`` runs the scalar oracle."""
     soc = arch.soc
     secret = bytes(0x41 + rng.next_below(26)
                    for _ in range(knobs.secret_len))
@@ -135,7 +136,9 @@ def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
 
 def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
                    knobs: MatrixKnobs,
-                   batch: bool = False) -> list[AttackResult]:
+                   batch: bool = True) -> list[AttackResult]:
+    """``batch`` picks the Kocher timing lane, as in
+    :func:`microarch_suite`."""
     # Power: CPA on an unprotected AES running on the device.  Acquisition
     # is batched (bit-identical to the scalar reference; repro.power.diff
     # proves it), so the cell's payload digest is unchanged.

@@ -15,6 +15,10 @@ stays near zero.
 Against the Montgomery ladder every operation is charged worst-case
 constant time, the partition difference carries no signal, and recovered
 bits collapse to chance.
+
+``run()`` goes through the bit-identical batched kernel of
+:mod:`repro.attacks.batch` by default (constant-time victims fall back
+to the scalar loop); ``batch=False`` forces the scalar reference oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ class KocherTimingAttack:
     def __init__(self, victim: RSA, samples: int = 1000,
                  max_bits: int = 16, noise_std: float = 0.0,
                  rng: XorShiftRNG | None = None,
-                 batch: bool = False) -> None:
+                 batch: bool = True) -> None:
         self.victim = victim
         self.samples = samples
         self.max_bits = max_bits

@@ -89,21 +89,22 @@ class EvaluationMatrix:
 
     ``ensemble`` routes each workload cell's kernel calibration sweep
     through the struct-of-arrays execution engine
-    (:mod:`repro.cpu.ensemble`) instead of the scalar per-instance
-    loop; ``batch`` routes the attack cells' hot attacks through the
-    batched attack kernels (:mod:`repro.attacks.batch`).  Payloads are
-    bit-identical either way (the differential suites prove it), so
-    the knobs trade nothing but wall time; they only apply when the
-    matrix builds its own runner — an explicitly passed ``runner``
-    brings its own ``ensemble``/``batch`` settings.
+    (:mod:`repro.cpu.ensemble`) and ``batch`` the attack cells' hot
+    attacks through the batched attack kernels
+    (:mod:`repro.attacks.batch`); both are on by default, and ``False``
+    selects the scalar reference oracle.  Payloads are bit-identical
+    either way (the differential suites prove it), so the knobs trade
+    nothing but wall time; they only apply when the matrix builds its
+    own runner — an explicitly passed ``runner`` brings its own
+    ``ensemble``/``batch`` settings.
     """
 
     def __init__(self, platforms: tuple[PlatformProfile, ...]
                  = STANDARD_PLATFORMS, quick: bool = True,
                  seed: int = 0x2019,
                  runner: ExperimentRunner | None = None,
-                 ensemble: bool = False,
-                 batch: bool = False) -> None:
+                 ensemble: bool = True,
+                 batch: bool = True) -> None:
         self.platforms = platforms
         self.knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
         self.seed = seed
@@ -187,8 +188,8 @@ class EvaluationMatrix:
         for category, suite in SUITES.items():
             arch = NullArchitecture(profile.make_soc(), profile.platform)
             rng = XorShiftRNG(self.cell_seed(profile.platform, category))
-            if self.batch and accepts_keyword(suite, "batch"):
-                results = suite(arch, rng, self.knobs, batch=True)
+            if not self.batch and accepts_keyword(suite, "batch"):
+                results = suite(arch, rng, self.knobs, batch=False)
             else:
                 results = suite(arch, rng, self.knobs)
             self.cells[(profile.platform, category)] = CellResult(

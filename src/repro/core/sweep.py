@@ -207,14 +207,14 @@ def summarise_sweep(socs: list[SoC]) -> dict:
 
 def run_kernel_sweep(platform: PlatformClass, base_seed: int,
                      instances: int, iters: int,
-                     ensemble: bool = False) -> dict:
+                     ensemble: bool = True) -> dict:
     """Build, run and summarise one platform's calibration sweep.
 
-    ``ensemble=True`` routes execution through :class:`CoreEnsemble`
-    (scalar peel-off included, though this kernel never peels);
-    ``ensemble=False`` is the scalar oracle loop.  Summaries are
-    bit-identical between the two — that equality is the determinism
-    check the CI pipeline runs.
+    ``ensemble=True`` (the default) routes execution through
+    :class:`CoreEnsemble` (scalar peel-off included, though this kernel
+    never peels); ``ensemble=False`` is the scalar oracle loop.
+    Summaries are bit-identical between the two — that equality is the
+    determinism check the CI pipeline runs.
     """
     socs = build_sweep_instances(platform, base_seed, instances, iters)
     max_steps = sweep_max_steps(iters)

@@ -101,8 +101,8 @@ def corrupt_payload(payload: dict) -> dict:
 def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
                        in_worker: bool = True,
                        collect: bool = False,
-                       ensemble: bool = False,
-                       batch: bool = False,
+                       ensemble: bool = True,
+                       batch: bool = True,
                        memo: bool = False) -> dict:
     """:func:`execute_spec` with a chance of drawn sabotage.
 
@@ -115,7 +115,7 @@ def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
     observable, and the fast paths' payloads face the same corruption
     adversary).
     """
-    from repro.runner.engine import execute_spec
+    from repro.runner.engine import execute_spec, strategy_flags
 
     mode = config.draw(spec, attempt)
     if mode in ("crash", "hang") and not in_worker:
@@ -128,16 +128,8 @@ def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
         raise ChaosError(
             f"injected failure in {spec.platform}/{spec.category} "
             f"(attempt {attempt})")
-    flags = {}
-    if collect:
-        flags["collect"] = True
-    if ensemble:
-        flags["ensemble"] = True
-    if batch:
-        flags["batch"] = True
-    if memo:
-        flags["memo"] = True
-    payload = execute_spec(spec, **flags)
+    payload = execute_spec(spec, **strategy_flags(
+        collect=collect, ensemble=ensemble, batch=batch, memo=memo))
     if mode == "corrupt":
         payload = corrupt_payload(payload)
     return payload

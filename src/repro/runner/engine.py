@@ -139,8 +139,28 @@ def payload_intact(payload: object) -> bool:
         return False
 
 
+#: Execution-strategy defaults of :func:`execute_spec`: the vectorized
+#: sweep and the batched attack kernels are on, telemetry and the
+#: memoized scan explorer are off.  ``ensemble=False``/``batch=False``
+#: select the scalar reference oracles.
+STRATEGY_DEFAULTS = {"collect": False, "ensemble": True, "batch": True,
+                     "memo": False}
+
+
+def strategy_flags(**flags: bool) -> dict[str, bool]:
+    """The strategy keywords that differ from :data:`STRATEGY_DEFAULTS`.
+
+    Callers forward exactly these to :func:`execute_spec`, so a default
+    run keeps the bare ``execute_spec(spec)`` call shape (tests
+    monkeypatch one-arg stand-ins) while an explicit reference lane
+    (``batch=False``) still reaches it.
+    """
+    return {name: bool(value) for name, value in flags.items()
+            if bool(value) != STRATEGY_DEFAULTS[name]}
+
+
 def execute_spec(spec: CellSpec, collect: bool = False,
-                 ensemble: bool = False, batch: bool = False,
+                 ensemble: bool = True, batch: bool = True,
                  memo: bool = False) -> dict:
     """Compute one cell; importable by reference from worker processes.
 
@@ -153,21 +173,22 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     under volatile keys — the payload fingerprint is unchanged, so
     observed and unobserved runs share cache entries.
 
-    ``ensemble`` routes the workload cell's kernel calibration sweep
-    through the struct-of-arrays :class:`~repro.cpu.ensemble.CoreEnsemble`
-    instead of the scalar per-core loop.  Like ``collect`` it is an
+    ``ensemble`` (on by default) routes the workload cell's kernel
+    calibration sweep through the struct-of-arrays
+    :class:`~repro.cpu.ensemble.CoreEnsemble`; ``ensemble=False`` runs
+    the scalar per-core oracle loop.  Like ``collect`` it is an
     *execution strategy*, not a measurement input: the sweep summary —
     and therefore the payload and its fingerprint — is bit-identical
     either way (the differential suite proves it), so ensemble and
     scalar runs legitimately share cache entries and manifests.
 
-    ``batch`` is the attack-cell counterpart: suites that take it route
-    their hot attacks (cache SCA probing, Kocher timing) through the
-    batched kernels of :mod:`repro.attacks.batch`, which are
-    bit-identical to the scalar attacks (recovered keys, scores, RNG
-    end states, SoC state) with automatic scalar fallback — payload
-    fingerprints are unchanged, so ``batch`` runs share cache entries
-    with scalar runs too.
+    ``batch`` (on by default) is the attack-cell counterpart: suites
+    that take it route their hot attacks (cache SCA probing, Kocher
+    timing) through the batched kernels of :mod:`repro.attacks.batch`,
+    which are bit-identical to the scalar attacks (recovered keys,
+    scores, RNG end states, SoC state) with automatic scalar fallback;
+    ``batch=False`` runs the scalar oracles.  Payload fingerprints are
+    unchanged, so batched and scalar runs share cache entries too.
 
     ``memo`` is the scan-cell strategy knob: scan cells route through
     the memoized exploration engine (:mod:`repro.spec.memo`), which
@@ -239,11 +260,11 @@ def execute_spec(spec: CellSpec, collect: bool = False,
                                                    spec.category))
                 knobs = MatrixKnobs.from_key(spec.knobs)
                 suite = SUITES[category]
-                if batch and accepts_keyword(suite, "batch"):
-                    # Keyword only when set: suites without the knob
-                    # (and monkeypatched three-arg stand-ins) keep the
-                    # exact historical call shape.
-                    results = suite(arch, rng, knobs, batch=True)
+                if not batch and accepts_keyword(suite, "batch"):
+                    # Keyword only for the reference lane: suites without
+                    # the knob (and monkeypatched three-arg stand-ins)
+                    # keep the exact historical call shape.
+                    results = suite(arch, rng, knobs, batch=False)
                 else:
                     results = suite(arch, rng, knobs)
                 payload = {
@@ -269,17 +290,17 @@ class CellTask:
     records, core/cache metric snapshots) into the payload's volatile
     keys; it is only set when the runner's observer wants them.
     ``ensemble`` picks the vectorized sweep path, ``batch`` the batched
-    attack kernels, and ``memo`` the memoized scan explorer — all
-    bit-identical to their reference paths, so they change nothing but
-    speed.
+    attack kernels (both on by default), and ``memo`` the memoized scan
+    explorer — all bit-identical to their reference paths, so they
+    change nothing but speed.
     """
 
     spec: CellSpec
     attempt: int = 0
     chaos: ChaosConfig | None = None
     collect: bool = False
-    ensemble: bool = False
-    batch: bool = False
+    ensemble: bool = True
+    batch: bool = True
     memo: bool = False
 
 
@@ -292,18 +313,8 @@ def execute_task(task: CellTask) -> tuple[str, object]:
     failure (which surfaces as the future's exception instead).
     """
     try:
-        # Strategy flags ride as keywords only when set: the bare
-        # ``execute_spec(spec)`` call keeps the exact historical shape
-        # (tests monkeypatch one-arg stand-ins).
-        flags = {}
-        if task.collect:
-            flags["collect"] = True
-        if task.ensemble:
-            flags["ensemble"] = True
-        if task.batch:
-            flags["batch"] = True
-        if task.memo:
-            flags["memo"] = True
+        flags = strategy_flags(collect=task.collect, ensemble=task.ensemble,
+                               batch=task.batch, memo=task.memo)
         if task.chaos is not None:
             payload = chaos_execute_spec(task.spec, task.attempt,
                                          task.chaos, in_worker=True,
@@ -386,9 +397,10 @@ class ExperimentRunner:
     ``fail_fast`` restores the historical abort-on-first-error
     behaviour instead of degrading failed cells to structured outcomes;
     ``ensemble`` runs each workload cell's kernel sweep through the
-    struct-of-arrays engine, ``batch`` the attack cells through the
-    batched attack kernels, and ``memo`` the scan cells through the
-    memoized exploration engine (all bit-identical payloads, faster
+    struct-of-arrays engine and ``batch`` the attack cells through the
+    batched attack kernels (both on by default; ``False`` selects the
+    scalar reference oracle), and ``memo`` runs the scan cells through
+    the memoized exploration engine (all bit-identical payloads, faster
     wall time).
 
     Each :meth:`run` replaces :attr:`stats` with that run's
@@ -403,8 +415,8 @@ class ExperimentRunner:
                  chaos: ChaosConfig | None = None,
                  fail_fast: bool = False,
                  observer: RunObserver | None = None,
-                 ensemble: bool = False,
-                 batch: bool = False,
+                 ensemble: bool = True,
+                 batch: bool = True,
                  memo: bool = False) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
@@ -552,18 +564,9 @@ class ExperimentRunner:
         """One in-parent-process attempt; raises :class:`_CellFailure`."""
         self.observer.on_cell_start(spec, attempt)
         try:
-            # Keyword flags only when set, preserving the historical
-            # bare ``execute_spec(spec)`` shape for monkeypatched
-            # one-arg stand-ins (see ``execute_task``).
-            flags = {}
-            if self._collect:
-                flags["collect"] = True
-            if self.ensemble:
-                flags["ensemble"] = True
-            if self.batch:
-                flags["batch"] = True
-            if self.memo:
-                flags["memo"] = True
+            flags = strategy_flags(collect=self._collect,
+                                   ensemble=self.ensemble,
+                                   batch=self.batch, memo=self.memo)
             if self.chaos is not None:
                 payload = chaos_execute_spec(spec, attempt, self.chaos,
                                              in_worker=False, **flags)

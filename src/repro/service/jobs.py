@@ -46,15 +46,17 @@ class JobSpec:
     ``MatrixKnobs.as_key()``; ``platforms``/``categories`` name the
     sub-grid (category ``"workload"`` selects the reference-workload
     cell).  ``ensemble``/``batch`` choose the vectorized execution
-    lanes and deliberately do not participate in :attr:`job_id`.
+    lanes (on by default, also for job files that lack the keys;
+    ``False`` selects the scalar oracle) and deliberately do not
+    participate in :attr:`job_id`.
     """
 
     seed: int = 0x2019
     knobs: tuple[tuple[str, int], ...] = ()
     platforms: tuple[str, ...] = field(default_factory=_default_platforms)
     categories: tuple[str, ...] = field(default_factory=_default_categories)
-    ensemble: bool = False
-    batch: bool = False
+    ensemble: bool = True
+    batch: bool = True
 
     @property
     def job_id(self) -> str:
@@ -100,14 +102,14 @@ class JobSpec:
             knobs=tuple((str(k), int(v)) for k, v in data.get("knobs", [])),
             platforms=tuple(data["platforms"]),
             categories=tuple(data["categories"]),
-            ensemble=bool(data.get("ensemble", False)),
-            batch=bool(data.get("batch", False)))
+            ensemble=bool(data.get("ensemble", True)),
+            batch=bool(data.get("batch", True)))
 
     # -- construction helpers ----------------------------------------------
 
     @classmethod
     def matrix(cls, quick: bool = True, seed: int = 0x2019,
-               ensemble: bool = False, batch: bool = False) -> "JobSpec":
+               ensemble: bool = True, batch: bool = True) -> "JobSpec":
         """The full Figure-1 evaluation grid as one job."""
         from repro.attacks.suites import MatrixKnobs
         knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
