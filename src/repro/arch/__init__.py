@@ -30,6 +30,7 @@ tytan      TyTAN [6]                    TrustLite + secure boot/storage,
 from repro.arch.base import (
     AESVictim,
     ArchFeatures,
+    EnclaveContext,
     EnclaveHandle,
     SecurityArchitecture,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "AESVictim",
     "ALL_ARCHITECTURES",
     "ArchFeatures",
+    "EnclaveContext",
     "EnclaveHandle",
     "SGX",
     "SMART",

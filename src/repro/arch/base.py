@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.attestation.report import AttestationReport
-from repro.common import PlatformClass
+from repro.common import PlatformClass, PrivilegeLevel
 from repro.cpu.soc import SoC
 from repro.crypto.aes import TTableAES
 from repro.errors import EnclaveError
+
+if TYPE_CHECKING:
+    from repro.memory.paging import PageTable
 
 #: Size of the five AES lookup tables (Te0-Te3 + final S-box), each 256
 #: 4-byte entries, padded to its own 1 KiB so tables never share lines.
@@ -62,6 +66,15 @@ class EnclaveHandle:
     measurement: bytes = b""
     initialized: bool = False
     metadata: dict = field(default_factory=dict)
+
+
+class EnclaveContext(NamedTuple):
+    """How a core runs between ``enter_enclave`` and ``exit_enclave``."""
+
+    privilege: PrivilegeLevel
+    secure: bool  # the core's world (only TrustZone's monitor switches it)
+    flush_l1: bool  # the core's private caches are flushed on both switches
+    page_table: PageTable | None  # MMU context set on entry; None keeps it
 
 
 class SecurityArchitecture(abc.ABC):
@@ -165,10 +178,26 @@ class SecurityArchitecture(abc.ABC):
 
     # -- context management used by AESVictim --------------------------------------
 
-    def enter_enclave(self, handle: EnclaveHandle) -> None:
-        """Make ``handle`` the active context on its core (default: domain)."""
+    def enclave_context(self, handle: EnclaveHandle) -> EnclaveContext | None:
+        """The core state ``enter_enclave`` establishes for ``handle``, or
+        ``None`` when the switch does more than :class:`EnclaveContext`
+        describes.  Default: the core keeps its privilege and world."""
         core = self.soc.cores[handle.core_id]
+        return EnclaveContext(core.privilege, core.world.is_secure,
+                              flush_l1=False, page_table=None)
+
+    def enter_enclave(self, handle: EnclaveHandle) -> None:
+        """Make ``handle`` the active context on its core: its domain,
+        then :meth:`enclave_context`."""
+        core = self.soc.cores[handle.core_id]
+        context = self.enclave_context(handle)
         core.domain = handle.domain
+        core.privilege = context.privilege
+        if context.page_table is not None:
+            core.mmu.set_context(context.page_table.root,
+                                 asid=context.page_table.asid)
+        if context.flush_l1:
+            self.soc.hierarchy.flush_core(handle.core_id)
 
     def exit_enclave(self, handle: EnclaveHandle) -> None:
         """Leave enclave context (default: restore OS domain)."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.arch.base import (
     AES_TABLES_SIZE,
     ArchFeatures,
+    EnclaveContext,
     EnclaveHandle,
     SecurityArchitecture,
 )
@@ -130,17 +131,17 @@ class Sanctuary(SecurityArchitecture):
 
     # -- context switching ---------------------------------------------------------
 
-    def enter_enclave(self, handle: EnclaveHandle) -> None:
+    def enclave_context(self, handle: EnclaveHandle) -> EnclaveContext:
+        # User-space enclaves; the core's L1 is flushed on entry and exit.
         core = self.soc.cores[handle.core_id]
-        core.domain = handle.domain
-        core.privilege = PrivilegeLevel.USER  # user-space enclaves
-        self.soc.hierarchy.flush_core(handle.core_id)
+        return EnclaveContext(PrivilegeLevel.USER, core.world.is_secure,
+                              flush_l1=True, page_table=None)
 
     def exit_enclave(self, handle: EnclaveHandle) -> None:
         core = self.soc.cores[handle.core_id]
         core.domain = None
         core.privilege = PrivilegeLevel.KERNEL
-        self.soc.hierarchy.flush_core(handle.core_id)
+        self.soc.hierarchy.flush_core(handle.core_id)  # flush_l1
 
     # -- enclave memory access --------------------------------------------------------
 

@@ -194,6 +194,9 @@ class Sanctum(SecurityArchitecture):
 
     # -- context switching -----------------------------------------------------
 
+    def enclave_context(self, handle: EnclaveHandle) -> None:
+        return None  # the switch also flushes the TLB
+
     def enter_enclave(self, handle: EnclaveHandle) -> None:
         core = self.soc.cores[handle.core_id]
         core.domain = handle.domain

@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.arch.base import (
     AES_TABLES_SIZE,
     ArchFeatures,
+    EnclaveContext,
     EnclaveHandle,
     SecurityArchitecture,
 )
@@ -168,12 +169,15 @@ class SGX(SecurityArchitecture):
 
     # -- context switching ---------------------------------------------------------
 
-    def enter_enclave(self, handle: EnclaveHandle) -> None:
+    def enclave_context(self, handle: EnclaveHandle) -> EnclaveContext:
+        # User-mode enclaves inside the OS's address space.
         core = self.soc.cores[handle.core_id]
-        core.domain = handle.domain
-        core.privilege = PrivilegeLevel.USER
-        core.mmu.set_context(self.os_page_table.root,
-                             asid=self.os_page_table.asid)
+        return EnclaveContext(PrivilegeLevel.USER, core.world.is_secure,
+                              flush_l1=False, page_table=self.os_page_table)
+
+    def enter_enclave(self, handle: EnclaveHandle) -> None:
+        super().enter_enclave(handle)
+        core = self.soc.cores[handle.core_id]
         self.active_enclave[core.config.name] = handle.enclave_id
 
     def exit_enclave(self, handle: EnclaveHandle) -> None:

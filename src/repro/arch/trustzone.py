@@ -23,6 +23,7 @@ from __future__ import annotations
 from repro.arch.base import (
     AES_TABLES_SIZE,
     ArchFeatures,
+    EnclaveContext,
     EnclaveHandle,
     SecurityArchitecture,
 )
@@ -160,11 +161,15 @@ class TrustZone(SecurityArchitecture):
         self.enclaves[enclave_id] = handle
         return handle
 
+    def enclave_context(self, handle: EnclaveHandle) -> EnclaveContext | None:
+        if not self.secure_boot_ok:
+            return None  # the monitor refuses secure entry
+        return EnclaveContext(PrivilegeLevel.KERNEL, secure=True,
+                              flush_l1=False, page_table=None)
+
     def enter_enclave(self, handle: EnclaveHandle) -> None:
         self.smc(handle.core_id, to_secure=True)
-        core = self.soc.cores[handle.core_id]
-        core.domain = handle.domain
-        core.privilege = PrivilegeLevel.KERNEL
+        super().enter_enclave(handle)
 
     def exit_enclave(self, handle: EnclaveHandle) -> None:
         self.smc(handle.core_id, to_secure=False)

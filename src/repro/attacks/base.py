@@ -61,11 +61,15 @@ class AttackerProcess:
                                 kind="cpu")
         self.pages: list[int] = []
         self.domain = f"{name}-proc"
+        #: LLC set -> the attacker's line addresses in that set, in page
+        #: order; built on first use, dropped when the pages change.
+        self._set_lines: dict[int, list[int]] | None = None
 
     def alloc_pages(self, count: int) -> list[int]:
         """Obtain ``count`` physical pages from the architecture's OS."""
         new = [self.arch.alloc_attacker_page() for _ in range(count)]
         self.pages.extend(new)
+        self._set_lines = None
         return new
 
     # -- measurement primitives ------------------------------------------------
@@ -133,13 +137,28 @@ class AttackerProcess:
         the attacker's pages simply cannot reach that set (Sanctum's
         colouring makes exactly this happen).
         """
+        return self._lines_by_set().get(set_index, [])[:count]
+
+    def _lines_by_set(self) -> dict[int, list[int]]:
+        """Every owned line address grouped by LLC set, in (page, line)
+        scan order, so a set's first ``count`` entries are exactly what a
+        scan of the pages returns.
+
+        Plain modulo indexing depends on the pages alone, so that index
+        is kept until :meth:`alloc_pages` adds some.  A custom
+        ``index_fn`` may be re-keyed at any time
+        (:meth:`~repro.cache.randmap.RandomizedIndexing.rekey`), so its
+        index is rebuilt on every call.
+        """
         llc = self.soc.hierarchy.l2
-        out: list[int] = []
+        if self._set_lines is not None and llc.index_fn is None:
+            return self._set_lines
+        by_set: dict[int, list[int]] = {}
+        set_index = llc.set_index
         for page in self.pages:
             for line in range(0, 4096, llc.line_size):
                 addr = page + line
-                if llc.set_index(addr) == set_index:
-                    out.append(addr)
-                    if len(out) >= count:
-                        return out
-        return out
+                by_set.setdefault(set_index(addr), []).append(addr)
+        if llc.index_fn is None:
+            self._set_lines = by_set
+        return by_set

@@ -24,29 +24,63 @@ kernels run the *same* experiments in array form:
   modelled multiplication instead of recomputing it for the timing model
   and the value update separately.
 
+The victims the kernels model are the shared-library
+:class:`~repro.attacks.cache_sca.SharedAESService` and the enclave
+:class:`~repro.arch.base.AESVictim` on the null host, SGX, TrustZone and
+Sanctuary.  Per encryption the victim model replays every architectural
+effect of the scalar path: the enclave switch (domain, privilege,
+TrustZone world and DVFS secure set, SGX's active enclave and MMU
+context, Sanctuary's two L1 flushes), the enclave's domain label on
+every line it fills, LLC exclusion, translation (the real
+``mmu.translate`` on SGX's paged MMU, so TLB stamps, walks and walker
+bus reads match) and the MEE, which integrity-checks and decrypts every
+word the victim may read once, through its real ``on_read``, before the
+run mutates anything.
+
 **Bit-identical or bust**: every kernel either reproduces the retained
 scalar attack exactly — recovered keys, scores, RNG end states, cache
-contents, replacement state, per-level stats, bus transaction counts,
-core cycle/energy accounting — or refuses to run (``None`` from
+contents, replacement state, per-level stats, bus transaction and
+denial counts, TLB and MMU state, MEE counters, core cycle/energy/
+context accounting — or refuses to run (``None`` from
 :func:`try_run_batched`), in which case the caller falls back to the
-scalar oracle.  The gates are deliberately type-exact: custom policies,
-partitions, randomized index functions, LLC exclusions, bus controllers
-/ snoopers / transforms, non-identity MMU roots, hooked ciphers and
-subclassed RNGs all fall back.  ``tests/test_attack_differential.py``
-holds the hypothesis differential suite proving the equivalence.
+scalar oracle.  The gates are type-exact and side-effect-free, and each
+refusal names the first gate that failed in an
+``attack.batch_declined`` trace event.  Declined, among others:
+custom policies, partitions and index functions; a victim whose lines
+are only partly LLC-excluded; bus snoopers, and any controller or
+transform other than the MEE, SGX's EPC check and the TZASC (Sanctum's
+DMA filter, so Sanctum's rows stay scalar); reads those controllers
+would deny; an MEE tag failure; MMU walk hooks or a TLB entry that
+disagrees with the page table; hooked ciphers and subclassed RNGs.
+The bus controllers are pre-run once for every distinct (master, word,
+world) a run issues — exact, because their verdicts depend only on
+configuration and enclave ownership, which a read-only attack never
+changes.  ``tests/test_attack_differential.py`` holds the hypothesis
+differential suite proving the equivalence.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 import repro.obs as obs
-from repro.arch.base import AES_KEY_OFFSET, AES_TABLE_STRIDE, AESVictim
+from repro.arch.base import (
+    AES_KEY_OFFSET,
+    AES_TABLE_STRIDE,
+    AESVictim,
+    SecurityArchitecture,
+)
 from repro.arch.null import NullArchitecture
+from repro.arch.sanctuary import Sanctuary
+from repro.arch.sgx import SGX, _EPCAccessControl
+from repro.arch.trustzone import TrustZone
 from repro.attacks.base import AttackerProcess
 from repro.cache.cache import Cache, _Line
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.policies import LRUPolicy
+from repro.cache.tlb import TLB
 from repro.cpu.core import Core
 from repro.cpu.speculative import SpeculativeCore
 from repro.crypto.aes import TTableAES
@@ -59,10 +93,25 @@ from repro.crypto.aes_batch import (
 from repro.crypto.modexp import EXTRA_REDUCTION_COST
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA
+from repro.errors import AccessFault, PageFault, SecurityViolation
+from repro.memory.bus import BusTransaction
+from repro.memory.mee import MemoryEncryptionEngine
+from repro.memory.mmu import MMU
+from repro.memory.paging import (
+    PAGE_MASK,
+    PAGE_SHIFT,
+    PAGE_SIZE,
+    PTE_SIZE,
+    PageFlags,
+    pte_unpack,
+    vpn_split,
+)
+from repro.memory.phys import WORD_SIZE
+from repro.memory.tzasc import TrustZoneAddressSpaceController
 
 #: Headroom kept below the 65536-entry clear thresholds of the MMU
 #: identity cache and the speculative core's L1 view: a batched run adds
-#: at most ~650 distinct entries (5*128 word-aligned table slots + two
+#: at most 642 distinct entries (5*128 word-aligned table slots + two
 #: key words), so staying this far under the bound guarantees the scalar
 #: path would not have cleared mid-run either.
 _DICT_HEADROOM = 1024
@@ -106,6 +155,17 @@ class _SimLevel:
         self.evictions = stats.evictions
         self.flushes = stats.flushes
 
+    def flush_all(self) -> None:
+        """``Cache.flush_all``: every valid line counts one flush; the
+        replacement stamps stay as they are, as in the scalar cache."""
+        ways = self.ways
+        for idx, look in enumerate(self.lookup):
+            if look:
+                self.flushes += len(look)
+                look.clear()
+                self.tags[idx] = [None] * ways
+                self.lines[idx] = [None] * ways
+
     def writeback(self, cache: Cache) -> None:
         """Restore the live cache to this (final) state, recycling
         ``_Line`` records in place exactly like the scalar hot path."""
@@ -138,11 +198,12 @@ class _SimLevel:
 
 
 class _SimHierarchy:
-    """Exact twin of ``CacheHierarchy.access``/``flush_line`` over
-    :class:`_SimLevel` arrays, keyed by line tag (``paddr >> shift``)."""
+    """Exact twin of ``CacheHierarchy.access``/``flush_line``/
+    ``flush_core`` over :class:`_SimLevel` arrays, keyed by line tag
+    (``paddr >> shift``)."""
 
-    __slots__ = ("l1s", "l2", "lat_l1", "lat_l1_l2", "lat_full", "shift",
-                 "_hierarchy")
+    __slots__ = ("l1s", "l2", "lat_l1", "lat_l1_l2", "lat_l1_dram",
+                 "lat_full", "shift", "_hierarchy")
 
     def __init__(self, hierarchy: CacheHierarchy) -> None:
         self._hierarchy = hierarchy
@@ -151,6 +212,7 @@ class _SimHierarchy:
         self.l2 = _SimLevel(hierarchy.l2)
         self.lat_l1 = cfg.l1_latency
         self.lat_l1_l2 = cfg.l1_latency + cfg.l2_latency
+        self.lat_l1_dram = cfg.l1_latency + cfg.dram_latency
         self.lat_full = cfg.l1_latency + cfg.l2_latency + cfg.dram_latency
         self.shift = cfg.line_size.bit_length() - 1
 
@@ -223,6 +285,13 @@ class _SimHierarchy:
                 self._level_flush(l1, ev_tag)
         return self.lat_full
 
+    def access_excluded(self, core: int, tag: int, domain=None,
+                        is_write: bool = False) -> int:
+        """An access into an LLC-excluded range: the core's L1, then
+        DRAM; the shared cache never sees the line."""
+        hit, _ = self._level_access(self.l1s[core], tag, domain, is_write)
+        return self.lat_l1 if hit else self.lat_l1_dram
+
     def flush_line(self, tag: int) -> bool:
         """clflush across every level (the attacker's ``flush``)."""
         found = False
@@ -230,6 +299,10 @@ class _SimHierarchy:
             found |= self._level_flush(l1, tag)
         found |= self._level_flush(self.l2, tag)
         return found
+
+    def flush_core(self, core: int) -> None:
+        """One core's L1 flush (Sanctuary's enclave-switch defence)."""
+        self.l1s[core].flush_all()
 
     def writeback(self) -> None:
         """Restore the live hierarchy to the simulator's final state."""
@@ -241,33 +314,163 @@ class _SimHierarchy:
 # ---------------------------------------------------------------------------
 # Gates: batch only what the simulator models exactly
 # ---------------------------------------------------------------------------
+#
+# Every gate is pure and returns ``None`` (pass) or the name of the check
+# that failed; :func:`try_run_batched` reports that name in its
+# ``attack.batch_declined`` event.
 
 
-def _hierarchy_batchable(hierarchy) -> bool:
+#: Bus access controllers the kernels pre-run instead of consulting per
+#: transaction.  Each verdict depends only on configuration and enclave
+#: ownership, which a read-only attack never changes, so checking every
+#: distinct (master, word, world) once is the same as checking each
+#: transaction.
+_PURE_CONTROLLERS = (MemoryEncryptionEngine, _EPCAccessControl,
+                     TrustZoneAddressSpaceController)
+
+#: Enclave-relative offsets of every word an :class:`AESVictim`
+#: encryption may read: its two key words, then the 128 word-aligned
+#: slots of each of the five tables (a lookup reads
+#: ``(table * stride + index * 4) & ~7``).
+_KEY_OFFSETS = (AES_KEY_OFFSET, AES_KEY_OFFSET + 8)
+_TABLE_WORDS = range(0, 5 * AES_TABLE_STRIDE, 8)
+_READS_PER_ENCRYPTION = len(_KEY_OFFSETS) + 160
+
+
+def _hierarchy_gate(hierarchy) -> str | None:
     if type(hierarchy) is not CacheHierarchy:
-        return False
-    if hierarchy._llc_excluded:
-        return False
+        return "hierarchy-type"
     for cache in (*hierarchy.l1s, hierarchy.l2):
         if type(cache) is not Cache:
-            return False
-        if cache.partition is not None or cache.index_fn is not None:
-            return False
+            return "cache-type"
+        if cache.partition is not None:
+            return "cache-partition"
+        if cache.index_fn is not None:
+            return "cache-index-fn"
         if any(type(p) is not LRUPolicy for p in cache._policies):
-            return False
+            return "cache-policy"
         if cache.line_size != hierarchy.config.line_size:
-            return False
-    return True
+            return "cache-line-size"
+    return None
 
 
-def _bus_batchable(bus) -> bool:
-    return (not bus._controllers and not bus._snoopers
-            and not bus._transforms)
+def _bus_gate(bus) -> str | None:
+    if bus._snoopers:
+        return "bus-snooper"
+    if any(type(c) not in _PURE_CONTROLLERS for _, c in bus._controllers):
+        return "bus-controller"
+    if any(type(t) is not MemoryEncryptionEngine
+           for _, t in bus._transforms):
+        return "bus-transform"
+    return None
 
 
-def _cipher_batchable(cipher) -> bool:
-    return (type(cipher) is TTableAES and cipher.leak_hook is None
-            and cipher.fault_hook is None)
+def _bus_reads_gate(bus, master, addrs, secure: bool = False,
+                    pc: int | None = None) -> str | None:
+    """Pre-run the word reads ``master`` issues at ``addrs`` through the
+    live controllers, as ``SystemBus.read`` would route them."""
+    regions = bus.regions
+    controllers = [c for _, c in bus._controllers]
+    for addr in addrs:
+        region = regions.find(addr)
+        if region is None or region.device:
+            return "bus-region"
+        if not controllers:
+            continue
+        txn = BusTransaction(master, addr, "read", WORD_SIZE,
+                             secure=secure, pc=pc)
+        try:
+            for controller in controllers:
+                controller.check(txn, region)
+        except AccessFault:
+            return "bus-denied"
+    return None
+
+
+def _touches_mee(bus, addrs) -> bool:
+    """Does any word read at ``addrs`` reach an MEE range?  Only the
+    victim's reads are modelled through the engine."""
+    mees = [t for _, t in bus._transforms]
+    return any(addr < mee.end and mee.base < addr + WORD_SIZE
+               for mee in mees for addr in addrs)
+
+
+def _overlaps_llc_exclusion(hierarchy, base: int, size: int) -> bool:
+    return any(base < end and lo < base + size
+               for lo, end in hierarchy._llc_excluded)
+
+
+def _cipher_gate(cipher) -> str | None:
+    if (type(cipher) is TTableAES and cipher.leak_hook is None
+            and cipher.fault_hook is None):
+        return None
+    return "victim-cipher"
+
+
+#: Hosts whose whole enclave switch is their ``enclave_context`` (plus
+#: SGX's ``active_enclave``, see :func:`_enclave_active`).
+_MODELLED_HOSTS = (NullArchitecture, SGX, TrustZone, Sanctuary)
+
+_MISSING = object()
+
+
+@contextmanager
+def _enclave_active(arch, core, handle):
+    """SGX's EPC check reads ``active_enclave``: set it as
+    ``enter_enclave`` does for the controller pre-run, then restore it."""
+    if type(arch) is not SGX:
+        yield
+        return
+    active, name = arch.active_enclave, core.config.name
+    saved = active.get(name, _MISSING)
+    active[name] = handle.enclave_id
+    try:
+        yield
+    finally:
+        if saved is _MISSING:
+            del active[name]
+        else:
+            active[name] = saved
+
+
+def _peek_tlb(tlb, asid: int, page_va: int):
+    """The entry ``TLB.lookup`` would hit, without touching its state."""
+    vpn = page_va >> PAGE_SHIFT
+    for entry in tlb._sets[tlb._set_index(page_va)]:
+        if entry is None or entry.vpn != vpn:
+            continue
+        if entry.asid != asid and not entry.flags & PageFlags.GLOBAL:
+            continue
+        return entry
+    return None
+
+
+def _peek_translation(mmu, memory, page_va: int, privilege):
+    """``(frame, pte addresses)`` a paged ``mmu.translate`` resolves for
+    ``page_va``, without touching TLB, walker or bus state; ``None`` when
+    it would fault or could change mid-run (a TLB entry that disagrees
+    with the page table it may be refilled from)."""
+    idx1, idx0 = vpn_split(page_va)
+    pte1_addr = mmu.root + idx1 * PTE_SIZE
+    table, flags1 = pte_unpack(
+        int.from_bytes(memory.read_bytes(pte1_addr, 8), "little"))
+    if not flags1 & PageFlags.PRESENT or not flags1 & PageFlags.NONLEAF:
+        return None
+    pte0_addr = table + idx0 * PTE_SIZE
+    pte0 = int.from_bytes(memory.read_bytes(pte0_addr, 8), "little")
+    if pte0 == 0:
+        return None
+    frame, flags = pte_unpack(pte0)
+    if mmu.tlb is not None:
+        entry = _peek_tlb(mmu.tlb, mmu.asid, page_va)
+        if entry is not None and (entry.paddr, entry.flags) != (frame,
+                                                                flags):
+            return None
+    try:
+        mmu._check_leaf(page_va, frame, flags, "read", privilege)
+    except PageFault:
+        return None
+    return frame, (pte1_addr, pte0_addr)
 
 
 def _region_ok(regions, addr: int, need_cacheable: bool = False) -> bool:
@@ -277,50 +480,115 @@ def _region_ok(regions, addr: int, need_cacheable: bool = False) -> bool:
     return region.cacheable if need_cacheable else True
 
 
-def _victim_batchable(victim, attacker) -> bool:
-    """Gate the victim shapes :class:`_VictimModel` replays exactly."""
+def _victim_model(victim, attacker):
+    """Gate ``victim`` and build its :class:`_VictimModel`, or return the
+    failed gate's name.  Side-effect-free: SGX's enclave bookkeeping and
+    the MEE counters touched by the pre-run are restored."""
     from repro.attacks.cache_sca import SharedAESService
     soc = attacker.soc
+    hierarchy = soc.hierarchy
     if type(victim) is SharedAESService:
-        return (victim.soc is soc
-                and _cipher_batchable(victim._cipher)
-                and 0 <= victim.core_id < len(soc.hierarchy.l1s))
+        if victim.soc is not soc:
+            return "victim-soc"
+        reason = _cipher_gate(victim._cipher)
+        if reason:
+            return reason
+        if not 0 <= victim.core_id < len(hierarchy.l1s):
+            return "victim-core"
+        excluded = {not hierarchy._llc_allowed(victim.table_paddr + off)
+                    for off in _TABLE_WORDS}
+        if len(excluded) != 1:
+            return "llc-exclusion"
+        return _VictimModel(victim, soc, excluded.pop())
     if type(victim) is not AESVictim:
-        return False
+        return "victim-type"
     arch = victim.arch
-    if type(arch) is not NullArchitecture or arch.soc is not soc:
-        return False
-    if not _cipher_batchable(victim._cipher):
-        return False
+    if arch.soc is not soc:
+        return "victim-soc"
+    reason = _cipher_gate(victim._cipher)
+    if reason:
+        return reason
     handle = victim.handle
-    if handle.base != handle.paddr or handle.domain is not None:
-        return False
-    if not 0 <= handle.core_id < min(len(soc.cores),
-                                     len(soc.hierarchy.l1s)):
-        return False
+    if not 0 <= handle.core_id < min(len(soc.cores), len(hierarchy.l1s)):
+        return "victim-core"
     core = soc.cores[handle.core_id]
     if type(core) not in (Core, SpeculativeCore):
-        return False
-    mmu = soc.mmus[handle.core_id]
-    if mmu.root is not None:
-        return False
-    if len(mmu._identity_cache) > 65536 - _DICT_HEADROOM:
-        return False
-    if (type(core) is SpeculativeCore
-            and len(core._l1_view) > 65536 - _DICT_HEADROOM):
-        return False
+        return "core-type"
+    if core.bus is not soc.bus or core.hierarchy is not hierarchy:
+        return "core-wiring"
+    context = (arch.enclave_context(handle)
+               if type(arch) in _MODELLED_HOSTS else None)
+    if context is None:
+        return "victim-host"
+    privilege, secure, flush_l1, table = context
+    mmu = core.mmu
+    if type(mmu) is not MMU or mmu.walk_hooks:
+        return "mmu"
+    if mmu.tlb is not None and type(mmu.tlb) is not TLB:
+        return "tlb-type"
+    if (mmu.root is not None if table is None
+            else (mmu.root, mmu.asid) != (table.root, table.asid)):
+        return "mmu-context"
+    if (len(mmu._identity_cache) > 65536 - _DICT_HEADROOM
+            or (type(core) is SpeculativeCore
+                and len(core._l1_view) > 65536 - _DICT_HEADROOM)):
+        return "dict-headroom"
     epm = core.config.energy_per_mem_pj
     if not (float(epm).is_integer() and float(core.energy_pj).is_integer()):
-        return False
-    # The whole enclave range must decode to one plain cacheable region
-    # for the bus fast path and the cache path to apply.
+        return "energy"
+    if handle.size < AES_KEY_OFFSET + 2 * WORD_SIZE:
+        return "victim-size"  # enclave_read would raise EnclaveError
+
+    # Physical address of every word the victim may read, invariant over
+    # the whole run (checked against the TLB as well as the page table).
+    frames: dict[int, int] = {}
+    pte_addrs: list[int] = []
+    first = handle.base & ~PAGE_MASK
+    for page_va in range(first, handle.base + AES_KEY_OFFSET + 16,
+                         PAGE_SIZE):
+        if table is None:
+            frames[page_va] = page_va
+            continue
+        walk = _peek_translation(mmu, soc.memory, page_va, privilege)
+        if walk is None:
+            return "translation"
+        frames[page_va], ptes = walk
+        pte_addrs.extend(ptes)
+    if len(set(frames.values())) != len(frames):
+        return "translation"  # aliased frames: tags would be ambiguous
+    words = {}
+    for off in (*_KEY_OFFSETS, *_TABLE_WORDS):
+        va = handle.base + off
+        words[off] = frames[va & ~PAGE_MASK] | (va & PAGE_MASK)
+    paddrs = list(words.values())
     regions = soc.regions
-    if not (_region_ok(regions, handle.base, need_cacheable=True)
-            and _region_ok(regions, handle.base + handle.size - 1,
-                           need_cacheable=True)):
-        return False
-    return regions.find(handle.base) is regions.find(
-        handle.base + handle.size - 1)
+    if not all(_region_ok(regions, p, need_cacheable=True) for p in paddrs):
+        return "victim-region"
+    excluded = {not hierarchy._llc_allowed(p) for p in paddrs}
+    if len(excluded) != 1:
+        return "llc-exclusion"
+    for _, mee in soc.bus._transforms:
+        # Each word lies wholly inside the engine's range or clear of it,
+        # the same way for every word.
+        verdicts = {(mee.base <= p and p + WORD_SIZE <= mee.end,
+                     p < mee.end and mee.base < p + WORD_SIZE)
+                    for p in paddrs}
+        if verdicts not in ({(True, True)}, {(False, False)}):
+            return "mee-range"
+    if _touches_mee(soc.bus, pte_addrs):
+        return "mee-range"
+    # The controllers see the victim's reads (and its walker's) with the
+    # enclave active.
+    with _enclave_active(arch, core, handle):
+        reason = (_bus_reads_gate(soc.bus, core.master, paddrs, secure,
+                                  core.pc)
+                  or _bus_reads_gate(soc.bus, mmu.walker_master, pte_addrs,
+                                     secure))
+    if reason:
+        return reason
+    model = _VictimModel(victim, soc, excluded.pop())
+    model.bind_enclave(core, words, frames, privilege, secure, flush_l1)
+    return model.load_words() or model
 
 
 # ---------------------------------------------------------------------------
@@ -330,45 +598,107 @@ def _victim_batchable(victim, attacker) -> bool:
 
 class _VictimModel:
     """Drives the simulator with a victim's exact access stream and
-    replays the bookkeeping (`encryptions`, core cycles/energy, bus
-    transactions, MMU identity cache, speculative L1 view) at the end.
+    replays the bookkeeping (``encryptions``, core cycles/energy, bus
+    transactions, MMU/TLB, MEE counters, speculative L1 view, enclave
+    context) around it.
 
     Two shapes are supported, matching the two victims the scalar
     attacks accept:
 
     * :class:`SharedAESService` — 160 bare ``hierarchy.access`` calls
       per encryption, no core, no bus;
-    * :class:`AESVictim` on :class:`NullArchitecture` with an identity
-      MMU — two key-word reads plus 160 lookups through
-      ``Core.read_mem`` (TLB constant + bus fast path + cache latency
-      charge + L1-view note), enclave enter/exit being a domain no-op.
+    * :class:`AESVictim` on a null, SGX, TrustZone or Sanctuary host —
+      two key-word reads plus 160 lookups through ``Core.read_mem``
+      (translation + TLB charge, bus read, cache latency charge, L1-view
+      note) between ``enter_enclave`` and ``exit_enclave``.  Sanctuary
+      flushes the core's L1 on both switches; SGX translates through the
+      OS page table, which the model replays with the real
+      ``mmu.translate`` per access (it never touches the caches, so TLB
+      state, walks and walker bus reads come out identical).
+
+    Either shape's lines may sit in an LLC-excluded range (the L1 alone
+    then serves them), as long as all of them do or none do.
     """
 
-    def __init__(self, victim, sim: _SimHierarchy, soc) -> None:
+    def __init__(self, victim, soc, excluded: bool) -> None:
         self.victim = victim
-        self.sim = sim
         self.soc = soc
+        self.sim: _SimHierarchy | None = None
+        self.excluded = excluded
         self.encrypts = 0
         self.is_enclave = type(victim) is AESVictim
-        self.shift = sim.shift
-        if self.is_enclave:
-            handle = victim.handle
-            self.base = handle.base
-            self.core = soc.cores[handle.core_id]
-            mmu = soc.mmus[handle.core_id]
-            self.mmu = mmu
-            self.tlb_lat = (mmu.tlb.access_latency(True)
-                            if mmu.tlb is not None else 0)
-            key_line = (self.base + AES_KEY_OFFSET) >> self.shift
-            self.key_tags = (key_line,
-                             (self.base + AES_KEY_OFFSET + 8) >> self.shift)
-            self.word_offsets: set[int] = {AES_KEY_OFFSET,
-                                           AES_KEY_OFFSET + 8}
-            self.cycles = 0
-        else:
+        if not self.is_enclave:
             self.base = victim.table_paddr
             self.vcore = victim.core_id
             self.vdomain = victim.domain
+
+    def bind_enclave(self, core, words: dict[int, int],
+                     frames: dict[int, int], privilege, secure: bool,
+                     flush_l1: bool) -> None:
+        """Record the enclave victim's gated context (see
+        :func:`_victim_model`)."""
+        handle = self.victim.handle
+        self.arch = self.victim.arch
+        self.handle = handle
+        self.base = handle.base
+        self.core = core
+        self.core_id = handle.core_id
+        self.domain = handle.domain
+        self.mmu = mmu = core.mmu
+        self.paged = mmu.root is not None
+        self.privilege = privilege
+        self.secure = secure
+        self.flush_l1 = flush_l1
+        self.words = words  # offset -> physical address
+        self.values: dict[int, int] = {}  # offset -> word as delivered
+        # Virtual page -> frame, indexed by VPN offset for numpy.
+        self.first_vpn = min(frames) >> PAGE_SHIFT
+        self.frames = np.array([frames[va] for va in sorted(frames)],
+                               dtype=np.int64)
+        self.word_offsets: set[int] = set(_KEY_OFFSETS)
+        self.cycles = 0
+        tlb = mmu.tlb
+        self.tlb_lat = tlb.access_latency(True) if tlb is not None else 0
+
+    def load_words(self) -> str | None:
+        """Read every word the victim may load through the bus's real
+        transform chain, once: each MEE word is integrity-checked and
+        decrypted by ``on_read`` before any state is mutated.  The
+        engines' counters are put back (the run replays the scalar
+        per-access increments); a failed tag declines, and the scalar
+        path then raises the same :class:`SecurityViolation`."""
+        bus, memory, core = self.soc.bus, self.soc.memory, self.core
+        transforms = [t for _, t in reversed(bus._transforms)]
+        counters = [(t.decrypted_reads, t.integrity_failures)
+                    for t in transforms]
+        try:
+            for off, paddr in self.words.items():
+                data = memory.read_bytes(paddr, WORD_SIZE)
+                txn = BusTransaction(core.master, paddr, "read", WORD_SIZE,
+                                     secure=self.secure, pc=core.pc)
+                for transform in transforms:
+                    data = transform.on_read(txn, data)
+                self.values[off] = int.from_bytes(data, "little")
+        except SecurityViolation:
+            return "mee-integrity"
+        finally:
+            for t, (reads, failures) in zip(transforms, counters):
+                t.decrypted_reads, t.integrity_failures = reads, failures
+        self.mees = [t for t in transforms
+                     if t.base <= self.words[0] < t.end]
+        return None
+
+    def attach(self, sim: _SimHierarchy) -> None:
+        """Bind the run's simulator (snapshot taken by the kernel)."""
+        self.sim = sim
+        self.shift = shift = sim.shift
+        self.access = sim.access_excluded if self.excluded else sim.access
+        if self.is_enclave:
+            self.key_tags = tuple(self.words[off] >> shift
+                                  for off in _KEY_OFFSETS)
+            # Line tag -> its virtual page, for the per-access translate.
+            self.page_of = {paddr >> shift: (self.base + off) & ~PAGE_MASK
+                            for off, paddr in self.words.items()}
 
     def lookup_tags(self, plaintexts: np.ndarray) -> list[list[int]]:
         """Per-sample line-tag streams of the victim's 160 T-table
@@ -394,9 +724,13 @@ class _VictimModel:
             # enclave masks the offset, the service masks the (64-
             # aligned) table base plus offset — identical addresses.
             aligned = (offs[np.newaxis, :] + idx * 4) & ~7
-            tags[:, (rnd - 1) * 16:rnd * 16] = (base + aligned) >> shift
-            if self.is_enclave and n:
-                self.word_offsets.update(np.unique(aligned).tolist())
+            addrs = base + aligned
+            if self.is_enclave:
+                addrs = (self.frames[(addrs >> PAGE_SHIFT) - self.first_vpn]
+                         | (addrs & PAGE_MASK))
+                if n:
+                    self.word_offsets.update(np.unique(aligned).tolist())
+            tags[:, (rnd - 1) * 16:rnd * 16] = addrs >> shift
             if rnd < 10:
                 sub = SBOX_TABLE[state]
                 state = _mix_columns(sub[:, _SHIFT_ROWS]) ^ rk[rnd]
@@ -406,44 +740,73 @@ class _VictimModel:
         """Replay one encryption's cache events; returns the victim
         core's cycle delta (0 for the bare service victim)."""
         self.encrypts += 1
-        sim_access = self.sim.access
+        access = self.access
         if not self.is_enclave:
             vcore, vdomain = self.vcore, self.vdomain
             for tag in tag_row:
-                sim_access(vcore, tag, vdomain)
+                access(vcore, tag, vdomain)
             return 0
-        core_id = self.victim.handle.core_id
+        core_id, domain = self.core_id, self.domain
+        if self.flush_l1:
+            self.sim.flush_core(core_id)  # enter_enclave
         k1, k2 = self.key_tags
-        latency = sim_access(core_id, k1, None)
-        latency += sim_access(core_id, k2, None)
+        latency = access(core_id, k1, domain)
+        latency += access(core_id, k2, domain)
         for tag in tag_row:
-            latency += sim_access(core_id, tag, None)
-        cycles = latency + 162 * self.tlb_lat
-        self.cycles += cycles
+            latency += access(core_id, tag, domain)
+        if self.flush_l1:
+            self.sim.flush_core(core_id)  # exit_enclave
+        if self.paged:
+            latency += self._translate(tag_row)
+        else:
+            latency += _READS_PER_ENCRYPTION * self.tlb_lat
+        self.cycles += latency
+        return latency
+
+    def _translate(self, tag_row: list[int]) -> int:
+        """The real ``mmu.translate`` of every access, in order; returns
+        the TLB charge ``Core._translate`` adds."""
+        mmu, page_of = self.mmu, self.page_of
+        translate = mmu.translate
+        charge = mmu.tlb.access_latency if mmu.tlb is not None else None
+        privilege, secure = self.privilege, self.secure
+        cycles = 0
+        for tag in (*self.key_tags, *tag_row):
+            walks = mmu.walk_count
+            translate(page_of[tag], "read", privilege, secure)
+            if charge is not None:
+                cycles += charge(mmu.walk_count == walks)
         return cycles
 
     def finalize(self) -> None:
-        """Write the victim-side bookkeeping back to the live objects."""
+        """Write the victim-side bookkeeping back to the live objects.
+        Runs before the simulator's writeback, which overwrites the
+        caches Sanctuary's replayed switch flushes."""
         self.victim.encryptions += self.encrypts
         if not self.is_enclave or not self.encrypts:
             return
         core = self.core
-        events = 162 * self.encrypts
+        events = _READS_PER_ENCRYPTION * self.encrypts
         core.cycles += self.cycles
         core.energy_pj += events * core.config.energy_per_mem_pj
-        core.domain = None  # state after the last exit_enclave
+        # The context after the last switch: one enter/exit pair leaves
+        # the domain, privilege, world, DVFS and enclave state exactly
+        # as any number of them does.
+        self.arch.enter_enclave(self.handle)
+        self.arch.exit_enclave(self.handle)
         self.soc.bus.transaction_count += events
-        memory = self.soc.memory
+        for mee in self.mees:
+            mee.decrypted_reads += events
         view = core._l1_view if type(core) is SpeculativeCore else None
         for offset in self.word_offsets:
-            va = self.base + offset
-            # Replay the identity translation (populates the MMU cache
-            # exactly as the scalar per-access path would have).
-            self.mmu.translate(va, "read", core.privilege,
-                               secure=core.world.is_secure)
+            if not self.paged:
+                # Replay the identity translation (populates the MMU's
+                # memo exactly as the scalar per-access path would).
+                self.mmu.translate(self.base + offset, "read",
+                                   core.privilege,
+                                   secure=core.world.is_secure)
             if view is not None:
-                view[va] = int.from_bytes(memory.read_bytes(va, 8),
-                                          "little")
+                view[self.words[offset]] = self.values[offset]
 
 
 class _AttackerModel:
@@ -500,48 +863,63 @@ def _draw_plaintexts(rng: XorShiftRNG, count: int, target_byte: int,
     return pts
 
 
-def _cache_gates(attack) -> bool:
-    """Common gates for the three cache attacks — pure, no side
-    effects, so a ``False`` (fall back to scalar) leaves the SoC
-    untouched for the scalar oracle to run."""
+def _attacker_gates(attack) -> str | None:
+    """The attack-side gates the three cache attacks share."""
     attacker = attack.attacker
     if type(attacker) is not AttackerProcess:
-        return False
+        return "attacker-type"
     if type(attack.rng) is not XorShiftRNG:
-        return False
+        return "rng-type"
     soc = attacker.soc
     hierarchy = soc.hierarchy
-    if not _hierarchy_batchable(hierarchy):
-        return False
-    if not _bus_batchable(soc.bus):
-        return False
+    reason = _hierarchy_gate(hierarchy) or _bus_gate(soc.bus)
+    if reason:
+        return reason
     if not 0 <= attacker.core_id < len(hierarchy.l1s):
-        return False
-    if not _victim_batchable(attack.victim, attacker):
-        return False
-    # Every attacker-addressable line must decode to plain memory, or
-    # the scalar bus read would have faulted instead of timing it.
+        return "attacker-core"
+    # Every attacker-addressable line must decode to plain memory, or the
+    # scalar bus read would have faulted instead of timing it, and must
+    # go through the shared LLC like any other process line.
     regions = soc.regions
     for page in attacker.pages:
         if not (_region_ok(regions, page)
                 and _region_ok(regions, page + 4095)):
-            return False
-    return True
+            return "attacker-region"
+        if _overlaps_llc_exclusion(hierarchy, page, 4096):
+            return "llc-exclusion"
+    return None
 
 
-def _build_models(attack):
-    """Snapshot the live hierarchy and build the event models.  Call
-    only after :func:`_cache_gates` passed (and after any live
-    preconditions ran, so the snapshot captures their effects)."""
+def _cache_gates(attack):
+    """Every gate of a cache attack: the victim's :class:`_VictimModel`,
+    or the name of the first gate that failed.  Side-effect-free, so a
+    decline leaves the SoC untouched for the scalar oracle to run."""
+    return (_attacker_gates(attack)
+            or _victim_model(attack.victim, attack.attacker))
+
+
+def _attacker_reads_gate(attacker, addrs) -> str | None:
+    """The attacker's timed reads at ``addrs``, pre-run on the bus."""
+    bus = attacker.soc.bus
+    reason = _bus_reads_gate(bus, attacker.master, addrs)
+    if reason is None and _touches_mee(bus, addrs):
+        reason = "mee-range"
+    return reason
+
+
+def _build_models(attack, model):
+    """Snapshot the live hierarchy and bind the event models.  Call only
+    after every gate passed (and after any live preconditions ran, so the
+    snapshot captures their effects)."""
     attacker = attack.attacker
     sim = _SimHierarchy(attacker.soc.hierarchy)
-    model = _VictimModel(attack.victim, sim, attacker.soc)
-    return sim, model, _AttackerModel(attacker, sim)
+    model.attach(sim)
+    return sim, _AttackerModel(attacker, sim)
 
 
 def _finalize_cache_run(attack, sim, model, att):
+    model.finalize()  # before the writeback: see _VictimModel.finalize
     sim.writeback()
-    model.finalize()
     att.finalize(attack.attacker.soc.bus)
 
 
@@ -553,24 +931,35 @@ def _run_prime_probe(attack):
         _grade,
         _plaintext_nibbles,
     )
-    if not _cache_gates(attack):
-        return None
-    sim, model, att = _build_models(attack)
+    model = _cache_gates(attack)
+    if isinstance(model, str):
+        return model
     cfg = attack.config
+    # Eviction sets are pure address arithmetic: build them up front so
+    # every timed read the probes will issue is checked before any state
+    # moves.
+    evictions = [attack._eviction_sets(BYTE_TO_TABLE[b])
+                 for b in cfg.target_bytes]
+    covered = [sum(1 for addrs in eviction if len(addrs) >= attack._ways)
+               for eviction in evictions]
+    reason = _attacker_reads_gate(attack.attacker, [
+        addr for eviction, count in zip(evictions, covered)
+        if count == LINES_PER_TABLE
+        for addrs in eviction for addr in addrs])
+    if reason:
+        return reason
+    sim, att = _build_models(attack, model)
     shift = sim.shift
     span = obs.span
     recovered: dict[int, int] = {}
     coverage = 0.0
-    for target_byte in cfg.target_bytes:
+    for target_byte, eviction, count in zip(cfg.target_bytes, evictions,
+                                            covered):
         with span("prime+probe:byte", cat="attack", byte=target_byte):
-            table = BYTE_TO_TABLE[target_byte]
-            eviction = attack._eviction_sets(table)
-            covered = sum(1 for addrs in eviction
-                          if len(addrs) >= attack._ways)
-            coverage = max(coverage, covered / LINES_PER_TABLE)
-            if covered < LINES_PER_TABLE:
+            coverage = max(coverage, count / LINES_PER_TABLE)
+            if count < LINES_PER_TABLE:
                 obs.event("prime+probe.blocked", cat="attack",
-                          byte=target_byte, covered=covered)
+                          byte=target_byte, covered=count)
                 continue
             ev_tags = [[addr >> shift for addr in addrs]
                        for addrs in eviction]
@@ -621,23 +1010,35 @@ def _run_flush_reload(attack):
         _grade,
         _plaintext_nibbles,
     )
-    if not _cache_gates(attack):
-        return None
+    reason = _attacker_gates(attack)
+    if reason:
+        return reason
     cfg = attack.config
+    attacker = attack.attacker
     base = attack.victim.table_paddr
-    # The attacker's timed reloads go through the bus; the monitored
-    # table lines must decode to plain memory (the enclave-range gate
-    # covers this for AESVictim, but the shared service's tables live
-    # wherever ``table_paddr`` points).
-    regions = attack.attacker.soc.regions
-    lo = attack._line_paddr(0, 0)
-    hi = attack._line_paddr(4, LINES_PER_TABLE - 1)
-    if not (_region_ok(regions, lo) and _region_ok(regions, hi)
-            and regions.find(lo) is regions.find(hi)):
-        return None
+    lines = [attack._line_paddr(table, line) for table in range(5)
+             for line in range(LINES_PER_TABLE)]
+    lo = lines[0]
+    if (type(attacker.arch).attacker_can_map
+            is not SecurityArchitecture.attacker_can_map):
+        return "attacker-map"  # a translation-level defence: not modelled
+    # A refused precondition probe declines too: the scalar attack stops
+    # at that one read, so there is nothing to batch.
+    reason = _bus_reads_gate(attacker.soc.bus, attacker.master, [lo])
+    if reason:
+        return reason
+    model = _victim_model(attack.victim, attacker)
+    if isinstance(model, str):
+        return model
+    reason = _attacker_reads_gate(attacker, lines)
+    if reason:
+        return reason
+    hierarchy = attacker.soc.hierarchy
+    if not all(hierarchy._llc_allowed(paddr) for paddr in lines):
+        return "llc-exclusion"
     # Precondition probe, run live (scalar-identical side effects) —
     # only after the gates passed, so a fallback never double-runs it.
-    ok, _ = attack.attacker.try_read(lo)
+    ok, _ = attacker.try_read(lo)
     if not ok:
         return AttackResult(
             name=attack.NAME,
@@ -646,7 +1047,7 @@ def _run_flush_reload(attack):
             details={"blocked": "victim memory not attacker-addressable"})
 
     # Snapshot only now, so the live try_read's cache effects are in.
-    sim, model, att = _build_models(attack)
+    sim, att = _build_models(attack, model)
     shift = sim.shift
     span = obs.span
     recovered: dict[int, int] = {}
@@ -698,10 +1099,11 @@ def _run_evict_time(attack):
     if type(attack.victim) is not AESVictim:
         # ``_victim_cycles`` dereferences ``victim.arch``: the bare
         # shared service has no core accounting to time.
-        return None
-    if not _cache_gates(attack):
-        return None
-    sim, model, att = _build_models(attack)
+        return "victim-type"
+    model = _cache_gates(attack)
+    if isinstance(model, str):
+        return model
+    sim, att = _build_models(attack, model)
     cfg = attack.config
     shift = sim.shift
     llc = attack.attacker.soc.hierarchy.l2
@@ -853,14 +1255,16 @@ def _run_kocher_timing(attack):
     from repro.attacks.base import AttackCategory, AttackResult
 
     victim = attack.victim
-    if type(victim) is not RSA or victim.constant_time:
-        return None  # the ladder path stays on the scalar oracle
+    if type(victim) is not RSA:
+        return "victim-type"
+    if victim.constant_time:
+        return "constant-time"  # the ladder stays on the scalar oracle
     if type(attack.rng) is not XorShiftRNG:
-        return None
+        return "rng-type"
     n = victim.key.n
     d = victim.key.d
     if n <= 2 or d.bit_length() < 1:
-        return None  # degenerate keys: identical scalar error behaviour
+        return "degenerate-key"  # identical scalar error behaviour
     rng = attack.rng
     samples = attack.samples
     half = n >> 1
@@ -934,7 +1338,9 @@ def try_run_batched(attack):
     """Run ``attack``'s batched kernel, or ``None`` for scalar fallback.
 
     Dispatch is type-exact (``type(attack)``), so subclassed attacks
-    always run their own (scalar) code.
+    always run their own (scalar) code.  A kernel that declines names
+    the gate that failed; the name goes out as an
+    ``attack.batch_declined`` event on the active tracer.
     """
     global _KERNELS
     if _KERNELS is None:
@@ -952,4 +1358,11 @@ def try_run_batched(attack):
             KocherTimingAttack: _run_kocher_timing,
         }
     kernel = _KERNELS.get(type(attack))
-    return kernel(attack) if kernel is not None else None
+    if kernel is None:
+        return None
+    result = kernel(attack)
+    if isinstance(result, str):
+        obs.event("attack.batch_declined", cat="attack", kernel=attack.NAME,
+                  reason=result)
+        return None
+    return result

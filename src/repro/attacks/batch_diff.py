@@ -11,9 +11,15 @@ must produce
 * the same end state on the attack's RNG stream (the batched path must
   *consume* randomness exactly like the scalar loop);
 * the same SoC end state: cache lines, tags, LRU stamps and per-level
-  stats at every level, bus transaction count, per-core cycle/energy/
-  domain state, the speculative cores' L1 views, the MMUs' identity
-  caches, and the victim's encryption counter.
+  stats at every level, bus transaction and denial counts, per-core
+  cycle/energy/domain/privilege/world state, the speculative cores' L1
+  views, the MMUs (identity caches, context, walk counts) and TLBs
+  (entries, stamps, hit/miss counts), the MEE counters, the TrustZone
+  world state and DVFS secure set, SGX's active enclaves, and the
+  victim's encryption counter.
+
+Scenarios run on every victim host the kernels model (null, SGX,
+TrustZone, Sanctuary) and on Sanctum, which they decline.
 
 :func:`run_pair` builds two identically-seeded environments from one
 immutable scenario, runs the scalar oracle on one and the batched kernel
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch import SGX, Sanctuary, Sanctum, TrustZone
 from repro.arch.null import NullArchitecture
 from repro.attacks import batch
 from repro.attacks.base import AttackerProcess
@@ -37,6 +44,7 @@ from repro.attacks.cache_sca import (
     _CacheAttackConfig,
 )
 from repro.attacks.timing import KocherTimingAttack
+from repro.common import PrivilegeLevel
 from repro.cpu.soc import make_embedded_soc, make_mobile_soc, make_server_soc
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
@@ -52,6 +60,14 @@ _SOC_FACTORIES = {
     "embedded": make_embedded_soc,
 }
 
+_HOSTS = {
+    "null": NullArchitecture,
+    "sgx": SGX,
+    "trustzone": TrustZone,
+    "sanctuary": Sanctuary,
+    "sanctum": Sanctum,
+}
+
 _CACHE_ATTACKS = {
     "prime+probe": PrimeProbeAttack,
     "flush+reload": FlushReloadAttack,
@@ -65,18 +81,22 @@ class CacheScenario:
 
     attack: str = "flush+reload"  # key into _CACHE_ATTACKS
     platform: str = "server-desktop"  # key into _SOC_FACTORIES
+    host: str = "null"  # key into _HOSTS: the architecture under test
     enclave_victim: bool = True  # False: SharedAESService
     seed: int = 0x5CA
     samples_per_value: int = 4
     plaintext_values: int = 4
     target_bytes: tuple[int, ...] = (0, 5)
     victim_core: int = 0
+    cold_tlb: bool = False  # flush every TLB before the attack runs
+    #: The victim core starts with a previous tenant's leftovers: a
+    #: stray domain label, user privilege and a full L1.
+    dirty_core: bool = False
 
     def build(self):
         """Fresh (attack, rng, soc) triple; deterministic in ``self``."""
         soc = _SOC_FACTORIES[self.platform]()
-        arch = NullArchitecture(soc)
-        arch.install()
+        arch = _HOSTS[self.host](soc)
         rng = XorShiftRNG(self.seed)
         key = rng.bytes(16)
         if self.enclave_victim:
@@ -90,6 +110,17 @@ class CacheScenario:
             plaintext_values=self.plaintext_values,
             target_bytes=self.target_bytes)
         attack = _CACHE_ATTACKS[self.attack](victim, attacker, rng, config)
+        if self.cold_tlb:
+            for mmu in soc.mmus:
+                mmu.flush_tlb()
+        if self.dirty_core:
+            core = soc.cores[self.victim_core]
+            core.domain, core.privilege = "tenant", PrivilegeLevel.USER
+            l1 = soc.hierarchy.l1s[self.victim_core]
+            for line in range(l1.num_sets * l1.ways):
+                soc.hierarchy.access(self.victim_core,
+                                     soc.dram_base + 0x20_0000 + line * 64,
+                                     domain="tenant")
         return attack, rng, soc
 
 
@@ -115,8 +146,9 @@ class TimingScenario:
         return attack, rng, None
 
 
-def soc_state(soc) -> tuple:
-    """Every SoC observable a batched attack must leave bit-identical."""
+def soc_state(soc, arch=None) -> tuple:
+    """Every SoC observable a batched attack must leave bit-identical
+    (plus ``arch``'s enclave bookkeeping, when given)."""
     if soc is None:
         return ()
     levels = []
@@ -130,10 +162,23 @@ def soc_state(soc) -> tuple:
             [(p._stamp, tuple(p._last_use)) for p in cache._policies],
             (stats.hits, stats.misses, stats.evictions, stats.flushes)))
     cores = [(core.cycles, core.energy_pj, core.domain, core.instret,
+              core.privilege, core.world,
               dict(getattr(core, "_l1_view", {}) or {}))
              for core in soc.cores]
-    mmus = [dict(mmu._identity_cache) for mmu in soc.mmus]
-    return (levels, soc.bus.transaction_count, cores, mmus)
+    mmus = [(dict(mmu._identity_cache), mmu.root, mmu.asid, mmu.walk_count)
+            for mmu in soc.mmus]
+    tlbs = [None if tlb is None else (
+        [[None if e is None else (e.asid, e.vpn, e.paddr, e.flags, e.stamp)
+          for e in entries] for entries in tlb._sets],
+        tlb._stamp, tlb.hits, tlb.misses) for tlb in soc.tlbs]
+    bus = soc.bus
+    mees = [(t.encrypted_writes, t.decrypted_reads, t.integrity_failures)
+            for _, t in bus._transforms]
+    worlds = (dict(soc.world_state._worlds),
+              sorted(soc.dvfs.secure_active_cores))
+    enclaves = dict(getattr(arch, "active_enclave", {}))
+    return (levels, bus.transaction_count, bus.denied_count, cores, mmus,
+            tlbs, mees, worlds, enclaves)
 
 
 @dataclass(frozen=True)
@@ -150,8 +195,7 @@ def scalar_run(scenario) -> AttackOutcome:
     """Run the scenario on the retained scalar oracle."""
     attack, rng, soc = scenario.build()
     result = attack._run_scalar()
-    encryptions = getattr(attack.victim, "encryptions", 0)
-    return AttackOutcome(result, rng._state, encryptions, soc_state(soc))
+    return _outcome(attack, result, rng, soc)
 
 
 def batched_run(scenario) -> AttackOutcome:
@@ -163,8 +207,14 @@ def batched_run(scenario) -> AttackOutcome:
     if result is None:
         raise AttackDivergence(
             f"batched kernel declined scenario {scenario!r}")
-    encryptions = getattr(attack.victim, "encryptions", 0)
-    return AttackOutcome(result, rng._state, encryptions, soc_state(soc))
+    return _outcome(attack, result, rng, soc)
+
+
+def _outcome(attack, result, rng, soc) -> AttackOutcome:
+    victim = getattr(attack, "victim", None)
+    return AttackOutcome(result, rng._state,
+                         getattr(victim, "encryptions", 0),
+                         soc_state(soc, getattr(victim, "arch", None)))
 
 
 def _compare(field: str, batched, scalar) -> None:

@@ -174,9 +174,11 @@ def _cache_defence_row(task: tuple[int, bool, bool, int]) -> CacheDefenceRow:
 
     Each attack draws from its own digest-derived stream, so rows are
     independent of each other and of attack ordering within the row.
-    The attacks run their default, batched lane: the baseline host's
-    row takes the batched kernels, while the TEE hosts' victims fail
-    the kernels' side-effect-free gates and run the scalar loops.
+    The attacks run their default, batched lane.  The kernels model the
+    baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's DMA
+    filter fails their side-effect-free gates, so its row runs the scalar
+    loops, as does Flush+Reload on every TEE host, whose first probe the
+    host refuses.
     """
     index, quick, include_evict_time, seed = task
     arch_cls, make_soc, defence = _CACHE_HOSTS[index]

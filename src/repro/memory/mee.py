@@ -22,6 +22,8 @@ from repro.memory.regions import MemoryRegion
 
 _LINE = 64
 _MASK64 = (1 << 64) - 1
+#: Bound on the per-engine line-keystream memo (64 bytes a line).
+_STREAM_MEMO_LINES = 4096
 
 
 def _splitmix64(x: int) -> int:
@@ -67,6 +69,9 @@ class MemoryEncryptionEngine:
         self.size = size
         self._key = key & _MASK64
         self._tags: dict[int, int] = {}
+        #: line address -> that line's keystream; the key never changes,
+        #: so a line's keystream is computed once, not per word access.
+        self._streams: dict[int, bytes] = {}
         self.encrypted_writes = 0
         self.decrypted_reads = 0
         self.integrity_failures = 0
@@ -82,6 +87,15 @@ class MemoryEncryptionEngine:
         return txn.addr < self.end and self.base < txn.end \
             and not self._protected(txn)
 
+    def _line_stream(self, line_addr: int) -> bytes:
+        stream = self._streams.get(line_addr)
+        if stream is None:
+            if len(self._streams) >= _STREAM_MEMO_LINES:
+                self._streams.clear()
+            stream = _keystream(self._key, line_addr, _LINE)
+            self._streams[line_addr] = stream
+        return stream
+
     def _apply_keystream(self, addr: int, data: bytes) -> bytes:
         """XOR ``data`` with the line-relative keystream at ``addr``."""
         out = bytearray()
@@ -90,10 +104,10 @@ class MemoryEncryptionEngine:
             line_addr = (addr + offset) & ~(_LINE - 1)
             in_line = (addr + offset) - line_addr
             take = min(_LINE - in_line, len(data) - offset)
-            stream = _keystream(self._key, line_addr, _LINE)
-            chunk = data[offset:offset + take]
-            out.extend(b ^ s for b, s in
-                       zip(chunk, stream[in_line:in_line + take]))
+            stream = self._line_stream(line_addr)[in_line:in_line + take]
+            mixed = (int.from_bytes(data[offset:offset + take], "little")
+                     ^ int.from_bytes(stream, "little"))
+            out += mixed.to_bytes(take, "little")
             offset += take
         return bytes(out)
 

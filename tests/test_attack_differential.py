@@ -7,24 +7,28 @@ not approximate equality — mirroring ``tests/test_power_differential.py``
 for the power instrument and ``tests/test_ensemble_differential.py`` for
 the sweep engine.  Hypothesis drives :mod:`repro.attacks.batch_diff`
 across platforms, victim shapes and configurations; targeted tests pin
-the edges (N=0, N=1, blocked victims, tie-breaks), the routing
-fallbacks, and the matrix-level invariants (payload fingerprints and
-cache keys unchanged by ``batch=``).
+the edges (N=0, N=1, blocked victims, tie-breaks), the TEE hosts'
+machinery (SGX's MEE and paged MMU, TrustZone's world switch,
+Sanctuary's LLC exclusion and L1 flushes), the routing fallbacks and
+their decline reasons, and the matrix-level invariants (payload
+fingerprints and cache keys unchanged by ``batch=``).
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.arch.base import AES_KEY_OFFSET
 from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackerProcess
-from repro.attacks.batch import try_run_batched
+from repro.attacks.batch import _enclave_active, try_run_batched
 from repro.attacks.batch_diff import (
     CacheScenario,
     TimingScenario,
     batched_run,
     run_pair,
+    scalar_run,
     soc_state,
 )
 from repro.attacks.cache_sca import (
@@ -35,45 +39,190 @@ from repro.attacks.cache_sca import (
 )
 from repro.attacks.suites import MatrixKnobs, microarch_suite, physical_suite
 from repro.attacks.timing import KocherTimingAttack
+from repro.cache.policies import FIFOPolicy
 from repro.core.platforms import STANDARD_PLATFORMS
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
+from repro.errors import SecurityViolation
 
 PLATFORMS = ("server-desktop", "mobile", "embedded")
+#: (host, platform) pairs the kernels model; the TEE hosts need an MMU
+#: and a second core, which the embedded platform lacks.
+HOSTED = [("null", p) for p in PLATFORMS] + [
+    (host, p) for host in ("sgx", "trustzone", "sanctuary")
+    for p in ("server-desktop", "mobile")]
 
 
 class TestCacheHypothesis:
     @settings(max_examples=25, deadline=None)
     @given(
         attack=st.sampled_from(["prime+probe", "flush+reload"]),
-        platform=st.sampled_from(PLATFORMS),
+        hosted=st.sampled_from(HOSTED),
         enclave=st.booleans(),
+        cold_tlb=st.booleans(),
+        dirty_core=st.booleans(),
         seed=st.integers(min_value=1, max_value=2**63),
         samples=st.integers(min_value=0, max_value=6),
         values=st.sampled_from([2, 4, 8]),
         targets=st.sampled_from([(0,), (0, 5), (15,), (3, 7, 11)]),
     )
-    def test_probe_attacks_bit_identical(self, attack, platform, enclave,
-                                         seed, samples, values, targets):
+    def test_probe_attacks_bit_identical(self, attack, hosted, enclave,
+                                         cold_tlb, dirty_core, seed,
+                                         samples, values, targets):
+        host, platform = hosted
+        # A TEE refuses Flush+Reload's first probe of enclave memory, so
+        # the kernel declines (TestDeclineReasons pins that case).
+        assume(not (attack == "flush+reload" and enclave and host != "null"))
         run_pair(CacheScenario(
-            attack=attack, platform=platform, enclave_victim=enclave,
-            seed=seed, samples_per_value=samples,
+            attack=attack, platform=platform, host=host,
+            enclave_victim=enclave, cold_tlb=cold_tlb,
+            dirty_core=dirty_core, seed=seed, samples_per_value=samples,
             plaintext_values=values, target_bytes=targets))
 
     @settings(max_examples=15, deadline=None)
     @given(
-        platform=st.sampled_from(PLATFORMS),
+        hosted=st.sampled_from(HOSTED),
+        cold_tlb=st.booleans(),
         seed=st.integers(min_value=1, max_value=2**63),
         samples=st.integers(min_value=0, max_value=4),
         targets=st.sampled_from([(0,), (0, 5)]),
     )
-    def test_evict_time_bit_identical(self, platform, seed, samples,
+    def test_evict_time_bit_identical(self, hosted, cold_tlb, seed, samples,
                                       targets):
         # Evict+Time's kernel covers enclave victims only; the service
         # shape is a routing (fallback) case, tested below.
+        host, platform = hosted
         run_pair(CacheScenario(
-            attack="evict+time", platform=platform, enclave_victim=True,
-            seed=seed, samples_per_value=samples, target_bytes=targets))
+            attack="evict+time", platform=platform, host=host,
+            enclave_victim=True, cold_tlb=cold_tlb, seed=seed,
+            samples_per_value=samples, target_bytes=targets))
+
+
+class TestTEEHosts:
+    @pytest.mark.parametrize("dirty_core", [False, True])
+    @pytest.mark.parametrize("host", ["sgx", "trustzone", "sanctuary"])
+    def test_prime_probe_accepted_and_identical(self, host, dirty_core):
+        # run_pair fails on a declined kernel, so this pins acceptance.
+        # A dirty victim core shows the switch replay (context, flushes).
+        platform = "server-desktop" if host == "sgx" else "mobile"
+        run_pair(CacheScenario(attack="prime+probe", host=host,
+                               platform=platform, samples_per_value=2,
+                               dirty_core=dirty_core))
+
+    @pytest.mark.parametrize("host", ["null", "sgx", "trustzone",
+                                      "sanctuary"])
+    def test_enclave_context_describes_the_real_switch(self, host):
+        # The kernels replay arch.enclave_context (and, for SGX's EPC
+        # check, _enclave_active) instead of switching per
+        # encryption, so both must match what enter/exit really do.
+        attack, _, soc = CacheScenario(attack="prime+probe", host=host,
+                                       platform="mobile",
+                                       dirty_core=True).build()
+        arch, handle = attack.victim.arch, attack.victim.handle
+        core = soc.cores[handle.core_id]
+        l1 = soc.hierarchy.l1s[handle.core_id]
+        context = arch.enclave_context(handle)
+        mmu_context = (core.mmu.root, core.mmu.asid)
+        with _enclave_active(arch, core, handle):
+            prerun_active = dict(getattr(arch, "active_enclave", {}))
+        assert l1.resident_lines()  # the dirty core's full L1
+
+        arch.enter_enclave(handle)
+        assert core.domain == handle.domain
+        assert (core.privilege, core.world.is_secure) \
+            == (context.privilege, context.secure)
+        if context.page_table is not None:
+            mmu_context = (context.page_table.root, context.page_table.asid)
+        assert (core.mmu.root, core.mmu.asid) == mmu_context
+        assert dict(getattr(arch, "active_enclave", {})) == prerun_active
+        assert (not l1.resident_lines()) == context.flush_l1
+
+        soc.hierarchy.access(handle.core_id, soc.dram_base + 0x20_0000,
+                             domain=handle.domain)
+        arch.exit_enclave(handle)
+        assert (not l1.resident_lines()) == context.flush_l1
+
+    def test_sgx_tlb_misses_walk_identically(self):
+        # A cold TLB makes the first encryption walk the OS page table
+        # (walker bus reads, miss charges) before the TLB hits.
+        batched, _ = run_pair(CacheScenario(
+            attack="evict+time", host="sgx", cold_tlb=True,
+            samples_per_value=1, target_bytes=(0,)))
+        assert batched.soc[5][0][3] > 0  # TLB misses were replayed
+
+    def test_tampered_epc_word_declines_and_scalar_raises(self):
+        # The MEE verifies every word before the kernel mutates anything:
+        # a failed tag declines with the SoC untouched, and the scalar
+        # fallback then raises the same integrity violation.
+        def build():
+            attack, _, soc = CacheScenario(
+                attack="prime+probe", host="sgx",
+                samples_per_value=1).build()
+            victim = attack.victim
+            va = victim.handle.base + AES_KEY_OFFSET  # read every encrypt
+            frame, _ = victim.arch.os_page_table.lookup(va & ~0xFFF)
+            paddr = frame | (va & 0xFFF)
+            soc.memory.write_word(paddr, soc.memory.read_word(paddr) ^ 1)
+            return attack, soc
+
+        attack, soc = build()
+        arch = attack.victim.arch
+        before = soc_state(soc, arch), attack.rng._state
+        with obs.activate(obs.Tracer(scope="tamper", seed=1)):
+            assert try_run_batched(attack) is None
+            reasons = _decline_reasons()
+        assert reasons == ["mee-integrity"]
+        assert (soc_state(soc, arch), attack.rng._state) == before
+        with pytest.raises(SecurityViolation) as via_fallback:
+            attack.run()
+        with pytest.raises(SecurityViolation) as scalar:
+            build()[0]._run_scalar()
+        assert str(via_fallback.value) == str(scalar.value)
+
+
+def _decline_reasons() -> list[str]:
+    return [r["args"]["reason"] for r in obs.current_tracer().records
+            if r["name"] == "attack.batch_declined"]
+
+
+class TestDeclineReasons:
+    def test_sanctum_row_declines_on_its_dma_filter(self):
+        attack, _, soc = CacheScenario(attack="prime+probe", host="sanctum",
+                                       samples_per_value=1).build()
+        with obs.activate(obs.Tracer(scope="decline", seed=1)):
+            assert try_run_batched(attack) is None
+            assert _decline_reasons() == ["bus-controller"]
+
+    def test_custom_policy_hierarchy_declines(self):
+        attack, _, soc = CacheScenario(attack="prime+probe",
+                                       samples_per_value=1).build()
+        llc = soc.hierarchy.l2
+        llc._policies[0] = FIFOPolicy(llc.ways)
+        with obs.activate(obs.Tracer(scope="decline", seed=1)):
+            assert try_run_batched(attack) is None
+            assert _decline_reasons() == ["cache-policy"]
+
+    @pytest.mark.parametrize("host", ["sgx", "trustzone", "sanctuary"])
+    def test_tee_refused_flush_reload_probe_declines(self, host):
+        scenario = CacheScenario(attack="flush+reload", host=host,
+                                 platform="mobile", samples_per_value=1)
+        attack, rng, soc = scenario.build()
+        arch = attack.victim.arch
+        before = soc_state(soc, arch), rng._state
+        with obs.activate(obs.Tracer(scope="decline", seed=1)):
+            assert try_run_batched(attack) is None
+            assert _decline_reasons() == ["bus-denied"]
+        assert (soc_state(soc, arch), rng._state) == before
+        scalar = scalar_run(scenario)
+        assert (attack.run(), rng._state, soc_state(soc, arch)) \
+            == (scalar.result, scalar.rng_state, scalar.soc)
+
+    def test_accepted_run_emits_no_decline(self):
+        attack, _, _ = CacheScenario(attack="prime+probe",
+                                     samples_per_value=1).build()
+        with obs.activate(obs.Tracer(scope="decline", seed=1)):
+            assert try_run_batched(attack) is not None
+            assert _decline_reasons() == []
 
 
 class TestTimingHypothesis:

@@ -12,6 +12,7 @@ from repro.attacks.cache_sca import (
     SharedAESService,
     _CacheAttackConfig,
 )
+from repro.cache.randmap import RandomizedIndexing
 from repro.cpu import make_mobile_soc, make_server_soc
 from repro.crypto.rng import XorShiftRNG
 from tests.conftest import AES_KEY2
@@ -116,3 +117,57 @@ class TestSharedAESService:
     def test_alignment_enforced(self, server_soc):
         with pytest.raises(ValueError):
             SharedAESService(server_soc, AES_KEY2, table_paddr=0x8000_0020)
+
+
+def _scan_eviction_addresses(attacker, set_index, count):
+    """The brute-force page scan the per-set index replaced."""
+    llc = attacker.soc.hierarchy.l2
+    out = []
+    for page in attacker.pages:
+        for line in range(0, 4096, llc.line_size):
+            if llc.set_index(page + line) == set_index:
+                out.append(page + line)
+                if len(out) >= count:
+                    return out
+    return out
+
+
+class TestEvictionSetIndex:
+    def _assert_matches_scan(self, attacker, counts=(1, 4, 16, 10_000)):
+        llc = attacker.soc.hierarchy.l2
+        for set_index in range(llc.num_sets):
+            for count in counts:
+                assert attacker.eviction_addresses_for_set(
+                    set_index, count) == _scan_eviction_addresses(
+                    attacker, set_index, count)
+
+    def test_matches_scan_and_follows_new_pages(self):
+        arch = NullArchitecture(make_mobile_soc())
+        attacker = AttackerProcess(arch, core_id=1)
+        attacker.alloc_pages(5)
+        self._assert_matches_scan(attacker)
+        attacker.alloc_pages(7)  # the index must not go stale
+        self._assert_matches_scan(attacker)
+
+    def test_matches_scan_under_sanctum_colouring(self):
+        sanctum = Sanctum(make_server_soc())
+        attacker = AttackerProcess(sanctum, core_id=1)
+        attacker.alloc_pages(40)
+        self._assert_matches_scan(attacker, counts=(16,))
+        # Enclave colours stay unreachable through the index too.
+        assert any(not attacker.eviction_addresses_for_set(s, 16)
+                   for s in range(sanctum.soc.hierarchy.l2.num_sets))
+
+    def test_matches_scan_under_randomised_index(self):
+        arch = NullArchitecture(make_mobile_soc())
+        attacker = AttackerProcess(arch, core_id=1)
+        attacker.alloc_pages(6)
+        llc = arch.soc.hierarchy.l2
+        self._assert_matches_scan(attacker, counts=(8,))
+        llc.index_fn = RandomizedIndexing(key=0xD00D,
+                                          line_size=llc.line_size)
+        self._assert_matches_scan(attacker, counts=(8,))
+        llc.index_fn.rekey(0xBEEF)  # re-keying remaps every line
+        self._assert_matches_scan(attacker, counts=(8,))
+        llc.index_fn = None  # back to plain indexing
+        self._assert_matches_scan(attacker, counts=(8,))
