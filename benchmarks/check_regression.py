@@ -56,6 +56,7 @@ _PREFIX = "test_perf_"
 SPEEDUP_FLOORS: tuple[tuple[str, str, float], ...] = (
     ("cache_sca[scalar]", "cache_sca[batched]", 3.0),
     ("kocher_timing[scalar]", "kocher_timing[batched]", 1.5),
+    ("gauss_block[scalar]", "gauss_block[block]", 3.0),
     ("quick_matrix[scalar]", "quick_matrix[ensemble]", 1.4),
     ("spec_scan[reference]", "spec_scan[memoized]", 2.0),
 )

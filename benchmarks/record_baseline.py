@@ -15,13 +15,14 @@ Usage::
 
 Or simply ``make bench``.  ``--quick`` runs only the regression-gated
 benchmarks (see ``GATED_BENCHMARKS``: core load loop, cache hierarchy
-access, scalar/batched trace acquisition, batched CPA, and the
-scalar/ensemble quick-matrix workload lane) with light rounds — the
-shape CI's bench-smoke job compares against the newest committed
-baseline via ``benchmarks/check_regression.py``.  "Newest" means the
-baseline with the latest *recorded* date (the ``date`` field this
-script writes), not the lexicographically greatest filename — see the
-gate's module docstring for the sorting bug that distinction fixes.
+access, scalar/batched trace acquisition, batched CPA, scalar/block
+Gaussian noise draws, and the scalar/ensemble quick-matrix workload
+lane) with light rounds — the shape CI's bench-smoke job compares
+against the newest committed baseline via
+``benchmarks/check_regression.py``.  "Newest" means the baseline with
+the latest *recorded* date (the ``date`` field this script writes), not
+the lexicographically greatest filename — see the gate's module
+docstring for the sorting bug that distinction fixes.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ GATED_BENCHMARKS = (
     "trace_acquisition[scalar]",
     "trace_acquisition[batched]",
     "cpa_key_recovery_batched",
+    "gauss_block[scalar]",
+    "gauss_block[block]",
     "cache_sca[scalar]",
     "cache_sca[batched]",
     "kocher_timing[scalar]",

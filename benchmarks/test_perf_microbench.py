@@ -164,6 +164,22 @@ def test_perf_kocher_timing(benchmark, mode):
     assert result.success
 
 
+@pytest.mark.parametrize("mode", ["scalar", "block"])
+def test_perf_gauss_block(benchmark, mode):
+    """4800 Gaussian noise draws — one quick-sizing physical cell's
+    measurement noise (300 traces x 16 samples).  ``block`` is the
+    lane-parallel kernel, bit-identical to ``scalar`` per-call draws
+    (tests/test_crypto_rsa.py proves it); ``check_regression``'s
+    ``SPEEDUP_FLOORS`` gates the in-run ratio at 3.0x."""
+    def run():
+        rng = XorShiftRNG(3)
+        if mode == "block":
+            return rng.gauss_block(4800, 0.0, 1.0)
+        return [rng.gauss(0.0, 1.0) for _ in range(4800)]
+
+    assert len(benchmark(run)) == 4800
+
+
 def test_perf_cpa_key_recovery_batched(benchmark):
     """End-to-end CPA: batched 300-trace acquisition plus full 16-byte
     key recovery — the whole attacker pipeline as the matrix runs it."""

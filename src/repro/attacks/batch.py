@@ -235,9 +235,9 @@ class _SimHierarchy:
             return True, None
         lv.misses += 1
         tags = lv.tags[idx]
-        try:
+        if len(look) < lv.ways:
             way = tags.index(None)
-        except ValueError:
+        else:
             lu = lv.last_use[idx]
             way = lu.index(min(lu))
         old = lv.lines[idx][way]

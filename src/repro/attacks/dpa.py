@@ -18,6 +18,8 @@ intermediates) defeats them outright at first order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.common import accepts_keyword
@@ -26,6 +28,16 @@ from repro.power.trace import TraceSet
 
 _SBOX = np.array(SBOX, dtype=np.int64)
 _HW = np.array([bin(x).count("1") for x in range(256)], dtype=np.float64)
+#: Candidates scored per pass of :meth:`_CPA.peaks`.
+_CHUNK = 64
+
+
+@functools.cache
+def _hypotheses() -> np.ndarray:
+    """``[k, p]`` is the CPA hypothesis ``HW(SBOX[p ^ k])`` for key
+    candidate ``k`` and plaintext byte ``p`` (built on first use, so
+    importing this module stays cheap)."""
+    return _HW[_SBOX[np.arange(256) ^ np.arange(256)[:, None]]]
 
 
 def dpa_attack(traces: TraceSet, byte_index: int,
@@ -47,26 +59,62 @@ def dpa_attack(traces: TraceSet, byte_index: int,
     return int(peaks.argmax()), peaks
 
 
+class _CPA:
+    """Correlation scoring of one trace set, key byte by key byte.
+
+    The sample centering and norms are the same for every key byte, so
+    they are computed once.  Candidates are scored ``_CHUNK`` at a time
+    in reused buffers small enough to stay in cache.
+    """
+
+    def __init__(self, traces: TraceSet) -> None:
+        samples = traces.samples
+        self.traces = traces
+        self.centered = samples - samples.mean(axis=0)
+        self.sample_norms = np.sqrt((self.centered ** 2).sum(axis=0))
+        self.sample_norms[self.sample_norms == 0] = 1.0
+        self._table = _hypotheses()
+        self._hyp = np.empty((_CHUNK, len(samples)))
+        self._squares = np.empty_like(self._hyp)
+
+    def peaks(self, byte_index: int) -> np.ndarray:
+        """Peak |correlation| of each of the 256 candidates.
+
+        Row ``k`` of the hypothesis matrix is the predicted Hamming
+        weight under candidate ``k``; one ``take`` gathers a chunk of
+        rows, C-ordered so each row's mean and norm reduce exactly as a
+        1-D array would.  The dot products go through a stacked
+        ``matmul`` of (rows, 1, n), which runs one gemv per candidate —
+        the kernel of a 1-D ``hyp @ centered``, so the same floats; a
+        2-D product would take gemm and round differently.  A candidate
+        whose hypothesis is constant (zero norm) has no correlation; its
+        peak is 0.
+        """
+        pt = self.traces.plaintext_bytes(byte_index)
+        hyp = self._hyp
+        peaks = np.empty(256)
+        for first in range(0, 256, _CHUNK):
+            np.take(self._table[first:first + _CHUNK], pt, axis=1, out=hyp,
+                    mode="clip")
+            hyp -= hyp.mean(axis=1, keepdims=True)
+            norms = np.sqrt(np.square(hyp, out=self._squares).sum(axis=1))
+            degenerate = norms == 0
+            norms[degenerate] = 1.0
+            dots = np.matmul(hyp[:, None, :], self.centered)[:, 0, :]
+            chunk = np.abs(dots / (norms[:, None] * self.sample_norms))
+            chunk = chunk.max(axis=1)
+            chunk[degenerate] = 0.0
+            peaks[first:first + _CHUNK] = chunk
+        return peaks
+
+
 def cpa_attack(traces: TraceSet,
                byte_index: int) -> tuple[int, np.ndarray]:
     """Correlation power analysis for one key byte.
 
     Returns (best key byte, per-candidate peak |correlation|).
     """
-    samples = traces.samples
-    pt = traces.plaintext_bytes(byte_index)
-    centered = samples - samples.mean(axis=0)
-    sample_norms = np.sqrt((centered ** 2).sum(axis=0))
-    sample_norms[sample_norms == 0] = 1.0
-    peaks = np.zeros(256)
-    for candidate in range(256):
-        hyp = _HW[_SBOX[pt ^ candidate]]
-        hyp = hyp - hyp.mean()
-        norm = np.sqrt((hyp ** 2).sum())
-        if norm == 0:
-            continue
-        corr = hyp @ centered / (norm * sample_norms)
-        peaks[candidate] = np.abs(corr).max()
+    peaks = _CPA(traces).peaks(byte_index)
     return int(peaks.argmax()), peaks
 
 
@@ -77,7 +125,8 @@ def dpa_recover_key(traces: TraceSet) -> bytes:
 
 def cpa_recover_key(traces: TraceSet) -> bytes:
     """CPA over all 16 key bytes."""
-    return bytes(cpa_attack(traces, b)[0] for b in range(16))
+    cpa = _CPA(traces)
+    return bytes(int(cpa.peaks(b).argmax()) for b in range(16))
 
 
 def key_recovery_rate(recovered: bytes, true_key: bytes) -> float:

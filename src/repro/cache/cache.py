@@ -78,8 +78,8 @@ class Cache:
         self._sets: list[list[_Line | None]] = [
             [None] * ways for _ in range(num_sets)]
         #: Tag array mirroring ``_sets`` (``None`` = invalid way).  The hot
-        #: lookup scans this flat int list with ``list.index`` instead of
-        #: walking ``_Line`` objects.
+        #: lookup scans this flat int list (``in``, then ``list.index`` on
+        #: a hit) instead of walking ``_Line`` objects.
         self._tags: list[list[int | None]] = [
             [None] * ways for _ in range(num_sets)]
         self._policies = [policy_factory(ways) for _ in range(num_sets)]
@@ -129,11 +129,8 @@ class Cache:
         tags = self._tags[idx]
         policy = self._policies[idx]
 
-        try:
+        if tag in tags:
             way = tags.index(tag)
-        except ValueError:
-            way = -1
-        if way >= 0:
             self.stats.hits += 1
             policy.on_hit(way)
             if is_write:
@@ -157,9 +154,9 @@ class Cache:
             # Unpartitioned fast path: every policy prefers the first free
             # way (victim() returns _first_free when one exists), and with
             # all ways allowed that is exactly ``tags.index(None)``.
-            try:
+            if None in tags:
                 way = tags.index(None)
-            except ValueError:
+            else:
                 vf = self._victim_full[idx]
                 way = vf() if vf is not None else policy.victim(
                     self._occupied_full, self._allowed_all)
@@ -197,10 +194,10 @@ class Cache:
         """Invalidate the line containing ``addr``; True if it was present."""
         idx = self.set_index(addr)
         tags = self._tags[idx]
-        try:
-            way = tags.index(self._tag(addr))
-        except ValueError:
+        tag = self._tag(addr)
+        if tag not in tags:
             return False
+        way = tags.index(tag)
         self._sets[idx][way] = None
         tags[way] = None
         self.stats.flushes += 1

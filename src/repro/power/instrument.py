@@ -14,6 +14,7 @@ verified against (:mod:`repro.power.diff`).
 
 from __future__ import annotations
 
+import struct
 from typing import Callable
 
 import repro.obs as obs
@@ -90,7 +91,11 @@ def capture_aes_traces(cipher_factory: CipherFactory, num_traces: int,
     models, aliased RNG streams) silently use the scalar reference.
     """
     rng = rng or XorShiftRNG(0xACE)
-    plaintexts = [rng.bytes(16) for _ in range(num_traces)]
+    # One block of draws: ``rng.bytes(16)`` is two little-endian
+    # ``next_u64`` values, so each 16-byte slice is one such call.
+    stream = struct.pack(f"<{2 * num_traces}Q",
+                         *rng.u64_block(2 * num_traces))
+    plaintexts = [stream[i:i + 16] for i in range(0, len(stream), 16)]
     if batch:
         from repro.power.batch import BatchPowerInstrument, batch_cipher_for
         batch_cipher = batch_cipher_for(cipher_factory)

@@ -1,5 +1,8 @@
 """Classical physical attacks: timing, DPA/CPA, faults, CLKSCREW."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.attacks.clkscrew_attack import ClkscrewAttack
@@ -18,10 +21,10 @@ from repro.attacks.fault_attacks import (
 from repro.attacks.timing import KocherTimingAttack
 from repro.common import PlatformClass, World
 from repro.cpu import SoC, SoCConfig, make_mobile_soc
-from repro.crypto.aes import AES128, MaskedAES
+from repro.crypto.aes import AES128, SBOX, MaskedAES
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
-from repro.power.instrument import capture_aes_traces
+from repro.power.instrument import PowerInstrument, capture_aes_traces
 from repro.power.leakage import HammingWeightModel
 from tests.conftest import AES_KEY2
 
@@ -103,6 +106,73 @@ class TestPowerAnalysis:
                                   [30, 400])
         assert rates[400] >= rates[30]
         assert rates[400] >= 0.9
+
+
+_HW = np.array([bin(x).count("1") for x in range(256)], dtype=np.float64)
+_SBOX = np.array(SBOX, dtype=np.int64)
+
+
+def _per_candidate_cpa(traces, byte_index):
+    """Reference CPA: one candidate at a time, each with its own 1-D
+    hypothesis, mean, norm and ``hyp @ centered`` product."""
+    samples = traces.samples
+    pt = traces.plaintext_bytes(byte_index)
+    centered = samples - samples.mean(axis=0)
+    sample_norms = np.sqrt((centered ** 2).sum(axis=0))
+    sample_norms[sample_norms == 0] = 1.0
+    peaks = np.zeros(256)
+    for candidate in range(256):
+        hyp = _HW[_SBOX[pt ^ candidate]]
+        hyp = hyp - hyp.mean()
+        norm = np.sqrt((hyp ** 2).sum())
+        if norm == 0:
+            continue
+        corr = hyp @ centered / (norm * sample_norms)
+        peaks[candidate] = np.abs(corr).max()
+    return int(peaks.argmax()), peaks
+
+
+def _cipher_factory(kind):
+    if kind == "masked":
+        mask_rng = XorShiftRNG(11)
+        return lambda leak: MaskedAES(AES_KEY2, mask_rng, leak_hook=leak)
+    return lambda leak: AES128(AES_KEY2, leak_hook=leak)
+
+
+class TestCPAMatchesPerCandidateLoop:
+    """All-candidate CPA scores every candidate bit-identically to the
+    per-candidate loop it replaced."""
+
+    @pytest.mark.parametrize("kind", ["unprotected", "shuffled", "masked"])
+    @pytest.mark.parametrize("num_traces", [50, 300, 1000])
+    def test_peaks_bit_identical(self, kind, num_traces):
+        traces = capture_aes_traces(
+            _cipher_factory(kind), num_traces,
+            HammingWeightModel(noise_std=1.0, rng=XorShiftRNG(3)),
+            rng=XorShiftRNG(4), shuffle=(kind == "shuffled"))
+        expected_key = []
+        for byte_index in range(16):
+            best, peaks = cpa_attack(traces, byte_index)
+            ref_best, ref_peaks = _per_candidate_cpa(traces, byte_index)
+            assert np.array_equal(peaks, ref_peaks)
+            assert best == ref_best
+            expected_key.append(ref_best)
+        assert cpa_recover_key(traces) == bytes(expected_key)
+
+    def test_constant_plaintext_byte_scores_zero(self):
+        # Byte 0 never varies, so every candidate's hypothesis is
+        # constant: zero norm, no correlation, no division warning.
+        rng = XorShiftRNG(21)
+        plaintexts = [bytes([0x5A]) + rng.bytes(15) for _ in range(64)]
+        traces = PowerInstrument(
+            HammingWeightModel(noise_std=1.0, rng=XorShiftRNG(3))).capture(
+                _cipher_factory("unprotected"), plaintexts)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            best, peaks = cpa_attack(traces, 0)
+        assert best == 0
+        assert not peaks.any()
+        assert np.array_equal(peaks, _per_candidate_cpa(traces, 0)[1])
 
 
 class TestFaultAttacks:

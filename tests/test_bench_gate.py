@@ -67,6 +67,8 @@ _HEALTHY["cache_sca[scalar]"] = 1.0
 _HEALTHY["cache_sca[batched]"] = 0.15
 _HEALTHY["kocher_timing[scalar]"] = 0.045
 _HEALTHY["kocher_timing[batched]"] = 0.018
+_HEALTHY["gauss_block[scalar]"] = 0.03
+_HEALTHY["gauss_block[block]"] = 0.004
 _HEALTHY["quick_matrix[scalar]"] = 9.0
 _HEALTHY["quick_matrix[ensemble]"] = 1.5
 _HEALTHY["spec_scan[reference]"] = 0.19

@@ -1,5 +1,10 @@
 """RSA, modular exponentiation and the RNG."""
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.crypto.modexp import (
@@ -9,7 +14,7 @@ from repro.crypto.modexp import (
     modexp_square_multiply,
     mult_time,
 )
-from repro.crypto.rng import XorShiftRNG
+from repro.crypto.rng import _LANE, XorShiftRNG, _jump, _unit_floats
 from repro.crypto.rsa import RSA, generate_rsa_key, is_probable_prime
 from repro.errors import SecurityViolation
 
@@ -52,6 +57,75 @@ class TestRNG:
     def test_zero_seed_does_not_stick(self):
         rng = XorShiftRNG(0)
         assert rng.next_u64() != 0
+
+    def test_seed_with_zero_low_bits_does_not_stick(self):
+        # Only the low 64 bits seed the state; all-clear ones must not
+        # land on xorshift's zero fixed point.
+        rng = XorShiftRNG(1 << 64)
+        assert any(rng.next_u64() for _ in range(4))
+        assert XorShiftRNG((1 << 64) | 5).u64_block(3) == \
+            XorShiftRNG(5).u64_block(3)
+
+
+#: Block sizes on both sides of the kernel threshold (3072 raw steps)
+#: and of lane edges (252 steps, 21 Gaussian samples).
+BLOCK_COUNTS = [0, 1, 511, 512, 513, 630, 12 * 256 - 1, 12 * 256 + 1,
+                13 * 252, 13 * 252 + 1, 4800, 16000]
+
+
+class TestRNGBlocks:
+    """The block draws are bit-identical to per-call draws."""
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_u64_block_matches_next_u64(self, count):
+        block, scalar = XorShiftRNG(0xB10C + count), XorShiftRNG(0xB10C + count)
+        values = block.u64_block(count)
+        assert values == [scalar.next_u64() for _ in range(count)]
+        assert all(type(v) is int for v in values)
+        assert block._state == scalar._state
+
+    @pytest.mark.parametrize("count", BLOCK_COUNTS)
+    def test_gauss_block_matches_gauss(self, count):
+        block, scalar = XorShiftRNG(0x6A55 + count), XorShiftRNG(0x6A55 + count)
+        values = block.gauss_block(count, 0.25, 1.5)
+        assert values == [scalar.gauss(0.25, 1.5) for _ in range(count)]
+        assert all(type(v) is float for v in values)
+        assert block._state == scalar._state
+
+    def test_unit_floats_round_like_true_division(self):
+        m64 = (1 << 64) - 1
+        # Dropped bits exactly half an ulp, below an even mantissa: the
+        # true quotient is a hair above the tie and rounds up, while
+        # ``float(u) * 2**-64`` rounds the tie to even (down).
+        ties = [(1 << 63) | 0x400, (1 << 62) | 0x200, (1 << 53) | 1,
+                (1 << 64) - 0x400 - 0x800 * 3]
+        # Just below a tie, with u / 2**64 within 2**-44 of 1: adding
+        # ``float(u) * 2**-64`` to the low bits rounds up to a false tie.
+        near_one = [m64 - 0x400 - 0x800 * k for k in range(8)] + [m64]
+        small = [0, 1, 3, (1 << 53) - 1, 1 << 53]
+        values = ties + near_one + small
+        expected = [u / m64 for u in values]
+        got = _unit_floats(np.array(values, dtype=np.uint64)).tolist()
+        assert got == expected
+        naive = (np.array(ties, dtype=np.uint64).astype(np.float64)
+                 * 2.0 ** -64).tolist()
+        assert naive != [u / m64 for u in ties]
+
+    def test_jump_is_a_lane_of_steps(self):
+        for seed in (1, 0x9E3779B97F4A7C15, (1 << 64) - 1, 1 << 63):
+            x = seed
+            for _ in range(_LANE):
+                x ^= x >> 12
+                x = (x ^ (x << 25)) & ((1 << 64) - 1)
+                x ^= x >> 27
+            assert _jump(seed) == x
+
+    def test_importing_the_rng_does_not_import_numpy(self):
+        code = ("import sys, repro.crypto.rng; "
+                "sys.exit('numpy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0
 
 
 class TestPrimality:
