@@ -268,10 +268,10 @@ def test_observation_overhead_is_bounded():
 def test_perf_quick_matrix(benchmark, mode):
     """The full 15-cell quick matrix through the runner: every
     (platform, category) attack cell plus the three workload cells.
-    ``ensemble`` turns on *both* vectorized engines — the
-    struct-of-arrays kernel-sweep ensemble and the batched attack
-    kernels — which is how a performance-conscious caller runs the
-    grid.  The two modes produce bit-identical payloads (fingerprints
+    ``ensemble`` is the default lane, with *both* vectorized engines —
+    the struct-of-arrays kernel-sweep ensemble and the batched attack
+    kernels; ``scalar`` is ``ExperimentRunner(reference=True)``, the
+    retained oracles.  The two modes produce bit-identical payloads (fingerprints
     are asserted below); the wall-time gap is the combined vectorization
     win, and ``check_regression.SPEEDUP_FLOORS`` gates the in-run ratio
     so the speedup cannot silently decay.
@@ -298,8 +298,7 @@ def test_perf_quick_matrix(benchmark, mode):
              for p in (PlatformClass.EMBEDDED, PlatformClass.MOBILE,
                        PlatformClass.SERVER_DESKTOP)
              for category in categories]
-    vectorized = mode == "ensemble"
-    runner = ExperimentRunner(ensemble=vectorized, batch=vectorized)
+    runner = ExperimentRunner(reference=mode == "scalar")
 
     def run():
         return runner.run(specs)
@@ -405,12 +404,10 @@ def test_perf_spec_scan(benchmark, mode):
     from repro.spec import scan_specs
 
     specs = scan_specs(quick=True)
-    memoized = mode == "memoized"
+    reference = mode == "reference"
 
     def run():
-        if memoized:
-            return [execute_spec(s, memo=True) for s in specs]
-        return [execute_spec(s) for s in specs]
+        return [execute_spec(s, reference=reference) for s in specs]
 
     payloads = benchmark.pedantic(run, rounds=2, iterations=1,
                                   warmup_rounds=1)

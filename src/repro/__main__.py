@@ -13,12 +13,14 @@ Usage::
     python -m repro all                # everything above
 
 Every artefact command runs the fast execution lanes: attack cells and
-TAB-S41 go through the batched attack kernels (:mod:`repro.attacks.batch`)
-and workload cells through the vectorized kernel sweep
-(:mod:`repro.cpu.ensemble`).  Both are bit-identical to the retained
-scalar oracles, which library callers select with ``batch=False`` /
-``ensemble=False``; configurations the kernels do not model fall back
-to the scalar path on their own.
+TAB-S41 go through the batched attack kernels (:mod:`repro.attacks.batch`),
+workload cells through the vectorized kernel sweep
+(:mod:`repro.cpu.ensemble`) and scan cells through the memoized
+explorer (:mod:`repro.spec.memo`).  All are bit-identical to the
+retained oracles, which library callers select with
+``ExperimentRunner(reference=True)`` (``repro scan --no-memo`` on the
+command line); configurations the kernels do not model fall back to
+the scalar path on their own.
 
 Evaluation as a service (the crash-safe multi-host job layer,
 :mod:`repro.service`)::
@@ -85,7 +87,7 @@ def _write_artifacts(args, observer) -> None:
         print(f"wrote {path}")
 
 
-def _make_runner(args, observer=None, memo=False):
+def _make_runner(args, observer=None, reference=False):
     from repro.runner import (
         ChaosConfig,
         ExperimentRunner,
@@ -105,7 +107,7 @@ def _make_runner(args, observer=None, memo=False):
         chaos=chaos,
         fail_fast=args.fail_fast,
         observer=observer,
-        memo=memo)
+        reference=reference)
 
 
 def _figure1(args) -> None:
@@ -151,8 +153,7 @@ def _transient(args) -> None:
 
 def _scan(args) -> int:
     from repro.spec import run_scan
-    memo = not args.no_memo
-    runner = _make_runner(args, memo=memo)
+    runner = _make_runner(args, reference=args.no_memo)
     report = run_scan(quick=not args.full, runner=runner)
     print(report.render())
     print(f"\n{runner.stats.summary()}")

@@ -137,8 +137,7 @@ def key_recovery_rate(recovered: bytes, true_key: bytes) -> float:
 def traces_to_success(acquire, analyse, true_key: bytes,
                       trace_counts: list[int],
                       threshold: float = 1.0,
-                      batch: bool = True,
-                      ensemble: bool | None = None) -> dict[int, float]:
+                      batch: bool = True) -> dict[int, float]:
     """Recovery rate as a function of trace count (the classic SCA curve).
 
     ``acquire(n)`` returns a TraceSet of ``n`` traces; ``analyse`` is one
@@ -153,14 +152,7 @@ def traces_to_success(acquire, analyse, true_key: bytes,
     through ``functools.partial`` chains, ``__wrapped__`` decorators and
     ``**kwargs`` forwarders — a bare ``inspect.signature(...).parameters``
     check silently dropped those wrappers back onto the scalar path.
-
-    ``ensemble`` is the sweep-level spelling of the same knob (matrix
-    evaluation and ``traces_to_success`` share it): at the power layer
-    the vectorized many-instance path *is* the batched acquisition, so a
-    non-``None`` ``ensemble`` overrides ``batch``.
     """
-    if ensemble is not None:
-        batch = bool(ensemble)
     if accepts_keyword(acquire, "batch"):
         full = acquire(max(trace_counts), batch=batch)
     else:

@@ -30,6 +30,7 @@ from repro.attacks.software import (
 )
 from repro.attacks.spectre import SpectreV1Attack
 from repro.attacks.timing import KocherTimingAttack
+from repro.common import accepts_keyword
 from repro.crypto.aes import AES128
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
@@ -49,9 +50,9 @@ class MatrixKnobs:
     calibration sweep (:mod:`repro.core.sweep`): N seed-varied instances
     running an ``iters``-iteration kernel.  Quick keeps them small so
     tier-1 tests that execute real cells stay fast; the sweep is the
-    part of a cell the ``ensemble=`` knob (on by default) vectorizes,
-    and its summary is bit-identical either way — the knob sizes the
-    measurement, never changes it.
+    part of a cell the ensemble engine vectorizes, and its summary is
+    bit-identical on the scalar reference lane — the knobs size the
+    measurement, the lane never changes it.
     """
 
     secret_len: int = 4
@@ -177,6 +178,19 @@ SUITES = {
     AttackCategory.MICROARCHITECTURAL: microarch_suite,
     AttackCategory.PHYSICAL: physical_suite,
 }
+
+
+def run_suite(suite, arch: NullArchitecture, rng: XorShiftRNG,
+              knobs: MatrixKnobs,
+              reference: bool = False) -> list[AttackResult]:
+    """Run one suite on the fast lane, or on its scalar oracle lane when
+    ``reference`` is set.  The ``batch=False`` keyword is passed only
+    for the reference lane, so suites without the knob (and three-arg
+    stand-ins) keep the plain ``suite(arch, rng, knobs)`` call shape."""
+    if reference and accepts_keyword(suite, "batch"):
+        return suite(arch, rng, knobs, batch=False)
+    return suite(arch, rng, knobs)
+
 
 #: PlatformProfile attribute holding the category's exposure prior.
 PRIOR_ATTRS = {

@@ -25,8 +25,9 @@ from repro.attacks.suites import (
     MatrixKnobs,
     PRIOR_ATTRS,
     SUITES,
+    run_suite,
 )
-from repro.common import PlatformClass, accepts_keyword
+from repro.common import PlatformClass
 from repro.core.platforms import (
     PlatformProfile,
     STANDARD_PLATFORMS,
@@ -85,32 +86,20 @@ class EvaluationMatrix:
     ``runner`` controls execution: ``None`` means a private serial,
     uncached :class:`ExperimentRunner`; pass one configured with
     ``jobs``/``cache`` to parallelise or memoise.  After
-    :meth:`evaluate`, the runner's ``stats`` describe the run.
-
-    ``ensemble`` routes each workload cell's kernel calibration sweep
-    through the struct-of-arrays execution engine
-    (:mod:`repro.cpu.ensemble`) and ``batch`` the attack cells' hot
-    attacks through the batched attack kernels
-    (:mod:`repro.attacks.batch`); both are on by default, and ``False``
-    selects the scalar reference oracle.  Payloads are bit-identical
-    either way (the differential suites prove it), so the knobs trade
-    nothing but wall time; they only apply when the matrix builds its
-    own runner — an explicitly passed ``runner`` brings its own
-    ``ensemble``/``batch`` settings.
+    :meth:`evaluate`, the runner's ``stats`` describe the run.  The
+    runner also picks the execution lane: ``ExperimentRunner(
+    reference=True)`` runs every cell, the in-process ones included, on
+    the retained scalar oracles.
     """
 
     def __init__(self, platforms: tuple[PlatformProfile, ...]
                  = STANDARD_PLATFORMS, quick: bool = True,
                  seed: int = 0x2019,
-                 runner: ExperimentRunner | None = None,
-                 ensemble: bool = True,
-                 batch: bool = True) -> None:
+                 runner: ExperimentRunner | None = None) -> None:
         self.platforms = platforms
         self.knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
         self.seed = seed
         self.runner = runner
-        self.ensemble = bool(ensemble)
-        self.batch = bool(batch)
         self.cells: dict[tuple[PlatformClass, AttackCategory], CellResult] = {}
         self.workloads: dict[PlatformClass, WorkloadResult] = {}
 
@@ -146,8 +135,7 @@ class EvaluationMatrix:
         if self.cells and self.workloads and not force:
             return self.cells
 
-        runner = self.runner or ExperimentRunner(ensemble=self.ensemble,
-                                                 batch=self.batch)
+        runner = self.runner or ExperimentRunner()
         remote = [p for p in self.platforms if self._runnable_in_worker(p)]
         local = [p for p in self.platforms if p not in remote]
 
@@ -179,19 +167,18 @@ class EvaluationMatrix:
                     workload_from_dict(workload["workload"])
 
         for profile in local:
-            self._evaluate_locally(profile)
+            self._evaluate_locally(profile, runner.reference)
         return self.cells
 
-    def _evaluate_locally(self, profile: PlatformProfile) -> None:
+    def _evaluate_locally(self, profile: PlatformProfile,
+                          reference: bool) -> None:
         """In-process path for profiles with unregistered SoC factories
-        (same seed derivation, no cache/fan-out)."""
+        (same seed derivation and lane, no cache/fan-out)."""
         for category, suite in SUITES.items():
             arch = NullArchitecture(profile.make_soc(), profile.platform)
             rng = XorShiftRNG(self.cell_seed(profile.platform, category))
-            if not self.batch and accepts_keyword(suite, "batch"):
-                results = suite(arch, rng, self.knobs, batch=False)
-            else:
-                results = suite(arch, rng, self.knobs)
+            results = run_suite(suite, arch, rng, self.knobs,
+                                reference=reference)
             self.cells[(profile.platform, category)] = CellResult(
                 profile.platform, category, results,
                 self._prior(profile, category))

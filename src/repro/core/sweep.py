@@ -229,5 +229,4 @@ def run_kernel_sweep(platform: PlatformClass, base_seed: int,
     summary = summarise_sweep(socs)
     summary["platform"] = platform.value
     summary["iters"] = iters
-    summary["ensemble"] = bool(ensemble)
     return summary

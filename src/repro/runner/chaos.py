@@ -101,21 +101,18 @@ def corrupt_payload(payload: dict) -> dict:
 def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
                        in_worker: bool = True,
                        collect: bool = False,
-                       ensemble: bool = True,
-                       batch: bool = True,
-                       memo: bool = False) -> dict:
+                       reference: bool = False) -> dict:
     """:func:`execute_spec` with a chance of drawn sabotage.
 
     ``in_worker`` gates the process-lethal modes: a crash or hang is only
     realised inside a disposable pool worker; in the parent process both
     downgrade to :class:`ChaosError` so serial runs stay survivable.
-    ``collect``, ``ensemble``, ``batch`` and ``memo`` are forwarded to
-    :func:`execute_spec` (telemetry and the vectorized/memoized paths
-    ride along even under chaos — observed recovery must stay
-    observable, and the fast paths' payloads face the same corruption
-    adversary).
+    ``collect`` and ``reference`` are forwarded to :func:`execute_spec`
+    (telemetry and the lane choice ride along even under chaos —
+    observed recovery must stay observable, and both lanes' payloads
+    face the same corruption adversary).
     """
-    from repro.runner.engine import execute_spec, strategy_flags
+    from repro.runner.engine import execute_spec
 
     mode = config.draw(spec, attempt)
     if mode in ("crash", "hang") and not in_worker:
@@ -128,8 +125,7 @@ def chaos_execute_spec(spec, attempt: int, config: ChaosConfig,
         raise ChaosError(
             f"injected failure in {spec.platform}/{spec.category} "
             f"(attempt {attempt})")
-    payload = execute_spec(spec, **strategy_flags(
-        collect=collect, ensemble=ensemble, batch=batch, memo=memo))
+    payload = execute_spec(spec, collect=collect, reference=reference)
     if mode == "corrupt":
         payload = corrupt_payload(payload)
     return payload

@@ -139,29 +139,8 @@ def payload_intact(payload: object) -> bool:
         return False
 
 
-#: Execution-strategy defaults of :func:`execute_spec`: the vectorized
-#: sweep and the batched attack kernels are on, telemetry and the
-#: memoized scan explorer are off.  ``ensemble=False``/``batch=False``
-#: select the scalar reference oracles.
-STRATEGY_DEFAULTS = {"collect": False, "ensemble": True, "batch": True,
-                     "memo": False}
-
-
-def strategy_flags(**flags: bool) -> dict[str, bool]:
-    """The strategy keywords that differ from :data:`STRATEGY_DEFAULTS`.
-
-    Callers forward exactly these to :func:`execute_spec`, so a default
-    run keeps the bare ``execute_spec(spec)`` call shape (tests
-    monkeypatch one-arg stand-ins) while an explicit reference lane
-    (``batch=False``) still reaches it.
-    """
-    return {name: bool(value) for name, value in flags.items()
-            if bool(value) != STRATEGY_DEFAULTS[name]}
-
-
 def execute_spec(spec: CellSpec, collect: bool = False,
-                 ensemble: bool = True, batch: bool = True,
-                 memo: bool = False) -> dict:
+                 reference: bool = False) -> dict:
     """Compute one cell; importable by reference from worker processes.
 
     ``collect`` turns on in-cell telemetry: a per-cell
@@ -173,30 +152,17 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     under volatile keys — the payload fingerprint is unchanged, so
     observed and unobserved runs share cache entries.
 
-    ``ensemble`` (on by default) routes the workload cell's kernel
-    calibration sweep through the struct-of-arrays
-    :class:`~repro.cpu.ensemble.CoreEnsemble`; ``ensemble=False`` runs
-    the scalar per-core oracle loop.  Like ``collect`` it is an
-    *execution strategy*, not a measurement input: the sweep summary —
-    and therefore the payload and its fingerprint — is bit-identical
-    either way (the differential suite proves it), so ensemble and
-    scalar runs legitimately share cache entries and manifests.
-
-    ``batch`` (on by default) is the attack-cell counterpart: suites
-    that take it route their hot attacks (cache SCA probing, Kocher
-    timing) through the batched kernels of :mod:`repro.attacks.batch`,
-    which are bit-identical to the scalar attacks (recovered keys,
-    scores, RNG end states, SoC state) with automatic scalar fallback;
-    ``batch=False`` runs the scalar oracles.  Payload fingerprints are
-    unchanged, so batched and scalar runs share cache entries too.
-
-    ``memo`` is the scan-cell strategy knob: scan cells route through
-    the memoized exploration engine (:mod:`repro.spec.memo`), which
-    dedups the fork frontier and replays window-parametric excursion
-    recordings across the grid.  Rows and ``cell_instret`` are
-    byte-identical to the reference path (the explore-diff harness and
-    differential suite prove it), so memoized and reference scan cells
-    share cache entries.
+    ``reference`` selects the retained oracle lane instead of the fast
+    one, per cell kind: the workload cell's kernel calibration sweep
+    runs the scalar per-core loop instead of the struct-of-arrays
+    :class:`~repro.cpu.ensemble.CoreEnsemble`, attack suites run the
+    scalar attacks instead of the batched kernels of
+    :mod:`repro.attacks.batch`, and scan cells run the reference
+    explorer instead of the memoized engine (:mod:`repro.spec.memo`).
+    Like ``collect`` it is an *execution strategy*, not a measurement
+    input: payloads and their fingerprints are bit-identical on either
+    lane (``make diff`` proves it), so both lanes share cache entries
+    and manifests.
 
     Imports are deferred so that importing :mod:`repro.runner` stays
     cheap and free of circular imports with :mod:`repro.core`.
@@ -208,8 +174,7 @@ def execute_spec(spec: CellSpec, collect: bool = False,
         # full integrity/caching machinery with no extra seeding.
         from repro.spec.scanner import execute_scan_cell
         start = time.perf_counter()
-        payload = execute_scan_cell(spec, memo=True) if memo \
-            else execute_scan_cell(spec)
+        payload = execute_scan_cell(spec, memo=not reference)
         payload["cell_wall_time_s"] = time.perf_counter() - start
         payload[INTEGRITY_KEY] = payload_fingerprint(payload)
         return payload
@@ -217,8 +182,8 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     import repro.obs as obs
     from repro.arch.null import NullArchitecture
     from repro.attacks.base import AttackCategory
-    from repro.attacks.suites import SUITES, MatrixKnobs
-    from repro.common import PlatformClass, accepts_keyword
+    from repro.attacks.suites import SUITES, MatrixKnobs, run_suite
+    from repro.common import PlatformClass
     from repro.core.platforms import reference_workload
     from repro.core.sweep import run_kernel_sweep
     from repro.cpu.soc import soc_factory_for
@@ -244,11 +209,7 @@ def execute_spec(spec: CellSpec, collect: bool = False,
                     platform, derive_cell_seed(spec.seed, spec.platform,
                                                spec.category),
                     knobs.sweep_instances, knobs.sweep_iters,
-                    ensemble=ensemble)
-                # The execution strategy is not part of the measurement:
-                # dropping the flag keeps scalar and ensemble payload
-                # fingerprints equal (the determinism check CI runs).
-                sweep.pop("ensemble", None)
+                    ensemble=not reference)
                 payload = {
                     "kind": WORKLOAD_CATEGORY,
                     "workload": workload_to_dict(reference_workload(soc)),
@@ -259,14 +220,8 @@ def execute_spec(spec: CellSpec, collect: bool = False,
                 rng = XorShiftRNG(derive_cell_seed(spec.seed, spec.platform,
                                                    spec.category))
                 knobs = MatrixKnobs.from_key(spec.knobs)
-                suite = SUITES[category]
-                if not batch and accepts_keyword(suite, "batch"):
-                    # Keyword only for the reference lane: suites without
-                    # the knob (and monkeypatched three-arg stand-ins)
-                    # keep the exact historical call shape.
-                    results = suite(arch, rng, knobs, batch=False)
-                else:
-                    results = suite(arch, rng, knobs)
+                results = run_suite(SUITES[category], arch, rng, knobs,
+                                    reference=reference)
                 payload = {
                     "kind": "attacks",
                     "attacks": [attack_result_to_dict(r) for r in results]}
@@ -289,19 +244,30 @@ class CellTask:
     ``collect`` asks the worker to gather in-cell telemetry (span
     records, core/cache metric snapshots) into the payload's volatile
     keys; it is only set when the runner's observer wants them.
-    ``ensemble`` picks the vectorized sweep path, ``batch`` the batched
-    attack kernels (both on by default), and ``memo`` the memoized scan
-    explorer — all bit-identical to their reference paths, so they
-    change nothing but speed.
+    ``reference`` runs the cell on its oracle lane (see
+    :func:`execute_spec`), which changes nothing but speed.
     """
 
     spec: CellSpec
     attempt: int = 0
     chaos: ChaosConfig | None = None
     collect: bool = False
-    ensemble: bool = True
-    batch: bool = True
-    memo: bool = False
+    reference: bool = False
+
+    def run(self, in_worker: bool = True) -> dict:
+        """Compute the cell (through the chaos wrapper when set); raises
+        whatever the cell raises."""
+        if self.chaos is not None:
+            return chaos_execute_spec(self.spec, self.attempt, self.chaos,
+                                      in_worker=in_worker,
+                                      collect=self.collect,
+                                      reference=self.reference)
+        # Keywords only when set: a default task keeps the bare
+        # ``execute_spec(spec)`` call shape that one-argument stand-ins
+        # (the runner tests' fault injectors) rely on.
+        flags = {name: True for name in ("collect", "reference")
+                 if getattr(self, name)}
+        return execute_spec(self.spec, **flags)
 
 
 def execute_task(task: CellTask) -> tuple[str, object]:
@@ -313,15 +279,7 @@ def execute_task(task: CellTask) -> tuple[str, object]:
     failure (which surfaces as the future's exception instead).
     """
     try:
-        flags = strategy_flags(collect=task.collect, ensemble=task.ensemble,
-                               batch=task.batch, memo=task.memo)
-        if task.chaos is not None:
-            payload = chaos_execute_spec(task.spec, task.attempt,
-                                         task.chaos, in_worker=True,
-                                         **flags)
-        else:
-            payload = execute_spec(task.spec, **flags)
-        return ("ok", payload)
+        return ("ok", task.run())
     except BaseException as exc:  # noqa: BLE001 — the tag is the contract
         return ("err", f"{type(exc).__name__}: {exc}")
 
@@ -396,12 +354,9 @@ class ExperimentRunner:
     ``chaos`` injects harness faults (tests only, or ``--chaos``);
     ``fail_fast`` restores the historical abort-on-first-error
     behaviour instead of degrading failed cells to structured outcomes;
-    ``ensemble`` runs each workload cell's kernel sweep through the
-    struct-of-arrays engine and ``batch`` the attack cells through the
-    batched attack kernels (both on by default; ``False`` selects the
-    scalar reference oracle), and ``memo`` runs the scan cells through
-    the memoized exploration engine (all bit-identical payloads, faster
-    wall time).
+    ``reference`` runs every cell on its retained oracle lane (scalar
+    sweep, scalar attacks, reference explorer) instead of the fast one;
+    payloads are bit-identical either way (see :func:`execute_spec`).
 
     Each :meth:`run` replaces :attr:`stats` with that run's
     measurements, including one
@@ -415,18 +370,14 @@ class ExperimentRunner:
                  chaos: ChaosConfig | None = None,
                  fail_fast: bool = False,
                  observer: RunObserver | None = None,
-                 ensemble: bool = True,
-                 batch: bool = True,
-                 memo: bool = False) -> None:
+                 reference: bool = False) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.timeout_s = timeout_s if timeout_s and timeout_s > 0 else None
         self.retry = retry if retry is not None else RetryPolicy()
         self.chaos = chaos
         self.fail_fast = fail_fast
-        self.ensemble = bool(ensemble)
-        self.batch = bool(batch)
-        self.memo = bool(memo)
+        self.reference = bool(reference)
         #: Lifecycle hook surface; the default no-op observer keeps the
         #: fast path at its unobserved cost (one call per cell edge).
         self.observer = observer if observer is not None else NULL_OBSERVER
@@ -558,20 +509,18 @@ class ExperimentRunner:
             error=f"{cause}: {detail}" if detail else cause)
         self.observer.on_cell_end(spec, status, attempts, None)
 
+    def _task(self, spec: CellSpec, attempt: int) -> CellTask:
+        """One attempt of ``spec`` on this runner's lane and chaos."""
+        return CellTask(spec=spec, attempt=attempt, chaos=self.chaos,
+                        collect=self._collect, reference=self.reference)
+
     # -- serial path -----------------------------------------------------------
 
     def _attempt_in_process(self, spec: CellSpec, attempt: int) -> dict:
         """One in-parent-process attempt; raises :class:`_CellFailure`."""
         self.observer.on_cell_start(spec, attempt)
         try:
-            flags = strategy_flags(collect=self._collect,
-                                   ensemble=self.ensemble,
-                                   batch=self.batch, memo=self.memo)
-            if self.chaos is not None:
-                payload = chaos_execute_spec(spec, attempt, self.chaos,
-                                             in_worker=False, **flags)
-            else:
-                payload = execute_spec(spec, **flags)
+            payload = self._task(spec, attempt).run(in_worker=False)
         except Exception as exc:
             if self.fail_fast:
                 raise  # the historical behaviour: the cell's error, verbatim
@@ -716,12 +665,7 @@ class ExperimentRunner:
                     if not_before > now:
                         deferred.append((spec, attempt, not_before))
                         continue
-                    task = CellTask(spec=spec, attempt=attempt,
-                                    chaos=self.chaos,
-                                    collect=self._collect,
-                                    ensemble=self.ensemble,
-                                    batch=self.batch,
-                                    memo=self.memo)
+                    task = self._task(spec, attempt)
                     try:
                         future = pool.submit(execute_task, task)
                     except (RuntimeError, BrokenProcessPool, OSError,

@@ -10,10 +10,11 @@ naturally idempotent (re-submitting the same campaign re-points at the
 same job) and two clients asking for overlapping grids share cells
 through the content-addressed result cache rather than recomputing.
 
-``ensemble``/``batch`` ride along as *execution strategy hints*, not
-measurement inputs: they are excluded from the job id exactly as they
-are excluded from cell cache keys, because payloads are bit-identical
-either way (the differential suites prove it).
+A job carries no execution-lane choice: workers run every cell on the
+fast lanes (batched attacks, ensemble sweep, memoized scanner), whose
+payloads are bit-identical to the reference oracles'.  Job files
+written when jobs still carried ``ensemble``/``batch`` flags load with
+those keys ignored and keep their job id.
 """
 
 from __future__ import annotations
@@ -45,22 +46,17 @@ class JobSpec:
     ``knobs`` is the canonical tuple form from
     ``MatrixKnobs.as_key()``; ``platforms``/``categories`` name the
     sub-grid (category ``"workload"`` selects the reference-workload
-    cell).  ``ensemble``/``batch`` choose the vectorized execution
-    lanes (on by default, also for job files that lack the keys;
-    ``False`` selects the scalar oracle) and deliberately do not
-    participate in :attr:`job_id`.
+    cell).
     """
 
     seed: int = 0x2019
     knobs: tuple[tuple[str, int], ...] = ()
     platforms: tuple[str, ...] = field(default_factory=_default_platforms)
     categories: tuple[str, ...] = field(default_factory=_default_categories)
-    ensemble: bool = True
-    batch: bool = True
 
     @property
     def job_id(self) -> str:
-        """Content address of the campaign (strategy flags excluded)."""
+        """Content address of the campaign."""
         material = json.dumps({
             "schema": JOB_SCHEMA,
             "seed": self.seed,
@@ -88,8 +84,6 @@ class JobSpec:
             "knobs": [list(pair) for pair in self.knobs],
             "platforms": list(self.platforms),
             "categories": list(self.categories),
-            "ensemble": self.ensemble,
-            "batch": self.batch,
         }
 
     @classmethod
@@ -101,20 +95,16 @@ class JobSpec:
             seed=int(data["seed"]),
             knobs=tuple((str(k), int(v)) for k, v in data.get("knobs", [])),
             platforms=tuple(data["platforms"]),
-            categories=tuple(data["categories"]),
-            ensemble=bool(data.get("ensemble", True)),
-            batch=bool(data.get("batch", True)))
+            categories=tuple(data["categories"]))
 
     # -- construction helpers ----------------------------------------------
 
     @classmethod
-    def matrix(cls, quick: bool = True, seed: int = 0x2019,
-               ensemble: bool = True, batch: bool = True) -> "JobSpec":
+    def matrix(cls, quick: bool = True, seed: int = 0x2019) -> "JobSpec":
         """The full Figure-1 evaluation grid as one job."""
         from repro.attacks.suites import MatrixKnobs
         knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
-        return cls(seed=seed, knobs=knobs.as_key(),
-                   ensemble=ensemble, batch=batch)
+        return cls(seed=seed, knobs=knobs.as_key())
 
     @classmethod
     def from_manifest(cls, manifest) -> "JobSpec":

@@ -95,9 +95,7 @@ class ServiceWorker:
                  ttl_s: float = DEFAULT_TTL_S,
                  poll_s: float = 0.2,
                  retry: RetryPolicy | None = None,
-                 timeout_s: float | None = None,
-                 ensemble: bool | None = None,
-                 batch: bool | None = None) -> None:
+                 timeout_s: float | None = None) -> None:
         self.queue = queue
         self.cache = cache if cache is not None else queue.default_cache()
         self.owner_id = owner_id or default_owner_id()
@@ -105,9 +103,6 @@ class ServiceWorker:
         self.poll_s = float(poll_s)
         self.retry = retry if retry is not None else RetryPolicy()
         self.timeout_s = timeout_s
-        #: ``None`` defers to each job's own strategy flags.
-        self.ensemble = ensemble
-        self.batch = batch
         self.stats = WorkerStats()
         self._draining = False
         self._current_lease: Lease | None = None
@@ -247,9 +242,7 @@ class ServiceWorker:
         lease.start_keepalive()
         runner = ExperimentRunner(
             jobs=1, cache=self.cache, timeout_s=self.timeout_s,
-            retry=self.retry,
-            ensemble=job.ensemble if self.ensemble is None else self.ensemble,
-            batch=job.batch if self.batch is None else self.batch)
+            retry=self.retry)
         results = runner.run([spec])
         outcome = runner.stats.outcomes.get((spec.platform, spec.category))
         if spec in results and outcome is not None and outcome.ok:

@@ -17,8 +17,9 @@ This package turns the simulator's transient-execution column from
   dispatched through the supervised experiment runner (``repro scan``);
 * :mod:`repro.spec.memo` — the memoized exploration engine: frontier
   dedup, cheap tuple snapshots, and window-parametric excursion
-  recordings shared across the grid (``memo=``, on by default in the
-  CLI; byte-identical reports, proven by
+  recordings shared across the grid (the default scan lane;
+  ``ExperimentRunner(reference=True)`` or ``repro scan --no-memo``
+  selects the reference explorer; byte-identical reports, proven by
   :mod:`repro.spec.explore_diff`);
 * :mod:`repro.spec.report` — the deterministic leak-report artifact.
 """

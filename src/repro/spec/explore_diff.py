@@ -13,8 +13,9 @@ the scanner actually reports:
 2. **Row lockstep** — require ``_scan_gadget_memo`` (window-parametric
    replay from a shared memo) to produce the exact :class:`ScanRow`
    and retired-instruction count of the reference ``_scan_gadget``.
-3. **Report bytes** — require ``run_scan(memo=True)`` to emit
-   byte-identical JSON *and* rendered text.
+3. **Report bytes** — require the default (memoized) ``run_scan`` to
+   emit the JSON *and* rendered text of a reference-lane
+   ``ExperimentRunner(reference=True)`` scan, byte for byte.
 
 Run as a module for the CI cross-check::
 
@@ -29,6 +30,7 @@ import argparse
 import sys
 from dataclasses import dataclass, field
 
+from repro.runner import ExperimentRunner
 from repro.spec.explorer import SpeculationExplorer
 from repro.spec.gadgets import GADGETS, Gadget, GadgetInstance
 from repro.spec.memo import ExplorationMemo, MemoizedSpeculationExplorer
@@ -117,8 +119,9 @@ def diff_grid(quick: bool = False) -> list[ExploreDiff]:
 
 def diff_reports(quick: bool = False) -> list[str]:
     """Byte-compare full memoized vs reference reports (JSON + text)."""
-    reference = run_scan(quick=quick)
-    memoized = run_scan(quick=quick, memo=True)
+    reference = run_scan(quick=quick,
+                         runner=ExperimentRunner(reference=True))
+    memoized = run_scan(quick=quick)
     mismatches = []
     if memoized.to_json() != reference.to_json():
         mismatches.append("report JSON differs between memo and reference")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.runner.engine import SCAN_CATEGORY
+from repro.runner.engine import SCAN_CATEGORY, ExperimentRunner
 from repro.spec.explorer import SpeculationExplorer
 from repro.spec.gadgets import CORPUS_REV, GADGETS, Gadget, GadgetInstance
 from repro.spec.memo import (
@@ -305,26 +305,21 @@ def scan_specs(quick: bool = True, seed: int = DEFAULT_SCAN_SEED) -> list:
 
 
 def run_scan(quick: bool = True, runner=None,
-             seed: int = DEFAULT_SCAN_SEED, memo: bool = False) -> LeakReport:
+             seed: int = DEFAULT_SCAN_SEED) -> LeakReport:
     """Sweep the corpus across the grid; return the leak report.
 
-    With a runner, cells fan out/cache through the supervised executor
-    (and the runner's own ``memo`` knob governs the strategy); without
-    one, they execute serially in-process, memoized when ``memo`` is
-    set.  Reports are byte-identical either way.
+    Cells fan out/cache through ``runner`` — by default a private
+    serial, uncached :class:`~repro.runner.ExperimentRunner` on the fast
+    (memoized) lane; ``ExperimentRunner(reference=True)`` selects the
+    reference explorer.  Reports are byte-identical either way.
     """
     specs = scan_specs(quick=quick, seed=seed)
-    if runner is not None:
-        payloads = runner.run(specs)
-        missing = [s.platform for s in specs if s not in payloads]
-        if missing:
-            raise RuntimeError(
-                "scan cells failed after retries: " + ", ".join(missing))
-        payload_list = [payloads[s] for s in specs]
-    else:
-        from repro.runner.engine import execute_spec
-        payload_list = [execute_spec(s, memo=True) if memo
-                        else execute_spec(s) for s in specs]
+    runner = runner or ExperimentRunner()
+    payloads = runner.run(specs)
+    missing = [s.platform for s in specs if s not in payloads]
+    if missing:
+        raise RuntimeError(
+            "scan cells failed after retries: " + ", ".join(missing))
     rows = [ScanRow.from_dict(row)
-            for payload in payload_list for row in payload["rows"]]
+            for spec in specs for row in payloads[spec]["rows"]]
     return LeakReport(rows, seed=seed, corpus_rev=CORPUS_REV)

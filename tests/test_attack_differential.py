@@ -40,10 +40,13 @@ from repro.attacks.cache_sca import (
 from repro.attacks.suites import MatrixKnobs, microarch_suite, physical_suite
 from repro.attacks.timing import KocherTimingAttack
 from repro.cache.policies import FIFOPolicy
+from repro.core.figure1 import generate_figure1
 from repro.core.platforms import STANDARD_PLATFORMS
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
 from repro.errors import SecurityViolation
+from repro.obs.observer import RunObserver
+from repro.runner import ExperimentRunner, payload_fingerprint
 
 PLATFORMS = ("server-desktop", "mobile", "embedded")
 #: (host, platform) pairs the kernels model; the TEE hosts need an MMU
@@ -383,4 +386,31 @@ class TestMatrixEquivalence:
                 spec = CellSpec(seed=0x2019, platform=platform,
                                 category=category, knobs=knobs)
                 assert payload_fingerprint(execute_spec(spec)) \
-                    == payload_fingerprint(execute_spec(spec, batch=False))
+                    == payload_fingerprint(execute_spec(spec, reference=True))
+
+
+class _Fingerprints(RunObserver):
+    """Records each finished cell's payload fingerprint."""
+
+    def __init__(self) -> None:
+        self.by_cell: dict[tuple[str, str], str] = {}
+
+    def on_cell_end(self, spec, status, attempts, payload) -> None:
+        if payload is not None:
+            self.by_cell[(spec.platform, spec.category)] = \
+                payload_fingerprint(payload)
+
+
+def test_quick_figure1_identical_on_both_runner_lanes():
+    """The whole quick matrix, every cell kind at once: the default
+    runner (batched attacks, ensemble sweep) and
+    ``ExperimentRunner(reference=True)`` (the scalar oracles) produce the
+    same 15 payload fingerprints and the same rendered Figure 1."""
+    lanes = {}
+    for reference in (False, True):
+        seen = _Fingerprints()
+        runner = ExperimentRunner(observer=seen, reference=reference)
+        figure = generate_figure1(quick=True, runner=runner)
+        assert len(seen.by_cell) == 15
+        lanes[reference] = (seen.by_cell, figure.render())
+    assert lanes[False] == lanes[True]

@@ -160,8 +160,6 @@ class TestSweepDeterminism:
     def test_kernel_sweep_summary_identical(self, platform):
         scalar = run_kernel_sweep(platform, 0xA5, 6, 40, ensemble=False)
         vector = run_kernel_sweep(platform, 0xA5, 6, 40, ensemble=True)
-        assert scalar.pop("ensemble") is False
-        assert vector.pop("ensemble") is True
         assert scalar == vector
 
     @pytest.mark.parametrize("platform", ALL_PLATFORMS,
@@ -184,7 +182,7 @@ class TestSweepDeterminism:
                                     sweep_instances=4, sweep_iters=16)
         spec = CellSpec(seed=0x2019, platform=platform.value,
                         category=WORKLOAD_CATEGORY, knobs=knobs.as_key())
-        scalar = execute_spec(spec, ensemble=False)
+        scalar = execute_spec(spec, reference=True)
         vector = execute_spec(spec)
         assert scalar["sweep"] == vector["sweep"]
         assert payload_fingerprint(scalar) == payload_fingerprint(vector)
@@ -270,11 +268,3 @@ class TestBatchRouting:
 
         traces_to_success(plain, _analyse_nothing, bytes(16), [8])
         assert calls == [8]
-
-    @pytest.mark.parametrize("ensemble,expected",
-                             [(True, True), (False, False), (None, True)])
-    def test_ensemble_knob_overrides_batch(self, ensemble, expected):
-        acquire = _RecordingAcquire()
-        traces_to_success(acquire, _analyse_nothing, bytes(16), [8],
-                          batch=True, ensemble=ensemble)
-        assert acquire.calls == [{"n": 8, "batch": expected}]

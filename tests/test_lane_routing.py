@@ -1,12 +1,14 @@
-"""Lane routing: the fast lanes are the default, ``False`` is the oracle.
+"""Lane routing: the fast lanes are the default, ``reference=True`` the oracle.
 
 The tests count how often cells reach the batched attack kernels
-(:func:`repro.attacks.batch.try_run_batched`) and the ensemble engine
-(:meth:`repro.cpu.ensemble.CoreEnsemble.run`).  A default runner must
-reach both.  ``batch=False, ensemble=False`` must reach neither, on
-every path a cell can take: the serial runner, the pool entry point
-:func:`~repro.runner.engine.execute_task`, and the chaos wrapper.
-TAB-S41 and the evaluation service run the fast lane by default too.
+(:func:`repro.attacks.batch.try_run_batched`), the ensemble engine
+(:meth:`repro.cpu.ensemble.CoreEnsemble.run`) and the memoized scan
+explorer (:func:`repro.spec.scanner._scan_gadget_memo`, once per corpus
+gadget).  A default run must reach all three.  ``reference=True`` must
+reach none of them, on every path a cell can take: the serial runner,
+the pool entry point :func:`~repro.runner.engine.execute_task`, and the
+chaos wrapper.  TAB-S41 and the evaluation service run the fast lanes
+too; the service has no lane switch at all.
 """
 
 from __future__ import annotations
@@ -18,11 +20,14 @@ import json
 import pytest
 
 import repro.attacks.batch as batch
+import repro.spec.scanner as scanner
+from repro.attacks.dpa import traces_to_success
 from repro.attacks.suites import MatrixKnobs
 from repro.core.comparison import cache_defence_table
 from repro.core.matrix import EvaluationMatrix
 from repro.cpu.ensemble import CoreEnsemble
 from repro.runner import (
+    SCAN_CATEGORY,
     WORKLOAD_CATEGORY,
     CellSpec,
     ChaosConfig,
@@ -30,31 +35,34 @@ from repro.runner import (
     ResultCache,
 )
 from repro.runner.chaos import chaos_execute_spec
-from repro.runner.engine import (
-    STRATEGY_DEFAULTS,
-    CellTask,
-    execute_spec,
-    execute_task,
-)
+from repro.runner.engine import CellTask, execute_spec, execute_task
 from repro.service import JobQueue, JobSpec, ServiceWorker
+from repro.spec import run_scan
+from repro.spec.gadgets import GADGETS
+from repro.spec.scanner import CORPUS_REV
 
 KNOBS = MatrixKnobs.quick().as_key()
 ATTACK = CellSpec(seed=0x2019, platform="mobile",
                   category="microarchitectural", knobs=KNOBS)
 WORKLOAD = CellSpec(seed=0x2019, platform="mobile",
                     category=WORKLOAD_CATEGORY, knobs=KNOBS)
-SPECS = [ATTACK, WORKLOAD]
+SCAN_KNOBS = (("corpus_rev", CORPUS_REV),)
+SCAN = CellSpec(seed=0x2019, platform="in-order", category=SCAN_CATEGORY,
+                knobs=SCAN_KNOBS)
+SPECS = [ATTACK, WORKLOAD, SCAN]
 
-REFERENCE = {"batch": False, "ensemble": False}
+FAST = {"batched": 1, "ensemble": 1, "memo": len(GADGETS)}
+NONE = {"batched": 0, "ensemble": 0, "memo": 0}
 NO_CHAOS = ChaosConfig(rate=0.0)
 
 
 @pytest.fixture()
 def lanes(monkeypatch) -> dict[str, int]:
-    """Call counts of the two fast-lane entry points."""
-    counts = {"batched": 0, "ensemble": 0}
+    """Call counts of the three fast-lane entry points."""
+    counts = dict(NONE)
     real_try = batch.try_run_batched
     real_run = CoreEnsemble.run
+    real_memo = scanner._scan_gadget_memo
 
     def counting_try(attack):
         counts["batched"] += 1
@@ -64,63 +72,79 @@ def lanes(monkeypatch) -> dict[str, int]:
         counts["ensemble"] += 1
         return real_run(self, *args, **kwargs)
 
+    def counting_memo(*args, **kwargs):
+        counts["memo"] += 1
+        return real_memo(*args, **kwargs)
+
     monkeypatch.setattr(batch, "try_run_batched", counting_try)
     monkeypatch.setattr(CoreEnsemble, "run", counting_run)
+    monkeypatch.setattr(scanner, "_scan_gadget_memo", counting_memo)
     return counts
 
 
 class TestStrategyDefaults:
     def test_defaults_agree_on_every_entry_point(self):
-        # The runner takes ``collect`` from its observer, not a keyword.
+        # ``reference`` is the one lane switch, off by default, on the
+        # four carriers; nothing else takes a lane parameter.
         for fn in (execute_spec, chaos_execute_spec,
-                   ExperimentRunner.__init__):
+                   ExperimentRunner.__init__, CellTask):
             params = inspect.signature(fn).parameters
-            assert all(params[name].default == default
-                       for name, default in STRATEGY_DEFAULTS.items()
-                       if name in params)
-        task = CellTask(spec=ATTACK)
-        assert {name: getattr(task, name)
-                for name in STRATEGY_DEFAULTS} == STRATEGY_DEFAULTS
-        matrix = EvaluationMatrix()
-        assert matrix.batch and matrix.ensemble
-        job = JobSpec()
-        assert job.batch and job.ensemble
+            assert params["reference"].default is False
+            assert not {"ensemble", "batch", "memo"} & set(params)
+        for fn in (EvaluationMatrix.__init__, JobSpec, JobSpec.matrix,
+                   ServiceWorker.__init__, run_scan):
+            params = inspect.signature(fn).parameters
+            assert not {"reference", "ensemble", "batch", "memo"} \
+                & set(params), fn
+        assert "ensemble" not in inspect.signature(
+            traces_to_success).parameters
+        assert not {"ensemble", "batch", "memo"} & set(JobSpec().to_dict())
 
 
 class TestDefaultLane:
+    """A default run reaches all three fast lanes."""
+
     def test_default_runner_reaches_both_fast_lanes(self, lanes):
-        assert len(ExperimentRunner().run(SPECS)) == 2
-        assert lanes == {"batched": 1, "ensemble": 1}
+        assert len(ExperimentRunner().run(SPECS)) == 3
+        assert lanes == FAST
 
     def test_default_chaos_runner_reaches_both_fast_lanes(self, lanes):
-        assert len(ExperimentRunner(chaos=NO_CHAOS).run(SPECS)) == 2
-        assert lanes == {"batched": 1, "ensemble": 1}
+        assert len(ExperimentRunner(chaos=NO_CHAOS).run(SPECS)) == 3
+        assert lanes == FAST
 
     def test_default_pool_entry_reaches_both_fast_lanes(self, lanes):
         for spec in SPECS:
             assert execute_task(CellTask(spec=spec))[0] == "ok"
-        assert lanes == {"batched": 1, "ensemble": 1}
+        assert lanes == FAST
 
 
 class TestReferenceLane:
+    """``reference=True`` reaches none of them."""
+
     def test_serial_runner_stays_scalar(self, lanes):
-        assert len(ExperimentRunner(**REFERENCE).run(SPECS)) == 2
-        assert lanes == {"batched": 0, "ensemble": 0}
+        assert len(ExperimentRunner(reference=True).run(SPECS)) == 3
+        assert lanes == NONE
 
     def test_pool_entry_stays_scalar(self, lanes):
         for spec in SPECS:
-            assert execute_task(CellTask(spec=spec, **REFERENCE))[0] == "ok"
+            assert execute_task(CellTask(spec=spec,
+                                         reference=True))[0] == "ok"
             assert execute_task(CellTask(spec=spec, chaos=NO_CHAOS,
-                                         **REFERENCE))[0] == "ok"
-        assert lanes == {"batched": 0, "ensemble": 0}
+                                         reference=True))[0] == "ok"
+        assert lanes == NONE
 
     def test_chaos_wrapper_stays_scalar(self, lanes):
         for spec in SPECS:
             chaos_execute_spec(spec, 0, NO_CHAOS, in_worker=False,
-                               **REFERENCE)
+                               reference=True)
         assert len(ExperimentRunner(chaos=NO_CHAOS,
-                                    **REFERENCE).run(SPECS)) == 2
-        assert lanes == {"batched": 0, "ensemble": 0}
+                                    reference=True).run(SPECS)) == 3
+        assert lanes == NONE
+
+
+def test_default_run_scan_is_memoized(lanes):
+    assert run_scan(quick=True).rows
+    assert lanes["memo"] == len(GADGETS) * len(scanner.quick_config_names())
 
 
 def test_tab_s41_batches_every_modelled_host(monkeypatch):
@@ -151,20 +175,34 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
                         "sanctuary": [True, False]}
 
 
+def _drain(tmp_path, job_doc: dict) -> ServiceWorker:
+    """Write ``job_doc`` as a job file and drain it with one worker."""
+    queue = JobQueue(tmp_path / "queue")
+    queue.jobs_dir.mkdir(parents=True)
+    queue.job_path(job_doc["job_id"]).write_text(json.dumps(job_doc),
+                                                 encoding="utf-8")
+    worker = ServiceWorker(queue, cache=ResultCache(tmp_path / "cells"),
+                           ttl_s=5.0, poll_s=0.01)
+    worker.run_until_drained()
+    return worker
+
+
 def test_service_job_without_strategy_keys_runs_fast_lane(tmp_path, lanes):
     job = JobSpec.matrix(quick=True).scoped(platforms=("mobile",),
                                            categories=("microarchitectural",
                                                        WORKLOAD_CATEGORY))
-    legacy = job.to_dict()
-    del legacy["batch"], legacy["ensemble"]
+    # A job file written while jobs still carried lane flags: the keys
+    # are ignored, the job id is unchanged, and the fast lanes run.
+    legacy = dict(job.to_dict(), ensemble=False, batch=False)
     assert JobSpec.from_dict(legacy) == job
+    assert JobSpec.from_dict(legacy).job_id == legacy["job_id"]
+    assert _drain(tmp_path, legacy).stats.cells_computed == 2
+    assert lanes == {"batched": 1, "ensemble": 1, "memo": 0}
 
-    queue = JobQueue(tmp_path / "queue")
-    queue.jobs_dir.mkdir(parents=True)
-    queue.job_path(job.job_id).write_text(json.dumps(legacy),
-                                          encoding="utf-8")
-    worker = ServiceWorker(queue, cache=ResultCache(tmp_path / "cells"),
-                           ttl_s=5.0, poll_s=0.01)
-    stats = worker.run_until_drained()
-    assert stats.cells_computed == 2
-    assert lanes == {"batched": 1, "ensemble": 1}
+
+def test_service_scan_job_runs_memoized_lane(tmp_path, lanes):
+    job = JobSpec(platforms=(SCAN.platform,), categories=(SCAN_CATEGORY,),
+                  knobs=SCAN_KNOBS)
+    assert job.cells() == [SCAN]
+    assert _drain(tmp_path, job.to_dict()).stats.cells_computed == 1
+    assert lanes == {"batched": 0, "ensemble": 0, "memo": len(GADGETS)}

@@ -31,7 +31,9 @@ from repro.spec import (
 
 @pytest.fixture(scope="module")
 def quick_report() -> LeakReport:
-    return run_scan(quick=True)
+    # The reference explorer: tests comparing the default (memoized)
+    # lane against this fixture then cross-check the two lanes.
+    return run_scan(quick=True, runner=ExperimentRunner(reference=True))
 
 
 class TestGrid:
@@ -134,15 +136,15 @@ class TestRunnerIntegration:
 
     def test_memoized_runner_shares_cache_entries_with_reference(
             self, tmp_path, quick_report):
-        # memo= is strategy, not measurement: a memoized run's cached
+        # The lane is strategy, not measurement: a memoized run's cached
         # payloads (integrity digests included) must satisfy a later
         # reference-configured runner wholesale.
-        memo_runner = ExperimentRunner(cache=ResultCache(tmp_path / "cells"),
-                                       memo=True)
+        memo_runner = ExperimentRunner(cache=ResultCache(tmp_path / "cells"))
         report = run_scan(quick=True, runner=memo_runner)
         assert report.to_json() == quick_report.to_json()
         assert memo_runner.stats.cache_misses == len(quick_config_names())
-        reference = ExperimentRunner(cache=ResultCache(tmp_path / "cells"))
+        reference = ExperimentRunner(cache=ResultCache(tmp_path / "cells"),
+                                     reference=True)
         cached = run_scan(quick=True, runner=reference)
         assert cached.to_json() == quick_report.to_json()
         assert reference.stats.cache_hits == len(quick_config_names())
@@ -151,20 +153,24 @@ class TestRunnerIntegration:
 
 _SCAN_SCRIPT = """
 import sys
+from repro.runner import ExperimentRunner
 from repro.spec import run_scan
-sys.stdout.write(run_scan(quick=True).to_json())
+runner = ExperimentRunner(reference=True)
+sys.stdout.write(run_scan(quick=True, runner=runner).to_json())
 """
 
 _FULL_SCAN_SCRIPT = """
 import sys
+from repro.runner import ExperimentRunner
 from repro.spec import run_scan
-sys.stdout.write(run_scan(quick=False).to_json())
+runner = ExperimentRunner(reference=True)
+sys.stdout.write(run_scan(quick=False, runner=runner).to_json())
 """
 
 _FULL_MEMO_SCAN_SCRIPT = """
 import sys
 from repro.spec import run_scan
-sys.stdout.write(run_scan(quick=False, memo=True).to_json())
+sys.stdout.write(run_scan(quick=False).to_json())
 """
 
 
