@@ -16,9 +16,12 @@ bench:
 ## Differential equivalence suites: every fast lane against its retained
 ## reference oracle (CPU engine, ensemble sweep, batched attacks, batched
 ## power capture, memoized scanner).  The fast lanes are the default
-## product path, so these guard what users run.
+## product path, so these guard what users run.  All five compare through
+## one core (repro.lockstep); test_lockstep_core.py proves that core
+## catches a single changed observable in each harness.
 diff:
-	$(PYTHON) -m pytest -q tests/test_differential.py \
+	$(PYTHON) -m pytest -q tests/test_lockstep_core.py \
+		tests/test_differential.py \
 		tests/test_ensemble_differential.py \
 		tests/test_attack_differential.py \
 		tests/test_power_differential.py tests/test_spec_memo.py

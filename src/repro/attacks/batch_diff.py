@@ -10,22 +10,22 @@ must produce
   success, score, leaked material, details — recovered keys included);
 * the same end state on the attack's RNG stream (the batched path must
   *consume* randomness exactly like the scalar loop);
-* the same SoC end state: cache lines, tags, LRU stamps and per-level
-  stats at every level, bus transaction and denial counts, per-core
-  cycle/energy/domain/privilege/world state, the speculative cores' L1
-  views, the MMUs (identity caches, context, walk counts) and TLBs
-  (entries, stamps, hit/miss counts), the MEE counters, the TrustZone
-  world state and DVFS secure set, SGX's active enclaves, and the
-  victim's encryption counter.
+* the same SoC end state: every observable
+  :func:`repro.cpu.diff.soc_observables` names (cores, cache tags, lines,
+  LRU stamps and stats, TLBs, MMU contexts, bus and MEE counters,
+  world/DVFS state, memory) plus each MMU's identity-translation memo,
+  SGX's active enclaves, and the victim's encryption counter.
 
 Scenarios run on every victim host the kernels model (null, SGX,
 TrustZone, Sanctuary) and on Sanctum, which they decline.
 
-:func:`run_pair` builds two identically-seeded environments from one
-immutable scenario, runs the scalar oracle on one and the batched kernel
-on the other, and raises :class:`AttackDivergence` naming the first
-mismatching observable.  ``tests/test_attack_differential.py`` drives
-this with hypothesis across platforms, victims and configurations.
+:func:`batched_run` and :func:`scalar_run` each build a fresh
+environment from one immutable scenario and return an
+:class:`AttackOutcome`; ``repro.lockstep.run_pair(scenario, batched_run,
+scalar_run)`` runs both and raises a
+:class:`~repro.lockstep.Divergence` naming the first mismatching
+observable (e.g. ``soc.llc.lru[3]``).  ``tests/test_attack_differential.py``
+drives this with hypothesis across platforms, victims and configurations.
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ from repro.attacks.cache_sca import (
 )
 from repro.attacks.timing import KocherTimingAttack
 from repro.common import PrivilegeLevel
+from repro.cpu.diff import soc_observables
 from repro.cpu.soc import make_embedded_soc, make_mobile_soc, make_server_soc
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
-
-
-class AttackDivergence(AssertionError):
-    """The batched and scalar attacks disagreed on an observable."""
+from repro.lockstep import Divergence
 
 
 _SOC_FACTORIES = {
@@ -146,39 +144,16 @@ class TimingScenario:
         return attack, rng, None
 
 
-def soc_state(soc, arch=None) -> tuple:
-    """Every SoC observable a batched attack must leave bit-identical
-    (plus ``arch``'s enclave bookkeeping, when given)."""
+def soc_state(soc, arch=None) -> dict:
+    """:func:`~repro.cpu.diff.soc_observables` plus the attack lane's two
+    extras: each MMU's identity-translation memo (the kernels gate on its
+    size) and ``arch``'s active enclaves, when given."""
     if soc is None:
-        return ()
-    levels = []
-    for cache in (*soc.hierarchy.l1s, soc.hierarchy.l2):
-        stats = cache.stats
-        levels.append((
-            [list(ts) for ts in cache._tags],
-            [[None if ln is None
-              else (ln.tag, ln.addr, ln.domain, ln.dirty) for ln in ways]
-             for ways in cache._sets],
-            [(p._stamp, tuple(p._last_use)) for p in cache._policies],
-            (stats.hits, stats.misses, stats.evictions, stats.flushes)))
-    cores = [(core.cycles, core.energy_pj, core.domain, core.instret,
-              core.privilege, core.world,
-              dict(getattr(core, "_l1_view", {}) or {}))
-             for core in soc.cores]
-    mmus = [(dict(mmu._identity_cache), mmu.root, mmu.asid, mmu.walk_count)
-            for mmu in soc.mmus]
-    tlbs = [None if tlb is None else (
-        [[None if e is None else (e.asid, e.vpn, e.paddr, e.flags, e.stamp)
-          for e in entries] for entries in tlb._sets],
-        tlb._stamp, tlb.hits, tlb.misses) for tlb in soc.tlbs]
-    bus = soc.bus
-    mees = [(t.encrypted_writes, t.decrypted_reads, t.integrity_failures)
-            for _, t in bus._transforms]
-    worlds = (dict(soc.world_state._worlds),
-              sorted(soc.dvfs.secure_active_cores))
-    enclaves = dict(getattr(arch, "active_enclave", {}))
-    return (levels, bus.transaction_count, bus.denied_count, cores, mmus,
-            tlbs, mees, worlds, enclaves)
+        return {}
+    state = soc_observables(soc)
+    state["identity_memo"] = [dict(mmu._identity_cache) for mmu in soc.mmus]
+    state["active_enclave"] = dict(getattr(arch, "active_enclave", {}))
+    return state
 
 
 @dataclass(frozen=True)
@@ -188,7 +163,7 @@ class AttackOutcome:
     result: object
     rng_state: int
     encryptions: int
-    soc: tuple
+    soc: dict
 
 
 def scalar_run(scenario) -> AttackOutcome:
@@ -200,13 +175,12 @@ def scalar_run(scenario) -> AttackOutcome:
 
 def batched_run(scenario) -> AttackOutcome:
     """Run the scenario through the batched kernel; a declined kernel is
-    a :class:`AttackDivergence` (use :func:`batch.try_run_batched`
-    directly to test fallback behaviour)."""
+    a :class:`~repro.lockstep.Divergence` (use
+    :func:`batch.try_run_batched` directly to test fallback behaviour)."""
     attack, rng, soc = scenario.build()
     result = batch.try_run_batched(attack)
     if result is None:
-        raise AttackDivergence(
-            f"batched kernel declined scenario {scenario!r}")
+        raise Divergence(f"batched kernel declined scenario {scenario!r}")
     return _outcome(attack, result, rng, soc)
 
 
@@ -215,32 +189,3 @@ def _outcome(attack, result, rng, soc) -> AttackOutcome:
     return AttackOutcome(result, rng._state,
                          getattr(victim, "encryptions", 0),
                          soc_state(soc, getattr(victim, "arch", None)))
-
-
-def _compare(field: str, batched, scalar) -> None:
-    if batched != scalar:
-        raise AttackDivergence(
-            f"{field} diverged\n  batched: {batched!r}\n"
-            f"  scalar:  {scalar!r}")
-
-
-def assert_identical(batched: AttackOutcome, scalar: AttackOutcome) -> None:
-    """Full observable equality between the two paths."""
-    br, sr = batched.result, scalar.result
-    _compare("result.name", br.name, sr.name)
-    _compare("result.category", br.category, sr.category)
-    _compare("result.success", br.success, sr.success)
-    _compare("result.score", br.score, sr.score)
-    _compare("result.leaked", br.leaked, sr.leaked)
-    _compare("result.details", br.details, sr.details)
-    _compare("rng end state", batched.rng_state, scalar.rng_state)
-    _compare("victim encryptions", batched.encryptions, scalar.encryptions)
-    _compare("soc end state", batched.soc, scalar.soc)
-
-
-def run_pair(scenario) -> tuple[AttackOutcome, AttackOutcome]:
-    """Run both paths and assert full bit-identity; return both sides."""
-    batched = batched_run(scenario)
-    scalar = scalar_run(scenario)
-    assert_identical(batched, scalar)
-    return batched, scalar

@@ -1,50 +1,39 @@
-"""Lockstep differential harness: fast engine vs reference interpreter.
+"""Lockstep differential harnesses for the CPU engines.
 
-The contract of the fast-path execution engine is *observation
-equivalence*: for any program, the predecoded-dispatch core and the
-retained reference interpreter (:mod:`repro.cpu.reference`) must agree on
-every architecturally visible quantity **and** every side-channel-visible
-one — registers, memory, trap streams, ``cycles``, ``energy_pj``, and
-per-level cache hit/miss/eviction/flush counts.  This module provides the
-machinery the hypothesis suite (``tests/test_differential.py``) drives:
+Two fast engines are held to *observation equivalence* with an oracle:
+the predecoded-dispatch core against the retained reference interpreter
+(:mod:`repro.cpu.reference`), and the struct-of-arrays ensemble engine
+(:mod:`repro.cpu.ensemble`) against the scalar ``Core``.  Both sides
+must agree on every architecturally visible quantity **and** every
+side-channel-visible one, as named by :func:`soc_observables`.
 
 * :func:`reference_twin` — build the reference-interpreter twin of a SoC;
-* :func:`lockstep` — step two cores instruction by instruction, comparing
-  full state after every step and raising :class:`Divergence` at the
-  first mismatch (with the step index and field in the message);
-* :func:`compare_socs` — whole-system comparison (memory images, cache
-  stats, bus counters) after both sides ran to completion.
+* :func:`lockstep` — step two SoCs' first cores instruction by
+  instruction, comparing the whole SoC after every step and raising
+  :class:`~repro.lockstep.Divergence` at the first mismatch (the
+  message names the step and the observable);
+* :func:`compare_socs` — whole-system comparison after both sides ran;
+* :func:`run_ensemble_vs_scalar` / :func:`lockstep_ensemble` — one
+  batched ensemble run, or single-instruction ensemble steps, against
+  identically prepared scalar SoCs.  A trap is a compared observable:
+  the ensemble records a peeled instance's trap in its report, the
+  scalar side raises, and both must agree on the frame at the same step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from itertools import chain
 from typing import Any
 
-from repro.cpu.core import Core
+from repro.cpu.ensemble import CoreEnsemble, EnsembleReport
 from repro.cpu.exceptions import Trap, TrapInfo
 from repro.cpu.soc import SoC
+from repro.lockstep import compare
 
-
-class Divergence(AssertionError):
-    """The two engines disagreed on an observable."""
-
-
-@dataclass(frozen=True)
-class CoreState:
-    """Everything a single core exposes that the engines must agree on."""
-
-    pc: int
-    regs: tuple[int, ...]
-    halted: bool
-    privilege: Any
-    world: Any
-    cycles: int
-    instret: int
-    energy_pj: float
-    csrs: tuple[tuple[int, int], ...]
-    trap_count: int
-    last_trap: tuple | None
+#: One ensemble differential unit: (ensemble-side SoC, scalar-side SoC),
+#: prepared identically (same program, same memory image, same knobs).
+Pair = tuple[SoC, SoC]
 
 
 def _trap_key(info: TrapInfo | None) -> tuple | None:
@@ -53,32 +42,54 @@ def _trap_key(info: TrapInfo | None) -> tuple | None:
     return (info.cause, info.pc, info.value, info.detail)
 
 
-def core_state(core: Core) -> CoreState:
-    """Snapshot a core's architectural + accounting state."""
-    return CoreState(
-        pc=core.pc,
-        regs=tuple(core.regs),
-        halted=core.halted,
-        privilege=core.privilege,
-        world=core.world,
-        cycles=core.cycles,
-        instret=core.instret,
-        energy_pj=core.energy_pj,
-        csrs=tuple(sorted(core.csr.items())),
-        trap_count=len(core.trap_log),
-        last_trap=_trap_key(core.last_trap),
-    )
+def soc_observables(soc: SoC) -> dict[str, Any]:
+    """Every observable a fast lane must leave bit-identical, by name.
 
-
-def cache_observables(soc: SoC) -> dict[str, tuple]:
-    """Per-level cache counters plus resident-line sets and bus counts."""
-    obs: dict[str, tuple] = {}
-    caches = list(soc.hierarchy.l1s) + [soc.hierarchy.l2]
-    for cache in caches:
+    Per core: architectural state, accounting, privilege/world/domain,
+    traps and the speculative L1 view.  Per cache level: tags, line
+    tuples, LRU stamps and stats.  Then TLBs, MMU contexts, bus and MEE
+    counters, world/DVFS state and the sparse memory image.
+    """
+    obs: dict[str, Any] = {}
+    for core in soc.cores:
+        obs[core.config.name] = {
+            "pc": core.pc, "regs": tuple(core.regs), "halted": core.halted,
+            "csrs": dict(core.csr), "cycles": core.cycles,
+            "instret": core.instret, "energy_pj": core.energy_pj,
+            "privilege": core.privilege, "world": core.world,
+            "domain": core.domain, "trap_count": len(core.trap_log),
+            "last_trap": _trap_key(core.last_trap),
+            "l1_view": dict(getattr(core, "_l1_view", None) or {})}
+    for cache in (*soc.hierarchy.l1s, soc.hierarchy.l2):
         stats = cache.stats
-        obs[cache.name] = (stats.hits, stats.misses, stats.evictions,
-                           stats.flushes, tuple(sorted(cache.resident_lines())))
-    obs["bus"] = (soc.bus.transaction_count, soc.bus.denied_count)
+        obs[cache.name] = {
+            "tags": list(map(tuple, cache._tags)),
+            # Flat, row-major over (set, way): one pass instead of one
+            # comprehension per set, since lockstep snapshots every step.
+            "lines": [None if ln is None
+                      else (ln.tag, ln.addr, ln.domain, ln.dirty)
+                      for ln in chain.from_iterable(cache._sets)],
+            "lru": [(p._stamp, tuple(p._last_use)) for p in cache._policies],
+            "stats": (stats.hits, stats.misses, stats.evictions,
+                      stats.flushes)}
+    for core, mmu, tlb in zip(soc.cores, soc.mmus, soc.tlbs):
+        obs[f"mmu-{core.config.name}"] = {
+            "root": mmu.root, "asid": mmu.asid, "walks": mmu.walk_count}
+        if tlb is not None:
+            obs[f"tlb-{core.config.name}"] = {
+                "entries": [[None if e is None
+                             else (e.asid, e.vpn, e.paddr, e.flags, e.stamp)
+                             for e in entries] for entries in tlb._sets],
+                "stamp": tlb._stamp, "hits": tlb.hits, "misses": tlb.misses}
+    bus = soc.bus
+    obs["bus"] = {"transactions": bus.transaction_count,
+                  "denied": bus.denied_count}
+    obs["mee"] = {name: (t.encrypted_writes, t.decrypted_reads,
+                         t.integrity_failures)
+                  for name, t in bus._transforms}
+    obs["worlds"] = dict(soc.world_state._worlds)
+    obs["dvfs_secure"] = sorted(soc.dvfs.secure_active_cores)
+    obs["memory"] = dict(soc.memory._bytes)
     return obs
 
 
@@ -87,53 +98,88 @@ def reference_twin(soc: SoC) -> SoC:
     return SoC(replace(soc.config, interpreter="reference"))
 
 
-def _compare(step: int, field: str, fast: Any, ref: Any) -> None:
-    if fast != ref:
-        raise Divergence(
-            f"step {step}: {field} diverged\n  fast: {fast!r}\n  ref:  {ref!r}")
+def compare_socs(fast: SoC, ref: SoC, field: str = "soc") -> None:
+    """Whole-system comparison through :func:`soc_observables`."""
+    compare(field, soc_observables(fast), soc_observables(ref))
 
 
-def compare_cores(fast: Core, ref: Core, step: int = -1) -> None:
-    """Field-by-field core comparison; raises :class:`Divergence`."""
-    fs, rs = core_state(fast), core_state(ref)
-    for name in CoreState.__dataclass_fields__:
-        _compare(step, f"core.{name}", getattr(fs, name), getattr(rs, name))
+def lockstep(fast: SoC, ref: SoC, max_steps: int = 4096) -> int:
+    """Step both SoCs' first cores together, comparing after every
+    instruction.
 
-
-def compare_socs(fast: SoC, ref: SoC, step: int = -1) -> None:
-    """Whole-system comparison: cores, caches, bus, physical memory."""
-    for fast_core, ref_core in zip(fast.cores, ref.cores):
-        compare_cores(fast_core, ref_core, step)
-    _compare(step, "caches", cache_observables(fast), cache_observables(ref))
-    _compare(step, "memory", fast.memory._bytes, ref.memory._bytes)
-
-
-def lockstep(fast: Core, ref: Core, max_steps: int = 4096,
-             fast_soc: SoC | None = None, ref_soc: SoC | None = None) -> int:
-    """Step both cores together, comparing after every instruction.
-
-    When the SoCs are supplied, memory and cache observables are compared
-    each step as well.  A trap escaping to Python must escape on *both*
-    sides, at the same step, with the same trap frame.  Returns the number
-    of steps executed.
+    A trap escaping to Python must escape on *both* sides, at the same
+    step, with the same trap frame.  Returns the number of steps run.
     """
     for step in range(max_steps):
-        fast_trap = ref_trap = None
-        fast_more = ref_more = False
-        try:
-            fast_more = fast.step()
-        except Trap as trap:
-            fast_trap = trap.info
-        try:
-            ref_more = ref.step()
-        except Trap as trap:
-            ref_trap = trap.info
-        _compare(step, "escaped trap", _trap_key(fast_trap),
-                 _trap_key(ref_trap))
-        compare_cores(fast, ref, step)
-        if fast_soc is not None and ref_soc is not None:
-            compare_socs(fast_soc, ref_soc, step)
-        _compare(step, "step() continue flag", fast_more, ref_more)
+        outcomes = []
+        for core in (fast.cores[0], ref.cores[0]):
+            try:
+                outcomes.append((core.step(), None))
+            except Trap as trap:
+                outcomes.append((False, _trap_key(trap.info)))
+        (fast_more, fast_trap), (ref_more, ref_trap) = outcomes
+        compare(f"step {step}: escaped trap", fast_trap, ref_trap)
+        compare_socs(fast, ref, f"step {step}: soc")
+        compare(f"step {step}: step() continue flag", fast_more, ref_more)
         if fast_trap is not None or not fast_more:
+            return step + 1
+    return max_steps
+
+
+def _scalar_step(soc: SoC, budget: int) -> TrapInfo | None:
+    """Advance the scalar side by ``budget`` retired instructions."""
+    try:
+        soc.cores[0].run(max_steps=budget)
+    except Trap as trap:
+        return trap.info
+    return None
+
+
+def run_ensemble_vs_scalar(pairs: list[Pair], max_steps: int = 4096,
+                           window: tuple[int, int] | None = None
+                           ) -> EnsembleReport:
+    """Batched differential: one ensemble run vs one scalar run per pair.
+
+    Returns the ensemble report so callers can additionally assert *how*
+    instances executed (peeled or vectorized) — equality of observables
+    must hold either way.
+    """
+    report = CoreEnsemble(
+        [pair[0].cores[0] for pair in pairs], window=window
+    ).run(max_steps=max_steps)
+    for i, (ensemble_soc, scalar_soc) in enumerate(pairs):
+        scalar_trap = _scalar_step(scalar_soc, max_steps)
+        compare(f"instance {i}: trap", _trap_key(report.traps[i]),
+                _trap_key(scalar_trap))
+        compare_socs(ensemble_soc, scalar_soc, f"instance {i}: soc")
+    return report
+
+
+def lockstep_ensemble(pairs: list[Pair], max_steps: int = 4096,
+                      window: tuple[int, int] | None = None) -> int:
+    """Step-by-step differential; returns the number of steps compared.
+
+    After every ``run(max_steps=1)`` the ensemble's :meth:`sync` makes
+    its scalar objects authoritative, so whole-SoC comparison is exact
+    at every instruction boundary.  Terminates once every pair is halted
+    or pinned on a (matching) trap — a trapped core re-raises the same
+    frame each step on both sides, which the comparison confirms once
+    and need not iterate further.
+    """
+    ensemble = CoreEnsemble([pair[0].cores[0] for pair in pairs],
+                            window=window)
+    for step in range(max_steps):
+        ensemble.run(max_steps=1)
+        done = True
+        for i, (ensemble_soc, scalar_soc) in enumerate(pairs):
+            scalar_trap = None
+            if not scalar_soc.cores[0].halted:
+                scalar_trap = _scalar_step(scalar_soc, 1)
+            compare(f"step {step}: instance {i} trap",
+                    _trap_key(ensemble.traps[i]), _trap_key(scalar_trap))
+            compare_socs(ensemble_soc, scalar_soc,
+                         f"step {step}: instance {i} soc")
+            done &= scalar_soc.cores[0].halted or scalar_trap is not None
+        if done:
             return step + 1
     return max_steps

@@ -31,11 +31,12 @@ recorded in the report rather than aborting the siblings — the one
 documented deviation from calling ``core.run()`` yourself.
 
 **Bit-identity contract.**  For instances that never peel, every
-observable compared by :func:`repro.cpu.diff.compare_socs` — registers,
+observable named by :func:`repro.cpu.diff.soc_observables` — registers,
 PC, CSRs, traps, cycles, instret, energy (same IEEE accumulation order),
-per-level cache counters and resident lines, bus transaction counts,
-and sparse physical-memory contents (stores scatter exactly the bytes a
-scalar store would have written) — matches the scalar run bit for bit.
+cache tags, lines, LRU stamps and counters at every level, TLB, MMU, bus
+and MEE state, and sparse physical-memory contents (stores scatter
+exactly the bytes a scalar store would have written) — matches the
+scalar run bit for bit.
 ``tests/test_ensemble_differential.py`` enforces this with the same
 hypothesis program generator the fast-vs-reference suite uses.
 """

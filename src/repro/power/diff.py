@@ -5,8 +5,8 @@ The contract of :class:`~repro.power.batch.BatchPowerInstrument` is
 :mod:`repro.cpu.diff`: for any capture configuration, the batched and
 scalar paths must produce
 
-* the same sample matrix, compared *bitwise* (``tobytes()``, not
-  ``allclose`` — a single differing mantissa bit fails);
+* the same sample matrix, compared *bitwise* (dtype, shape and bytes,
+  not ``allclose`` — a single differing mantissa or sign bit fails);
 * the same plaintext/ciphertext metadata;
 * the same end state on every RNG stream involved (instrument, model
   noise, cipher masks) — the batched path must *consume* randomness
@@ -14,27 +14,26 @@ scalar paths must produce
 * the same recovered keys under DPA/CPA (implied by the above, asserted
   anyway as the end-to-end observable).
 
-:func:`capture_pair` builds the two sides from one immutable
-:class:`SCAConfig` with independent, identically-seeded RNGs;
-:func:`assert_identical` raises :class:`TraceDivergence` naming the
-first mismatching field.  ``tests/test_power_differential.py`` drives
-this with hypothesis across masked/shuffled/noisy configurations.
+:func:`batched_capture` and :func:`scalar_capture` build each side
+from one immutable :class:`SCAConfig` with independent,
+identically-seeded RNGs; ``repro.lockstep.run_pair(config,
+batched_capture, scalar_capture)`` raises a
+:class:`~repro.lockstep.Divergence` naming the first mismatching field.
+``tests/test_power_differential.py`` drives this with hypothesis across
+masked/shuffled/noisy configurations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.aes import AES128, MaskedAES
 from repro.crypto.rng import XorShiftRNG
+from repro.lockstep import Divergence
 from repro.power.batch import BatchPowerInstrument, batch_cipher_for
 from repro.power.instrument import PowerInstrument
 from repro.power.leakage import HammingWeightModel
 from repro.power.trace import TraceSet
-
-
-class TraceDivergence(AssertionError):
-    """The batched and scalar acquisitions disagreed on an observable."""
 
 
 @dataclass(frozen=True)
@@ -62,11 +61,26 @@ class SCAConfig:
         return lambda leak: AES128(self.key, leak_hook=leak)
 
 
+def trace_observables(traces: TraceSet) -> dict:
+    """What a capture exposes: geometry, the sample matrix (compared
+    bitwise by :func:`~repro.lockstep.compare`), and the metadata."""
+    return {
+        "len": len(traces), "num_samples": traces.num_samples,
+        "samples": traces.samples,
+        "plaintexts": tuple(traces.plaintexts),
+        "ciphertexts": tuple(traces.ciphertexts),
+        "plaintext_bytes": [traces.plaintext_bytes(i).tolist()
+                            for i in range(16)],
+        "ciphertext_bytes": [traces.ciphertext_bytes(i).tolist()
+                             for i in range(16)]}
+
+
 @dataclass(frozen=True)
 class CaptureOutcome:
-    """One path's TraceSet plus the end states of its RNG streams."""
+    """One path's capture plus the end states of its RNG streams."""
 
-    traces: TraceSet
+    traces: TraceSet = field(compare=False, repr=False)
+    capture: dict  # trace_observables(traces)
     rng_state: int
     noise_rng_state: int
     mask_rng_state: int
@@ -80,20 +94,20 @@ def _run(config: SCAConfig, batched: bool) -> CaptureOutcome:
     if batched:
         batch_cipher = batch_cipher_for(factory)
         if batch_cipher is None:
-            raise TraceDivergence("configuration has no batched twin")
+            raise Divergence("configuration has no batched twin")
         instrument = BatchPowerInstrument(
             model, config.rounds_of_interest, shuffle=config.shuffle,
             rng=rng)
         if not instrument.can_capture(batch_cipher):
-            raise TraceDivergence("batched capture rejected the config")
+            raise Divergence("batched capture rejected the config")
         traces = instrument.capture(batch_cipher, plaintexts)
     else:
         instrument = PowerInstrument(
             model, config.rounds_of_interest, shuffle=config.shuffle,
             rng=rng)
         traces = instrument.capture(factory, plaintexts)
-    return CaptureOutcome(traces, rng._state, noise_rng._state,
-                          mask_rng._state)
+    return CaptureOutcome(traces, trace_observables(traces), rng._state,
+                          noise_rng._state, mask_rng._state)
 
 
 def scalar_capture(config: SCAConfig) -> CaptureOutcome:
@@ -104,45 +118,3 @@ def scalar_capture(config: SCAConfig) -> CaptureOutcome:
 def batched_capture(config: SCAConfig) -> CaptureOutcome:
     """Run the configuration on the vectorized instrument."""
     return _run(config, batched=True)
-
-
-def _compare(field: str, batched, scalar) -> None:
-    if batched != scalar:
-        raise TraceDivergence(
-            f"{field} diverged\n  batched: {batched!r}\n"
-            f"  scalar:  {scalar!r}")
-
-
-def assert_tracesets_identical(batched: TraceSet,
-                               scalar: TraceSet) -> None:
-    """Bitwise TraceSet equality: geometry, samples, metadata."""
-    _compare("len", len(batched), len(scalar))
-    _compare("num_samples", batched.num_samples, scalar.num_samples)
-    _compare("samples (bitwise)",
-             batched.samples.astype("<f8").tobytes(),
-             scalar.samples.astype("<f8").tobytes())
-    _compare("plaintexts", tuple(batched.plaintexts),
-             tuple(scalar.plaintexts))
-    _compare("ciphertexts", tuple(batched.ciphertexts),
-             tuple(scalar.ciphertexts))
-    for index in range(16):
-        _compare(f"plaintext_bytes({index})",
-                 batched.plaintext_bytes(index).tolist(),
-                 scalar.plaintext_bytes(index).tolist())
-        _compare(f"ciphertext_bytes({index})",
-                 batched.ciphertext_bytes(index).tolist(),
-                 scalar.ciphertext_bytes(index).tolist())
-
-
-def capture_pair(config: SCAConfig) -> tuple[CaptureOutcome, CaptureOutcome]:
-    """Run both paths and assert full bit-identity; return both sides."""
-    batched = batched_capture(config)
-    scalar = scalar_capture(config)
-    assert_tracesets_identical(batched.traces, scalar.traces)
-    _compare("instrument RNG end state", batched.rng_state,
-             scalar.rng_state)
-    _compare("noise RNG end state", batched.noise_rng_state,
-             scalar.noise_rng_state)
-    _compare("mask RNG end state", batched.mask_rng_state,
-             scalar.mask_rng_state)
-    return batched, scalar

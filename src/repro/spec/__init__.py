@@ -20,7 +20,7 @@ This package turns the simulator's transient-execution column from
   recordings shared across the grid (the default scan lane;
   ``ExperimentRunner(reference=True)`` or ``repro scan --no-memo``
   selects the reference explorer; byte-identical reports, proven by
-  :mod:`repro.spec.explore_diff`);
+  :mod:`repro.spec.explore_diff` under ``make diff``);
 * :mod:`repro.spec.report` — the deterministic leak-report artifact.
 """
 

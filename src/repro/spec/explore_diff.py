@@ -7,9 +7,9 @@ the scanner actually reports:
    :class:`~repro.spec.explorer.SpeculationExplorer` and the
    :class:`~repro.spec.memo.MemoizedSpeculationExplorer` (frontier
    dedup on, window *not* inflated) over the same gadget on fresh SoCs
-   and require the full ordered :class:`LeakEvent` sequence — every
-   field, architectural events included — plus the final register
-   taints and the truncation flag to match exactly.
+   and require the same :class:`ExploreOutcome`: the full ordered
+   :class:`LeakEvent` sequence — every field, architectural events
+   included — plus the final register taints and the truncation flag.
 2. **Row lockstep** — require ``_scan_gadget_memo`` (window-parametric
    replay from a shared memo) to produce the exact :class:`ScanRow`
    and retired-instruction count of the reference ``_scan_gadget``.
@@ -17,21 +17,18 @@ the scanner actually reports:
    emit the JSON *and* rendered text of a reference-lane
    ``ExperimentRunner(reference=True)`` scan, byte for byte.
 
-Run as a module for the CI cross-check::
-
-    python -m repro.spec.explore_diff [--quick]
-
-Exit status 1 on any mismatch, with per-cell diagnostics on stderr.
+Every layer raises :class:`~repro.lockstep.Divergence` on the first
+mismatch.  ``make diff`` runs all three through ``tests/test_spec_memo.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro.lockstep import Divergence, compare, run_pair
 from repro.runner import ExperimentRunner
-from repro.spec.explorer import SpeculationExplorer
+from repro.spec.explorer import LeakEvent, SpeculationExplorer
 from repro.spec.gadgets import GADGETS, Gadget, GadgetInstance
 from repro.spec.memo import ExplorationMemo, MemoizedSpeculationExplorer
 from repro.spec.scanner import (
@@ -45,8 +42,23 @@ from repro.spec.scanner import (
 )
 
 
+@dataclass(frozen=True)
+class ExploreOutcome:
+    """What one exploration exposes; ``explorer`` rides along uncompared."""
+
+    leaks: list[LeakEvent]
+    taint_regs: list[bool]
+    truncated: bool
+    explorer: SpeculationExplorer = field(compare=False, repr=False)
+
+    @classmethod
+    def of(cls, explorer: SpeculationExplorer) -> "ExploreOutcome":
+        return cls(list(explorer.leaks), list(explorer.taint.regs),
+                   explorer.truncated, explorer)
+
+
 def explore_with(explorer_cls, config: ScanConfig,
-                 gadget: Gadget) -> SpeculationExplorer:
+                 gadget: Gadget) -> ExploreOutcome:
     """Run ``gadget`` on a fresh SoC of ``config`` under ``explorer_cls``."""
     soc = config.build()
     instance: GadgetInstance = gadget.build(soc)
@@ -56,56 +68,24 @@ def explore_with(explorer_cls, config: ScanConfig,
     explorer.injection_targets = list(instance.injection_targets)
     explorer.run(instance.program, instance.entry, regs=instance.regs,
                  max_steps=instance.max_steps)
-    return explorer
-
-
-@dataclass
-class ExploreDiff:
-    """Per-cell comparison outcome (``ok`` iff every layer agreed)."""
-
-    config: str
-    gadget: str
-    mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+    return ExploreOutcome.of(explorer)
 
 
 def diff_cell(config: ScanConfig, gadget: Gadget,
-              memo: ExplorationMemo | None = None) -> ExploreDiff:
-    """Lockstep-compare one (config, gadget) cell across both layers."""
-    diff = ExploreDiff(config=config.name, gadget=gadget.name)
-
-    reference = explore_with(SpeculationExplorer, config, gadget)
-    memoized = explore_with(MemoizedSpeculationExplorer, config, gadget)
-    if memoized.leaks != reference.leaks:
-        diff.mismatches.append(
-            f"LeakEvent sequences differ: reference {len(reference.leaks)} "
-            f"event(s), memoized {len(memoized.leaks)}")
-    if memoized.truncated != reference.truncated:
-        diff.mismatches.append(
-            f"truncated differs: reference {reference.truncated}, "
-            f"memoized {memoized.truncated}")
-    if memoized.taint.regs != reference.taint.regs:
-        diff.mismatches.append("final register taints differ")
-
-    ref_row, ref_instret = _scan_gadget(config, gadget)
-    memo_row, memo_instret = _scan_gadget_memo(
-        config, gadget, memo if memo is not None else ExplorationMemo())
-    if memo_row != ref_row:
-        diff.mismatches.append(
-            f"ScanRow differs: reference {ref_row.as_dict()!r}, "
-            f"memoized {memo_row.as_dict()!r}")
-    if memo_instret != ref_instret:
-        diff.mismatches.append(
-            f"instret differs: reference {ref_instret}, "
-            f"memoized {memo_instret}")
-    return diff
+              memo: ExplorationMemo | None = None) -> None:
+    """Lockstep-compare one (config, gadget) cell on the explorer and
+    row layers; raises :class:`~repro.lockstep.Divergence`."""
+    run_pair(gadget, partial(explore_with, MemoizedSpeculationExplorer,
+                             config),
+             partial(explore_with, SpeculationExplorer, config))
+    memo = ExplorationMemo() if memo is None else memo
+    compare("(row, instret)", _scan_gadget_memo(config, gadget, memo),
+            _scan_gadget(config, gadget))
 
 
-def diff_grid(quick: bool = False) -> list[ExploreDiff]:
-    """Every (config, gadget) cell through :func:`diff_cell`.
+def diff_grid(quick: bool = False) -> list[tuple[str, str, Divergence]]:
+    """Every (config, gadget) cell through :func:`diff_cell`; returns
+    the failures as ``(config, gadget, divergence)``.
 
     One memo is shared across all cells — replayed rows are compared
     against freshly computed reference rows, so cross-config sharing is
@@ -113,50 +93,22 @@ def diff_grid(quick: bool = False) -> list[ExploreDiff]:
     """
     names = quick_config_names() if quick else full_config_names()
     memo = ExplorationMemo()
-    return [diff_cell(scan_config_for(name), gadget, memo=memo)
-            for name in names for gadget in GADGETS]
+    failures = []
+    for name in names:
+        for gadget in GADGETS:
+            try:
+                diff_cell(scan_config_for(name), gadget, memo=memo)
+            except Divergence as divergence:
+                failures.append((name, gadget.name, divergence))
+    return failures
 
 
-def diff_reports(quick: bool = False) -> list[str]:
+def _report_bytes(quick: bool, reference: bool = False) -> dict[str, str]:
+    runner = ExperimentRunner(reference=True) if reference else None
+    report = run_scan(quick=quick, runner=runner)
+    return {"json": report.to_json(), "text": report.render()}
+
+
+def diff_reports(quick: bool = False) -> None:
     """Byte-compare full memoized vs reference reports (JSON + text)."""
-    reference = run_scan(quick=quick,
-                         runner=ExperimentRunner(reference=True))
-    memoized = run_scan(quick=quick)
-    mismatches = []
-    if memoized.to_json() != reference.to_json():
-        mismatches.append("report JSON differs between memo and reference")
-    if memoized.render() != reference.render():
-        mismatches.append("rendered report differs between memo and "
-                          "reference")
-    return mismatches
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="lockstep-diff the memoized explorer vs the reference")
-    parser.add_argument("--quick", action="store_true",
-                        help="quick grid only (drop narrow-window-4)")
-    args = parser.parse_args(argv)
-
-    diffs = diff_grid(quick=args.quick)
-    bad = [d for d in diffs if not d.ok]
-    for d in bad:
-        for reason in d.mismatches:
-            print(f"MISMATCH {d.config}/{d.gadget}: {reason}",
-                  file=sys.stderr)
-    report_mismatches = diff_reports(quick=args.quick)
-    for reason in report_mismatches:
-        print(f"MISMATCH report: {reason}", file=sys.stderr)
-    grid = "quick" if args.quick else "full"
-    if bad or report_mismatches:
-        print(f"explore-diff: FAIL on the {grid} grid "
-              f"({len(bad)}/{len(diffs)} cells, "
-              f"{len(report_mismatches)} report mismatch(es))")
-        return 1
-    print(f"explore-diff: {len(diffs)} cells byte-identical on the "
-          f"{grid} grid (events, verdicts, rows, report JSON and text)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    run_pair(quick, _report_bytes, partial(_report_bytes, reference=True))

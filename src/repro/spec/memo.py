@@ -29,8 +29,9 @@ observations make the scan cheap without changing a single report byte:
    ``--full`` narrow-window column all replay from the same record.
 
 Equivalence with the reference explorer is not assumed: it is proven by
-the lockstep harness (:mod:`repro.spec.explore_diff`) and the hypothesis
-differential suite, and the scanner falls back to the reference path for
+the lockstep harness (:mod:`repro.spec.explore_diff`, whose
+``ExploreOutcome`` record the hypothesis differential suite compares
+too; both run under ``make diff``), and the scanner falls back to the reference path for
 any recording that hit an exploration cap (``truncated``), where the
 depth-filtering argument no longer applies.
 """

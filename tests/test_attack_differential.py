@@ -27,7 +27,6 @@ from repro.attacks.batch_diff import (
     CacheScenario,
     TimingScenario,
     batched_run,
-    run_pair,
     scalar_run,
     soc_state,
 )
@@ -45,6 +44,7 @@ from repro.core.platforms import STANDARD_PLATFORMS
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
 from repro.errors import SecurityViolation
+from repro.lockstep import run_pair
 from repro.obs.observer import RunObserver
 from repro.runner import ExperimentRunner, payload_fingerprint
 
@@ -80,7 +80,8 @@ class TestCacheHypothesis:
             attack=attack, platform=platform, host=host,
             enclave_victim=enclave, cold_tlb=cold_tlb,
             dirty_core=dirty_core, seed=seed, samples_per_value=samples,
-            plaintext_values=values, target_bytes=targets))
+            plaintext_values=values, target_bytes=targets),
+            batched_run, scalar_run)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -98,7 +99,8 @@ class TestCacheHypothesis:
         run_pair(CacheScenario(
             attack="evict+time", platform=platform, host=host,
             enclave_victim=True, cold_tlb=cold_tlb, seed=seed,
-            samples_per_value=samples, target_bytes=targets))
+            samples_per_value=samples, target_bytes=targets),
+            batched_run, scalar_run)
 
 
 class TestTEEHosts:
@@ -110,7 +112,8 @@ class TestTEEHosts:
         platform = "server-desktop" if host == "sgx" else "mobile"
         run_pair(CacheScenario(attack="prime+probe", host=host,
                                platform=platform, samples_per_value=2,
-                               dirty_core=dirty_core))
+                               dirty_core=dirty_core),
+                               batched_run, scalar_run)
 
     @pytest.mark.parametrize("host", ["null", "sgx", "trustzone",
                                       "sanctuary"])
@@ -150,8 +153,9 @@ class TestTEEHosts:
         # (walker bus reads, miss charges) before the TLB hits.
         batched, _ = run_pair(CacheScenario(
             attack="evict+time", host="sgx", cold_tlb=True,
-            samples_per_value=1, target_bytes=(0,)))
-        assert batched.soc[5][0][3] > 0  # TLB misses were replayed
+            samples_per_value=1, target_bytes=(0,)),
+            batched_run, scalar_run)
+        assert batched.soc["tlb-core0"]["misses"] > 0  # misses replayed
 
     def test_tampered_epc_word_declines_and_scalar_raises(self):
         # The MEE verifies every word before the kernel mutates anything:
@@ -241,7 +245,8 @@ class TestTimingHypothesis:
                                   noise_std, seed):
         run_pair(TimingScenario(
             rsa_bits=rsa_bits, samples=samples, max_bits=max_bits,
-            noise_std=noise_std, seed=seed, key_seed=seed ^ 0x5EED))
+            noise_std=noise_std, seed=seed, key_seed=seed ^ 0x5EED),
+            batched_run, scalar_run)
 
 
 class TestDifferentialEdges:
@@ -249,15 +254,17 @@ class TestDifferentialEdges:
                              ["prime+probe", "flush+reload", "evict+time"])
     @pytest.mark.parametrize("samples", [0, 1])
     def test_degenerate_sample_counts(self, attack, samples):
-        run_pair(CacheScenario(attack=attack, samples_per_value=samples))
+        run_pair(CacheScenario(attack=attack, samples_per_value=samples),
+                 batched_run, scalar_run)
 
     @pytest.mark.parametrize("samples", [0, 1])
     def test_kocher_degenerate_sample_counts(self, samples):
-        run_pair(TimingScenario(samples=samples))
+        run_pair(TimingScenario(samples=samples), batched_run, scalar_run)
 
     def test_kocher_zero_attack_bits(self):
         # bits_total - 1 can undercut max_bits; score defined as 0.0.
-        batched, scalar = run_pair(TimingScenario(max_bits=0))
+        batched, scalar = run_pair(TimingScenario(max_bits=0), batched_run,
+                                   scalar_run)
         assert scalar.result.score == 0.0
 
     def test_evict_time_tiny_tie_break(self):
@@ -267,14 +274,16 @@ class TestDifferentialEdges:
         for seed in (1, 2, 3, 0xBEEF):
             run_pair(CacheScenario(
                 attack="evict+time", samples_per_value=1,
-                plaintext_values=2, target_bytes=(0,), seed=seed))
+                plaintext_values=2, target_bytes=(0,), seed=seed),
+                batched_run, scalar_run)
 
     def test_flush_reload_blocked_victim_identical(self):
         # An enclave victim's memory is not attacker-addressable on the
         # probe path: both paths must return the same blocked result
         # without perturbing the SoC.
         batched, scalar = run_pair(CacheScenario(
-            attack="flush+reload", enclave_victim=True, platform="mobile"))
+            attack="flush+reload", enclave_victim=True, platform="mobile"),
+            batched_run, scalar_run)
         assert batched.result.details == scalar.result.details
 
     def test_observed_and_unobserved_batched_runs_identical(self):

@@ -6,9 +6,10 @@ and the harness in :mod:`repro.cpu.diff` checks the fast engine against
 the retained reference interpreter:
 
 * **lockstep** — after every single instruction, full architectural state
-  (registers, PC, CSRs, privilege, traps) and observables (cycles,
-  energy, per-level cache hits/misses/evictions/flushes, resident lines,
-  bus counters, physical memory) must match bit for bit;
+  (registers, PC, CSRs, privilege, traps) and every observable of
+  :func:`~repro.cpu.diff.soc_observables` (cycles, energy, per-level
+  cache tags, lines, LRU stamps and counters, TLB/MMU/bus/MEE state,
+  physical memory) must match bit for bit;
 * **batched run()** — the fast engine's amortised run loop against the
   oracle's serial step loop, comparing whole-SoC state at the end.
 
@@ -142,16 +143,14 @@ class TestLockstep:
     def test_inorder_lockstep(self, case):
         program, memory = case
         fast_soc, ref_soc = _prepare(make_embedded_soc, program, memory)
-        lockstep(fast_soc.cores[0], ref_soc.cores[0], max_steps=MAX_STEPS,
-                 fast_soc=fast_soc, ref_soc=ref_soc)
+        lockstep(fast_soc, ref_soc, max_steps=MAX_STEPS)
 
     @_SETTINGS
     @given(_programs())
     def test_speculative_lockstep(self, case):
         program, memory = case
         fast_soc, ref_soc = _prepare(make_mobile_soc, program, memory)
-        lockstep(fast_soc.cores[0], ref_soc.cores[0], max_steps=MAX_STEPS,
-                 fast_soc=fast_soc, ref_soc=ref_soc)
+        lockstep(fast_soc, ref_soc, max_steps=MAX_STEPS)
 
 
 def _run_both(fast_soc, ref_soc):

@@ -5,10 +5,12 @@ generates the same random programs and memory images, but here N
 identically prepared instances advance together through
 :class:`repro.cpu.ensemble.CoreEnsemble` while their scalar twins run
 the retained ``Core`` loop one by one.  The harness
-(:mod:`repro.cpu.ensemble_diff`) reuses ``compare_socs``, so the bar is
-the full bit-identity contract: registers, PC, CSRs, traps, cycles,
-instret, energy, per-level cache counters and resident lines, bus
-counters, and the sparse physical-memory image.
+(:func:`repro.cpu.diff.run_ensemble_vs_scalar` and
+:func:`~repro.cpu.diff.lockstep_ensemble`) compares through
+``compare_socs``, so the bar is the full bit-identity contract of
+:func:`~repro.cpu.diff.soc_observables`: registers, PC, CSRs, traps,
+cycles, instret, energy, cache tags/lines/LRU stamps/counters, TLB, MMU,
+bus and MEE state, and the sparse physical-memory image.
 
 Directed tests pin the edges hypothesis cannot aim at: empty and
 singleton ensembles, mixed-configuration (heterogeneous cache
@@ -32,11 +34,8 @@ from repro.core.sweep import (
     sweep_max_steps,
     sweep_window,
 )
+from repro.cpu.diff import lockstep_ensemble, run_ensemble_vs_scalar
 from repro.cpu.ensemble import CoreEnsemble
-from repro.cpu.ensemble_diff import (
-    lockstep_ensemble,
-    run_ensemble_vs_scalar,
-)
 from repro.cpu.soc import make_embedded_soc, make_mobile_soc
 from repro.isa import assemble
 from tests.test_differential import _SETTINGS, _programs

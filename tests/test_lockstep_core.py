@@ -1,0 +1,114 @@
+"""The shared lockstep core catches a divergence in every harness.
+
+All five differential suites compare through :func:`repro.lockstep.compare`,
+so a comparator that missed a mismatch would hide it everywhere.  Each
+test here runs one harness with exactly one observable changed on the
+fast side only, and requires a :class:`Divergence` that names it.
+"""
+
+from dataclasses import replace
+from functools import partial
+
+import pytest
+
+from repro.attacks import batch
+from repro.attacks.batch_diff import CacheScenario, batched_run, scalar_run
+from repro.cpu.diff import lockstep, reference_twin
+from repro.cpu.soc import make_embedded_soc
+from repro.isa import assemble
+from repro.lockstep import Divergence, run_pair
+from repro.power.diff import SCAConfig, batched_capture, scalar_capture
+from repro.spec import (
+    GADGETS_BY_NAME,
+    MemoizedSpeculationExplorer,
+    SpeculationExplorer,
+)
+from repro.spec.explore_diff import explore_with
+from repro.spec.scanner import scan_config_for
+from tests.conftest import AES_KEY
+
+
+def test_attack_harness_names_one_llc_lru_stamp(monkeypatch):
+    real = batch.try_run_batched
+
+    def bumped(attack):
+        result = real(attack)
+        attack.attacker.soc.hierarchy.l2._policies[3]._last_use[0] += 1
+        return result
+
+    monkeypatch.setattr(batch, "try_run_batched", bumped)
+    with pytest.raises(Divergence,
+                       match=r"^soc\.llc\.lru\[3\]\[1\]\[0\] diverged"):
+        run_pair(CacheScenario(attack="prime+probe", samples_per_value=1),
+                 batched_run, scalar_run)
+
+
+def test_power_harness_compares_samples_bitwise():
+    # Round 11 never fires, so its sample slots stay zero on both paths.
+    config = SCAConfig(key=AES_KEY, num_traces=4, rounds_of_interest=(1, 11))
+
+    def sign_flipped(config):
+        outcome = batched_capture(config)
+        samples = outcome.capture["samples"].copy()
+        assert samples[0, 16] == 0.0
+        samples[0, 16] = -samples[0, 16]
+        assert (samples == outcome.capture["samples"]).all()  # == is blind
+        outcome.capture["samples"] = samples
+        return outcome
+
+    with pytest.raises(Divergence,
+                       match=r"^capture\.samples\[0, 16\] diverged"):
+        run_pair(config, sign_flipped, scalar_capture)
+
+
+def test_rng_end_state_is_compared():
+    def skewed(config):
+        outcome = batched_capture(config)
+        return replace(outcome, noise_rng_state=outcome.noise_rng_state ^ 1)
+
+    with pytest.raises(Divergence, match=r"^noise_rng_state diverged"):
+        run_pair(SCAConfig(key=AES_KEY, num_traces=4), skewed,
+                 scalar_capture)
+
+
+def test_cpu_lockstep_names_the_register_and_the_step():
+    program = assemble("""
+    entry:
+        li r1, 1
+        li r2, 2
+        add r3, r1, r2
+        add r4, r3, r3
+        halt
+    """, base=0x8000_1000)
+    fast = make_embedded_soc()
+    ref = reference_twin(fast)
+    for soc in (fast, ref):
+        soc.cores[0].load_program(program, entry="entry")
+    core = fast.cores[0]
+    step, steps = core.step, []
+
+    def skewed():
+        more = step()
+        steps.append(more)
+        if len(steps) == 3:
+            core.regs[5] ^= 1
+        return more
+
+    core.step = skewed
+    with pytest.raises(Divergence,
+                       match=r"^step 2: soc\.core0\.regs\[5\] diverged"):
+        lockstep(fast, ref)
+
+
+def test_explorer_harness_names_one_leak_event_field():
+    config = scan_config_for("commodity-speculative")
+
+    def deeper(gadget):
+        outcome = explore_with(MemoizedSpeculationExplorer, config, gadget)
+        first = outcome.leaks[0]
+        outcome.leaks[0] = replace(first, depth=first.depth + 1)
+        return outcome
+
+    with pytest.raises(Divergence, match=r"^leaks\[0\]\.depth diverged"):
+        run_pair(GADGETS_BY_NAME["v1-bounds-bypass"], deeper,
+                 partial(explore_with, SpeculationExplorer, config))

@@ -19,12 +19,13 @@ from repro.attacks.dpa import cpa_recover_key, dpa_recover_key
 from repro.crypto.aes import AES128, TTableAES
 from repro.crypto.aes_batch import BatchAES128
 from repro.crypto.rng import XorShiftRNG
+from repro.lockstep import compare, run_pair
 from repro.power.batch import BatchPowerInstrument, batch_cipher_for
 from repro.power.diff import (
     SCAConfig,
-    assert_tracesets_identical,
     batched_capture,
-    capture_pair,
+    scalar_capture,
+    trace_observables,
 )
 from repro.power.instrument import capture_aes_traces
 from repro.power.leakage import HammingWeightModel, IdentityModel
@@ -32,7 +33,7 @@ from tests.conftest import AES_KEY, AES_KEY2
 
 
 def _identical(cfg: SCAConfig) -> None:
-    capture_pair(cfg)  # raises TraceDivergence on any mismatch
+    run_pair(cfg, batched_capture, scalar_capture)  # raises on any mismatch
 
 
 class TestDifferentialHypothesis:
@@ -62,8 +63,8 @@ class TestDifferentialEdges:
         _identical(SCAConfig(key=AES_KEY, num_traces=1))
 
     def test_empty_capture(self):
-        batched, scalar = capture_pair(
-            SCAConfig(key=AES_KEY, num_traces=0))
+        batched, scalar = run_pair(SCAConfig(key=AES_KEY, num_traces=0),
+                                   batched_capture, scalar_capture)
         assert len(batched.traces) == 0
         assert batched.traces.samples.shape == (0, 16)
         assert batched.traces.plaintexts == ()
@@ -79,8 +80,9 @@ class TestDifferentialEdges:
     def test_rounds_outside_cipher_stay_silent(self):
         # Rounds the cipher never reaches leave their slots at 0.0 on
         # both paths (the scalar hook simply never fires for them).
-        batched, _ = capture_pair(SCAConfig(
-            key=AES_KEY, num_traces=6, rounds_of_interest=(1, 11)))
+        batched, _ = run_pair(SCAConfig(
+            key=AES_KEY, num_traces=6, rounds_of_interest=(1, 11)),
+            batched_capture, scalar_capture)
         assert np.all(batched.traces.samples[:, 16:] == 0.0)
 
     def test_observed_and_unobserved_batched_runs_identical(self):
@@ -89,11 +91,12 @@ class TestDifferentialEdges:
         with obs.activate(obs.Tracer(scope="power-diff", seed=7)):
             observed = batched_capture(cfg)
             assert obs.current_tracer().records  # span actually taken
-        assert_tracesets_identical(observed.traces, unobserved.traces)
+        compare("traces", trace_observables(observed.traces),
+                trace_observables(unobserved.traces))
 
     def test_recovered_keys_match_scalar(self):
         cfg = SCAConfig(key=AES_KEY2, num_traces=300, noise_std=1.0)
-        batched, scalar = capture_pair(cfg)
+        batched, scalar = run_pair(cfg, batched_capture, scalar_capture)
         assert cpa_recover_key(batched.traces) \
             == cpa_recover_key(scalar.traces) == AES_KEY2
         assert dpa_recover_key(batched.traces) \
@@ -115,7 +118,8 @@ class TestRouting:
             factory, 20, HammingWeightModel(noise_std=1.0,
                                             rng=XorShiftRNG(3)),
             rng=XorShiftRNG(4))
-        assert_tracesets_identical(batched, self._scalar_twin(factory, 20))
+        compare("traces", trace_observables(batched),
+                trace_observables(self._scalar_twin(factory, 20)))
 
     def test_ttable_cipher_falls_back_to_scalar(self):
         def factory(leak):
@@ -126,7 +130,8 @@ class TestRouting:
             factory, 8, HammingWeightModel(noise_std=1.0,
                                            rng=XorShiftRNG(3)),
             rng=XorShiftRNG(4))
-        assert_tracesets_identical(batched, self._scalar_twin(factory, 8))
+        compare("traces", trace_observables(batched),
+                trace_observables(self._scalar_twin(factory, 8)))
 
     def test_fault_hooked_cipher_falls_back(self):
         def factory(leak):
@@ -150,7 +155,7 @@ class TestRouting:
             lambda leak: AES128(AES_KEY, leak_hook=leak), 8,
             HammingWeightModel(noise_std=1.0, rng=XorShiftRNG(9)),
             rng=XorShiftRNG(9), shuffle=True, batch=False)
-        assert_tracesets_identical(a, b)
+        compare("traces", trace_observables(a), trace_observables(b))
 
     def test_identity_model_batches(self):
         instrument = BatchPowerInstrument(IdentityModel(), (1,))

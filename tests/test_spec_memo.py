@@ -5,8 +5,9 @@ Three tiers, mirroring the claims in :mod:`repro.spec.memo`:
 * **Differential** — every (config, gadget) cell of the full grid runs
   through the lockstep harness (:mod:`repro.spec.explore_diff`), and a
   hypothesis suite fuzzes random branchy programs through both
-  explorers asserting identical ``LeakEvent`` sequences, final
-  register taints, and truncation flags.
+  explorers, comparing the same ``ExploreOutcome`` record (``LeakEvent``
+  sequences, final register taints, truncation flags) with
+  :func:`repro.lockstep.run_pair`.
 * **Window-parametric replay** — rows for the no-window and
   narrow-window-4 columns derived from one wide recording must equal
   freshly computed reference rows (the budget == window - depth
@@ -16,12 +17,15 @@ Three tiers, mirroring the claims in :mod:`repro.spec.memo`:
   records, and frontier dedup actually prunes reconvergent forks.
 """
 
+from functools import partial
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.cpu.soc import make_server_soc
 from repro.isa import assemble
+from repro.lockstep import run_pair
 from repro.spec import (
     GADGETS,
     GADGETS_BY_NAME,
@@ -30,9 +34,15 @@ from repro.spec import (
     MemoizedSpeculationExplorer,
     SpeculationExplorer,
     exploration_signature,
+    explore_diff,
     record_exploration,
 )
-from repro.spec.explore_diff import diff_cell, diff_grid, diff_reports
+from repro.spec.explore_diff import (
+    ExploreOutcome,
+    diff_cell,
+    diff_grid,
+    diff_reports,
+)
 from repro.spec.gadgets import CODE_OFF, PROBE_OFF, PUBLIC_OFF, SECRET_OFF
 from repro.spec.memo import MEMO_WINDOW_FLOOR
 from repro.spec.scanner import (
@@ -43,52 +53,59 @@ from repro.spec.scanner import (
 )
 
 
+def _explore(explorer_cls, text: str, regs=None) -> ExploreOutcome:
+    soc = make_server_soc()
+    base = soc.dram_base
+    program = assemble(
+        text.format(secret=base + SECRET_OFF, probe=base + PROBE_OFF,
+                    public=base + PUBLIC_OFF),
+        base=base + CODE_OFF, name="lockstep")
+    soc.memory.write_word(base + SECRET_OFF, 0x2A)
+    explorer = explorer_cls(soc)
+    explorer.taint.taint_word(base + SECRET_OFF)
+    explorer.run(program, "victim", regs=regs)
+    return ExploreOutcome.of(explorer)
+
+
 def _lockstep(text: str, regs=None) -> tuple:
     """Run ``text`` through both explorers; assert full equivalence."""
-    explorers = []
-    for cls in (SpeculationExplorer, MemoizedSpeculationExplorer):
-        soc = make_server_soc()
-        base = soc.dram_base
-        program = assemble(
-            text.format(secret=base + SECRET_OFF, probe=base + PROBE_OFF,
-                        public=base + PUBLIC_OFF),
-            base=base + CODE_OFF, name="lockstep")
-        soc.memory.write_word(base + SECRET_OFF, 0x2A)
-        explorer = cls(soc)
-        explorer.taint.taint_word(base + SECRET_OFF)
-        explorer.run(program, "victim", regs=regs)
-        explorers.append(explorer)
-    reference, memoized = explorers
-    assert memoized.leaks == reference.leaks
-    assert memoized.truncated == reference.truncated
-    assert memoized.taint.regs == reference.taint.regs
-    return reference, memoized
+    memoized, reference = run_pair(
+        text, partial(_explore, MemoizedSpeculationExplorer, regs=regs),
+        partial(_explore, SpeculationExplorer, regs=regs))
+    return reference.explorer, memoized.explorer
 
 
 class TestGridDifferential:
-    def test_every_cell_of_the_full_grid_is_identical(self):
-        diffs = diff_grid(quick=False)
-        bad = [d for d in diffs if not d.ok]
-        assert bad == [], "\n".join(
-            f"{d.config}/{d.gadget}: {'; '.join(d.mismatches)}" for d in bad)
-        assert len(diffs) == len(full_config_names()) * len(GADGETS)
+    def test_every_cell_of_the_full_grid_is_identical(self, monkeypatch):
+        cells = []
+
+        def counted(config, gadget, memo=None):
+            cells.append((config.name, gadget.name))
+            diff_cell(config, gadget, memo=memo)
+
+        monkeypatch.setattr(explore_diff, "diff_cell", counted)
+        failures = diff_grid(quick=False)
+        assert failures == [], "\n".join(
+            f"{config}/{gadget}: {divergence}"
+            for config, gadget, divergence in failures)
+        assert len(set(cells)) == len(full_config_names()) * len(GADGETS)
 
     def test_cross_config_sharing_is_exercised_not_bypassed(self):
         # The grid harness shares one memo: most cells must replay a
         # recording made for a *different* config, and still match the
-        # per-cell reference rows (asserted inside diff_cell).
+        # per-cell reference rows (diff_cell raises on any mismatch).
         memo = ExplorationMemo()
         gadget = GADGETS_BY_NAME["v1-bounds-bypass"]
         for name in full_config_names():
-            assert diff_cell(scan_config_for(name), gadget, memo=memo).ok
+            diff_cell(scan_config_for(name), gadget, memo=memo)
         assert memo.hits > 0
         assert len(memo) < len(full_config_names())
 
     def test_full_reports_are_byte_identical(self):
-        assert diff_reports(quick=False) == []
+        diff_reports(quick=False)
 
     def test_quick_reports_are_byte_identical(self):
-        assert diff_reports(quick=True) == []
+        diff_reports(quick=True)
 
 
 class TestWindowReplay:
