@@ -18,12 +18,14 @@ bench:
 ## power capture, memoized scanner).  The fast lanes are the default
 ## product path, so these guard what users run.  All five compare through
 ## one core (repro.lockstep); test_lockstep_core.py proves that core
-## catches a single changed observable in each harness.
+## catches a single changed observable in each harness, and
+## test_sim_sweeps.py checks the attack twin's closed-form set sweeps
+## against its per-access walk and the live cache hierarchy.
 diff:
 	$(PYTHON) -m pytest -q tests/test_lockstep_core.py \
 		tests/test_differential.py \
 		tests/test_ensemble_differential.py \
-		tests/test_attack_differential.py \
+		tests/test_attack_differential.py tests/test_sim_sweeps.py \
 		tests/test_power_differential.py tests/test_spec_memo.py
 
 ## Quick evaluation matrix (Figure 1) from the CLI.

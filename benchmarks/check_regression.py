@@ -55,6 +55,7 @@ _PREFIX = "test_perf_"
 #: correspondingly higher floors.
 SPEEDUP_FLOORS: tuple[tuple[str, str, float], ...] = (
     ("cache_sca[scalar]", "cache_sca[batched]", 3.0),
+    ("prime_probe[scalar]", "prime_probe[batched]", 5.0),
     ("kocher_timing[scalar]", "kocher_timing[batched]", 1.5),
     ("gauss_block[scalar]", "gauss_block[block]", 3.0),
     ("quick_matrix[scalar]", "quick_matrix[ensemble]", 1.4),
@@ -76,6 +77,7 @@ OVERHEAD_CEILINGS: tuple[tuple[str, str, float], ...] = (
 #: ``min_s`` — the least-disturbed round — instead; ``mean_s`` is still
 #: recorded in every baseline for human comparison.
 MIN_GATED = frozenset({"quick_matrix[scalar]", "quick_matrix[ensemble]",
+                       "prime_probe[scalar]", "prime_probe[batched]",
                        "service_overhead[direct]",
                        "service_overhead[service]",
                        "spec_scan[reference]",

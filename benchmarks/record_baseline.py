@@ -80,6 +80,8 @@ GATED_BENCHMARKS = (
     "gauss_block[block]",
     "cache_sca[scalar]",
     "cache_sca[batched]",
+    "prime_probe[scalar]",
+    "prime_probe[batched]",
     "kocher_timing[scalar]",
     "kocher_timing[batched]",
     "quick_matrix[scalar]",

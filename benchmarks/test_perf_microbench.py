@@ -145,6 +145,37 @@ def test_perf_cache_sca(benchmark, mode):
 
 
 @pytest.mark.parametrize("mode", ["scalar", "batched"])
+def test_perf_prime_probe(benchmark, mode):
+    """Prime+Probe on TAB-S41's quick SGX row (2 bytes, 8 values x 8
+    samples; 4096 attacker set sweeps and 128 enclave encryptions
+    through the paged MMU and the MEE).  The two modes are bit-identical
+    (tests/test_attack_differential.py proves it); the gap is the
+    closed-form set sweeps and the TLB-hit replay of the batched
+    kernel.  Each round attacks a freshly deployed enclave; only the
+    attack is timed.  ``check_regression.SPEEDUP_FLOORS`` gates the
+    in-run ratio; second-scale scalar rounds, so gated on ``min_s``."""
+    from repro.arch.sgx import SGX
+    from repro.attacks.base import AttackerProcess
+    from repro.attacks.cache_sca import PrimeProbeAttack, _CacheAttackConfig
+
+    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    config = _CacheAttackConfig(samples_per_value=8, plaintext_values=8,
+                                target_bytes=(0, 5))
+
+    def deploy():
+        arch = SGX(make_server_soc())
+        victim = arch.deploy_aes_victim(key, core_id=0)
+        attack = PrimeProbeAttack(victim, AttackerProcess(arch, core_id=1),
+                                  XorShiftRNG(0x41), config,
+                                  batch=(mode == "batched"))
+        return (attack,), {}
+
+    result = benchmark.pedantic(PrimeProbeAttack.run, setup=deploy,
+                                rounds=3, iterations=1, warmup_rounds=1)
+    assert result.success
+
+
+@pytest.mark.parametrize("mode", ["scalar", "batched"])
 def test_perf_kocher_timing(benchmark, mode):
     """Kocher timing key recovery at quick-knob scale (600 samples,
     8 bits against 64-bit RSA) — the physical suite's timing lane.

@@ -43,6 +43,18 @@ class AttackResult:
         return f"{self.name}: {verdict} (score={self.score:.2f})"
 
 
+def _modulo_lines_by_set(pages: list[int], line_size: int,
+                         num_sets: int) -> dict[int, list[int]]:
+    """The scan of :meth:`AttackerProcess._lines_by_set` under plain
+    modulo indexing (``Cache.set_index`` without an ``index_fn``),
+    computed inline instead of through one method call per line."""
+    by_set: dict[int, list[int]] = {}
+    for page in pages:
+        for addr in range(page, page + 4096, line_size):
+            by_set.setdefault(addr // line_size % num_sets, []).append(addr)
+    return by_set
+
+
 class AttackerProcess:
     """An unprivileged attacker's view of the machine.
 
@@ -145,13 +157,16 @@ class AttackerProcess:
         scan of the pages returns.
 
         Plain modulo indexing depends on the pages alone, so that index
-        is kept until :meth:`alloc_pages` adds some.  A custom
-        ``index_fn`` may be re-keyed at any time
+        is computed arithmetically and kept until :meth:`alloc_pages`
+        adds some.  A custom ``index_fn`` may be re-keyed at any time
         (:meth:`~repro.cache.randmap.RandomizedIndexing.rekey`), so its
-        index is rebuilt on every call.
+        index is rebuilt by scanning on every call.
         """
         llc = self.soc.hierarchy.l2
-        if self._set_lines is not None and llc.index_fn is None:
+        if llc.index_fn is None:
+            if self._set_lines is None:
+                self._set_lines = _modulo_lines_by_set(
+                    self.pages, llc.line_size, llc.num_sets)
             return self._set_lines
         by_set: dict[int, list[int]] = {}
         set_index = llc.set_index
@@ -159,6 +174,4 @@ class AttackerProcess:
             for line in range(0, 4096, llc.line_size):
                 addr = page + line
                 by_set.setdefault(set_index(addr), []).append(addr)
-        if llc.index_fn is None:
-            self._set_lines = by_set
         return by_set

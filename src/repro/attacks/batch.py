@@ -16,10 +16,15 @@ kernels run the *same* experiments in array form:
   :mod:`repro.crypto.aes_batch` instead of interpreting the cipher;
 * cache-state transitions run in a dedicated flat simulator
   (:class:`_SimHierarchy`) that is snapshot-initialized from the live
-  caches, replays every event with the exact ``Cache.access`` /
-  ``LRUPolicy`` / inclusive back-invalidation semantics, and writes the
-  final state (lines, tags, LRU stamps, stats counters) back so the live
-  hierarchy ends bit-identical to the scalar attack;
+  caches and writes the final state (lines, tags, LRU stamps, stats
+  counters) back so the live hierarchy ends bit-identical to the scalar
+  attack.  The victim's lookups and the Flush+Reload and Evict+Time
+  reads go through one fused walk with the exact ``Cache.access`` /
+  ``LRUPolicy`` / inclusive back-invalidation semantics, access by
+  access.  Each Prime+Probe prime or probe of one LLC set is applied
+  once, in closed form, when its walk would be uniform (every access
+  misses the attacker's L1 and the LLC serves all of them or none),
+  and walked otherwise;
 * the Kocher measured/lookahead phases share one reduced product per
   modelled multiplication instead of recomputing it for the timing model
   and the value update separately.
@@ -31,11 +36,13 @@ Sanctuary.  Per encryption the victim model replays every architectural
 effect of the scalar path: the enclave switch (domain, privilege,
 TrustZone world and DVFS secure set, SGX's active enclave and MMU
 context, Sanctuary's two L1 flushes), the enclave's domain label on
-every line it fills, LLC exclusion, translation (the real
-``mmu.translate`` on SGX's paged MMU, so TLB stamps, walks and walker
-bus reads match) and the MEE, which integrity-checks and decrypts every
-word the victim may read once, through its real ``on_read``, before the
-run mutates anything.
+every line it fills, LLC exclusion, translation (on SGX's paged MMU an
+encryption whose pages are all TLB-resident advances the TLB's stamps
+and hit counter arithmetically, and any other runs the real
+``mmu.translate``, so TLB stamps, walks and walker bus reads match) and
+the MEE, which integrity-checks and decrypts every word the victim may
+read once, through its real ``on_read``, before the run mutates
+anything.
 
 **Bit-identical or bust**: every kernel either reproduces the retained
 scalar attack exactly — recovered keys, scores, RNG end states, cache
@@ -62,6 +69,7 @@ differential suite proving the equivalence.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,13 +205,41 @@ class _SimLevel:
         stats.flushes = self.flushes
 
 
+class _SetsLeft(NamedTuple):
+    """What a closed set sweep left behind, for the next sweep of the
+    same list (see :meth:`_SimHierarchy._sweep_closed`)."""
+
+    core: int
+    tags: tuple[int, ...]
+    #: (stamp of the L1 set, flush count of that L1) when it was left.
+    l1_mark: tuple[int, int]
+    #: The L1 set's ways in the order the sweep last filled them, and
+    #: the inverse permutation.
+    l1_order: list[int]
+    l1_pos: list[int]
+    #: (stamp of the LLC set, flush count of the LLC) when it was left.
+    llc_mark: tuple[int, int]
+    #: The LLC way of each line of the list.
+    llc_ways: list[int]
+
+
 class _SimHierarchy:
     """Exact twin of ``CacheHierarchy.access``/``flush_line``/
     ``flush_core`` over :class:`_SimLevel` arrays, keyed by line tag
-    (``paddr >> shift``)."""
+    (``paddr >> shift``).
+
+    Every access goes through one of two paths.  :meth:`walk` steps a
+    tag sequence access by access: the core's L1, then the LLC, then the
+    inclusive back-invalidation of the LLC's victim.  :meth:`sweep`
+    takes one attacker eviction list (a Prime+Probe prime or probe of
+    one LLC set) and writes its end state in one step when the replay
+    order makes that state plain; otherwise it walks.
+    ``sweeps_closed``/``sweeps_walked`` count the two outcomes.
+    """
 
     __slots__ = ("l1s", "l2", "lat_l1", "lat_l1_l2", "lat_l1_dram",
-                 "lat_full", "shift", "_hierarchy")
+                 "lat_full", "shift", "nested", "sweeps_closed",
+                 "sweeps_walked", "_left", "_hierarchy")
 
     def __init__(self, hierarchy: CacheHierarchy) -> None:
         self._hierarchy = hierarchy
@@ -215,46 +251,14 @@ class _SimHierarchy:
         self.lat_l1_dram = cfg.l1_latency + cfg.dram_latency
         self.lat_full = cfg.l1_latency + cfg.l2_latency + cfg.dram_latency
         self.shift = cfg.line_size.bit_length() - 1
-
-    # -- one cache level -----------------------------------------------------
-
-    @staticmethod
-    def _level_access(lv: _SimLevel, tag: int, domain,
-                      is_write: bool) -> tuple[bool, int | None]:
-        """(hit, evicted_line_addr) — the scalar ``Cache.access``."""
-        idx = tag % lv.num_sets
-        look = lv.lookup[idx]
-        way = look.get(tag)
-        if way is not None:
-            lv.hits += 1
-            stamp = lv.stamps[idx] + 1
-            lv.stamps[idx] = stamp
-            lv.last_use[idx][way] = stamp
-            if is_write:
-                lv.lines[idx][way][3] = True
-            return True, None
-        lv.misses += 1
-        tags = lv.tags[idx]
-        if len(look) < lv.ways:
-            way = tags.index(None)
-        else:
-            lu = lv.last_use[idx]
-            way = lu.index(min(lu))
-        old = lv.lines[idx][way]
-        tags[way] = tag
-        look[tag] = way
-        stamp = lv.stamps[idx] + 1
-        lv.stamps[idx] = stamp
-        lv.last_use[idx][way] = stamp
-        addr = tag * lv.line_size
-        if old is None:
-            lv.lines[idx][way] = [tag, addr, domain, is_write]
-            return False, None
-        evicted = old[1]
-        del look[old[0]]
-        old[0], old[1], old[2], old[3] = tag, addr, domain, is_write
-        lv.evictions += 1
-        return False, evicted
+        #: Every LLC set lies inside one set of each L1, so one eviction
+        #: list fills one L1 set and the LLC's victims leave only it.
+        self.nested = all(self.l2.num_sets % lv.num_sets == 0
+                          for lv in self.l1s)
+        self.sweeps_closed = 0
+        self.sweeps_walked = 0
+        #: LLC set -> what the last closed sweep into it left there.
+        self._left: dict[int, _SetsLeft] = {}
 
     @staticmethod
     def _level_flush(lv: _SimLevel, tag: int) -> bool:
@@ -267,30 +271,279 @@ class _SimHierarchy:
         lv.flushes += 1
         return True
 
-    # -- hierarchy operations -------------------------------------------------
+    # -- the per-access path --------------------------------------------------
 
-    def access(self, core: int, tag: int, domain=None,
-               is_write: bool = False) -> int:
-        """Serve one (cacheable) access; returns its latency."""
-        hit, _ = self._level_access(self.l1s[core], tag, domain, is_write)
-        if hit:
-            return self.lat_l1
-        hit, l2_evicted = self._level_access(self.l2, tag, domain, is_write)
-        if hit:
+    def walk(self, core: int, tags, domain, threshold: int | None = None,
+             excluded: bool = False) -> int:
+        """Serve ``tags`` in order as reads by ``core``: per access the
+        scalar ``Cache.access`` on the core's L1, then (unless the range
+        is LLC-``excluded``) on the LLC, whose victim then leaves every
+        L1 in L1 order.  Returns the summed latency, or with a
+        ``threshold`` the number of accesses slower than it."""
+        l1 = self.l1s[core]
+        n1, w1, size1 = l1.num_sets, l1.ways, l1.line_size
+        look1s, tags1s, lines1s = l1.lookup, l1.tags, l1.lines
+        stamps1, lus1 = l1.stamps, l1.last_use
+        l2 = self.l2
+        n2, w2, size2 = l2.num_sets, l2.ways, l2.line_size
+        look2s, tags2s, lines2s = l2.lookup, l2.tags, l2.lines
+        stamps2, lus2 = l2.stamps, l2.last_use
+        l1s, level_flush = self.l1s, self._level_flush
+        lat_l1, lat_l1_l2 = self.lat_l1, self.lat_l1_l2
+        lat_miss = self.lat_l1_dram if excluded else self.lat_full
+        hits1 = misses1 = evictions1 = hits2 = misses2 = evictions2 = 0
+        total = slow = 0
+        for tag in tags:
+            idx = tag % n1
+            look = look1s[idx]
+            way = look.get(tag)
+            stamp = stamps1[idx] + 1
+            stamps1[idx] = stamp
+            if way is not None:
+                hits1 += 1
+                lus1[idx][way] = stamp
+                latency = lat_l1
+            else:
+                misses1 += 1
+                ways = tags1s[idx]
+                lu = lus1[idx]
+                if len(look) < w1:
+                    way = ways.index(None)
+                else:
+                    way = lu.index(min(lu))
+                lu[way] = stamp
+                ways[way] = tag
+                look[tag] = way
+                old = lines1s[idx][way]
+                if old is None:
+                    lines1s[idx][way] = [tag, tag * size1, domain, False]
+                else:
+                    evictions1 += 1
+                    del look[old[0]]
+                    old[0], old[1], old[2], old[3] = (tag, tag * size1,
+                                                      domain, False)
+                if excluded:
+                    latency = lat_miss
+                else:
+                    idx = tag % n2
+                    look = look2s[idx]
+                    way = look.get(tag)
+                    stamp = stamps2[idx] + 1
+                    stamps2[idx] = stamp
+                    if way is not None:
+                        hits2 += 1
+                        lus2[idx][way] = stamp
+                        latency = lat_l1_l2
+                    else:
+                        misses2 += 1
+                        latency = lat_miss
+                        ways = tags2s[idx]
+                        lu = lus2[idx]
+                        if len(look) < w2:
+                            way = ways.index(None)
+                        else:
+                            way = lu.index(min(lu))
+                        lu[way] = stamp
+                        ways[way] = tag
+                        look[tag] = way
+                        old = lines2s[idx][way]
+                        if old is None:
+                            lines2s[idx][way] = [tag, tag * size2, domain,
+                                                 False]
+                        else:
+                            evictions2 += 1
+                            ev_tag = old[0]
+                            del look[ev_tag]
+                            old[0], old[1], old[2], old[3] = (
+                                tag, tag * size2, domain, False)
+                            # Inclusive LLC: the victim leaves every L1.
+                            for lv in l1s:
+                                level_flush(lv, ev_tag)
+            total += latency
+            if threshold is not None and latency > threshold:
+                slow += 1
+        l1.hits += hits1
+        l1.misses += misses1
+        l1.evictions += evictions1
+        l2.hits += hits2
+        l2.misses += misses2
+        l2.evictions += evictions2
+        return total if threshold is None else slow
+
+    # -- the closed-form set sweep --------------------------------------------
+
+    @staticmethod
+    def _victim_order(lv: _SimLevel, idx: int) -> list[int] | None:
+        """The ways consecutive misses in set ``idx`` fill, in order:
+        free ways by index (``tags.index(None)``), then occupied ways by
+        ``(last_use, way)`` (``lu.index(min(lu))``).  ``None`` when a
+        stamp exceeds the set's counter, so fresh fills would not be
+        the newest (no access history leaves that state)."""
+        ways = lv.tags[idx]
+        lu = lv.last_use[idx]
+        if None in ways:
+            used = sorted((w for w, t in enumerate(ways) if t is not None),
+                          key=lu.__getitem__)
+            order = [w for w, t in enumerate(ways) if t is None] + used
+            top = lu[used[-1]] if used else 0
+        else:
+            order = sorted(range(lv.ways), key=lu.__getitem__)
+            top = lu[order[-1]]
+        return None if top > lv.stamps[idx] else order
+
+    def sweep(self, core: int, tags: tuple[int, ...], domain,
+              threshold: int | None = None) -> int:
+        """:meth:`walk` over one eviction list: distinct tags of one LLC
+        set, at most one per LLC way.
+
+        When every access misses the core's L1, the LLC serves all of
+        them or none of them, and no line the LLC evicts is still in
+        the core's L1 at that moment, the end state is written
+        directly: the L1 set's last fills, the LLC set's stamps or
+        fills, the stats, and the evicted lines' flushes from the other
+        cores' L1s.  Any other sweep walks.  The checks follow
+        :meth:`_victim_order`, the order in which the walk's misses
+        fill ways.  A closed sweep remembers what it left in its two
+        sets (:class:`_SetsLeft`), so that the next sweep of the same
+        list over sets nothing has touched since (a prime after the
+        probe) skips the checks and lookups.
+        """
+        latency = self.nested and self._sweep_closed(core, tags, domain)
+        if latency is False:
+            self.sweeps_walked += 1
+            return self.walk(core, tags, domain, threshold)
+        self.sweeps_closed += 1
+        if threshold is None:
+            return latency * len(tags)
+        return len(tags) if latency > threshold else 0
+
+    def _sweep_closed(self, core: int, tags: tuple[int, ...], domain):
+        """Apply the sweep in closed form and return its (uniform)
+        per-access latency, or ``False`` (nothing changed) to walk."""
+        n = len(tags)
+        l1, l2 = self.l1s[core], self.l2
+        if not n or n > l2.ways:
+            return False
+        s = tags[0] % l2.num_sets
+        i = s % l1.num_sets
+        # A set nothing has accessed or flushed since this list's last
+        # closed sweep left it is known: the L1 refills in the order
+        # that sweep filled it (every line is the list's, and the list
+        # is longer than the set, so every access misses), and the LLC
+        # holds the whole list where that sweep put it.
+        left = self._left.get(s)
+        if left is not None and (left.tags is not tags or left.core != core):
+            left = None
+        if left is not None and (l1.stamps[i], l1.flushes) == left.l1_mark:
+            order1, pos1 = left.l1_order, left.l1_pos
+        else:
+            order1 = self._victim_order(l1, i)
+            if order1 is None:
+                return False
+            # pos1[way]: the step whose fill first replaces ``way``.
+            pos1 = sorted(range(l1.ways), key=order1.__getitem__)
+            # Every access misses the L1: a line of the list it already
+            # holds must be replaced by an earlier step of the sweep.
+            for tag, way in l1.lookup[i].items():
+                if tag in tags and pos1[way] >= tags.index(tag):
+                    return False
+        if left is not None and (l2.stamps[s], l2.flushes) == left.llc_mark:
+            resident = left.llc_ways
+        else:
+            resident = list(map(l2.lookup[s].get, tags))
+        if None not in resident:
+            self._write_fills(l1, i, order1, tags, domain)
+            lu = l2.last_use[s]
+            stamp = l2.stamps[s]
+            for stamp, way in enumerate(resident, stamp + 1):
+                lu[way] = stamp
+            l2.stamps[s] = stamp
+            l2.hits += n
+            self._leave(core, tags, s, i, order1, resident)
             return self.lat_l1_l2
-        if l2_evicted is not None:
-            # Inclusive LLC: the victim line leaves every L1, in L1 order.
-            ev_tag = l2_evicted >> self.shift
-            for l1 in self.l1s:
-                self._level_flush(l1, ev_tag)
+        order2 = self._victim_order(l2, s)
+        if order2 is None:
+            return False
+        pos2 = sorted(range(l2.ways), key=order2.__getitem__)
+        # Every access misses the LLC too: a resident line of the list
+        # must be evicted by an earlier step, before its turn.
+        for step, way in enumerate(resident):
+            if way is not None and pos2[way] >= step:
+                return False
+        # A victim the core's L1 still holds would be flushed there
+        # mid-sweep, freeing a way: walk.  This is checked at eviction
+        # time: a line of the list that the probe cascade evicts before
+        # its turn has usually left the L1 by then.
+        look1 = l1.lookup[i]
+        ways2 = l2.tags[s]
+        evicted = []
+        for step in range(n):
+            old = ways2[order2[step]]
+            if old is not None:
+                way = look1.get(old)
+                if way is not None and pos1[way] > step:
+                    return False
+                evicted.append(old)
+        self._write_fills(l1, i, order1, tags, domain)
+        self._write_fills(l2, s, order2, tags, domain)
+        # Not the sweeping core's L1: none of these was there at its
+        # eviction, and a line of the list may be back by now.
+        for lv in self.l1s:
+            if lv is not l1:
+                look = lv.lookup[s % lv.num_sets]
+                for old in evicted:
+                    if old in look:
+                        self._level_flush(lv, old)
+        self._leave(core, tags, s, i, order1, order2[:n])
         return self.lat_full
 
-    def access_excluded(self, core: int, tag: int, domain=None,
-                        is_write: bool = False) -> int:
-        """An access into an LLC-excluded range: the core's L1, then
-        DRAM; the shared cache never sees the line."""
-        hit, _ = self._level_access(self.l1s[core], tag, domain, is_write)
-        return self.lat_l1 if hit else self.lat_l1_dram
+    def _leave(self, core: int, tags, s: int, i: int,
+               order1: list[int], llc_ways: list[int]) -> None:
+        """Remember what a closed sweep just wrote into LLC set ``s`` and
+        its L1 set ``i`` (only useful once the list outnumbers the L1's
+        ways, so that repeating it cannot hit)."""
+        l1, l2 = self.l1s[core], self.l2
+        n, ways = len(tags), l1.ways
+        if n <= ways:
+            self._left.pop(s, None)
+            return
+        left = self._left.get(s)
+        if n % ways == 0 and left is not None and left.l1_order is order1:
+            order, pos = order1, left.l1_pos  # refilled in the same order
+        else:
+            order = [order1[k % ways] for k in range(n - ways, n)]
+            pos = sorted(range(ways), key=order.__getitem__)
+        self._left[s] = _SetsLeft(core, tags, (l1.stamps[i], l1.flushes),
+                                  order, pos,
+                                  (l2.stamps[s], l2.flushes), llc_ways)
+
+    @staticmethod
+    def _write_fills(lv: _SimLevel, idx: int, order: list[int], tags,
+                     domain) -> None:
+        """The end state of ``len(tags)`` missing fills of set ``idx``:
+        fill ``k`` takes way ``order[k % ways]`` and stamp ``+k+1``, so
+        only the last ``ways`` fills remain, and every fill after the
+        free ways are used up evicts."""
+        n, ways = len(tags), lv.ways
+        look, set_tags, lines = lv.lookup[idx], lv.tags[idx], lv.lines[idx]
+        lu, stamp, size = lv.last_use[idx], lv.stamps[idx], lv.line_size
+        free = ways - len(look)
+        for way in order[:n]:
+            old = set_tags[way]
+            if old is not None:
+                del look[old]
+        for step in range(max(0, n - ways), n):
+            tag = tags[step]
+            way = order[step % ways]
+            set_tags[way] = tag
+            look[tag] = way
+            lines[way] = [tag, tag * size, domain, False]
+            lu[way] = stamp + step + 1
+        lv.stamps[idx] = stamp + n
+        lv.misses += n
+        lv.evictions += max(0, n - free)
+
+    # -- maintenance ------------------------------------------------------------
 
     def flush_line(self, tag: int) -> bool:
         """clflush across every level (the attacker's ``flush``)."""
@@ -612,9 +865,11 @@ class _VictimModel:
       (translation + TLB charge, bus read, cache latency charge, L1-view
       note) between ``enter_enclave`` and ``exit_enclave``.  Sanctuary
       flushes the core's L1 on both switches; SGX translates through the
-      OS page table, which the model replays with the real
-      ``mmu.translate`` per access (it never touches the caches, so TLB
-      state, walks and walker bus reads come out identical).
+      OS page table, which :meth:`_translate` replays (it never touches
+      the caches, so TLB state, walks and walker bus reads come out
+      identical).
+
+    Each encryption's reads are one :meth:`_SimHierarchy.walk`.
 
     Either shape's lines may sit in an LLC-excluded range (the L1 alone
     then serves them), as long as all of them do or none do.
@@ -692,13 +947,15 @@ class _VictimModel:
         """Bind the run's simulator (snapshot taken by the kernel)."""
         self.sim = sim
         self.shift = shift = sim.shift
-        self.access = sim.access_excluded if self.excluded else sim.access
         if self.is_enclave:
             self.key_tags = tuple(self.words[off] >> shift
                                   for off in _KEY_OFFSETS)
             # Line tag -> its virtual page, for the per-access translate.
             self.page_of = {paddr >> shift: (self.base + off) & ~PAGE_MASK
                             for off, paddr in self.words.items()}
+            #: Virtual page -> the TLB entry every lookup of it hits, for
+            #: as long as no real translation may have refilled the TLB.
+            self.tlb_hits: dict[int, object] = {}
 
     def lookup_tags(self, plaintexts: np.ndarray) -> list[list[int]]:
         """Per-sample line-tag streams of the victim's 160 T-table
@@ -740,43 +997,76 @@ class _VictimModel:
         """Replay one encryption's cache events; returns the victim
         core's cycle delta (0 for the bare service victim)."""
         self.encrypts += 1
-        access = self.access
+        sim = self.sim
         if not self.is_enclave:
-            vcore, vdomain = self.vcore, self.vdomain
-            for tag in tag_row:
-                access(vcore, tag, vdomain)
+            sim.walk(self.vcore, tag_row, self.vdomain,
+                     excluded=self.excluded)
             return 0
-        core_id, domain = self.core_id, self.domain
+        core_id = self.core_id
         if self.flush_l1:
-            self.sim.flush_core(core_id)  # enter_enclave
-        k1, k2 = self.key_tags
-        latency = access(core_id, k1, domain)
-        latency += access(core_id, k2, domain)
-        for tag in tag_row:
-            latency += access(core_id, tag, domain)
+            sim.flush_core(core_id)  # enter_enclave
+        reads = (*self.key_tags, *tag_row)
+        latency = sim.walk(core_id, reads, self.domain,
+                           excluded=self.excluded)
         if self.flush_l1:
-            self.sim.flush_core(core_id)  # exit_enclave
+            sim.flush_core(core_id)  # exit_enclave
         if self.paged:
-            latency += self._translate(tag_row)
+            latency += self._translate(reads)
         else:
             latency += _READS_PER_ENCRYPTION * self.tlb_lat
         self.cycles += latency
         return latency
 
-    def _translate(self, tag_row: list[int]) -> int:
-        """The real ``mmu.translate`` of every access, in order; returns
-        the TLB charge ``Core._translate`` adds."""
+    def _translate(self, reads: tuple[int, ...]) -> int:
+        """``mmu.translate`` of every read, in order; returns the TLB
+        charge ``Core._translate`` adds.
+
+        When every page is TLB-resident (and no walk hook watches), the
+        reads are all TLB hits: the TLB's stamp and hit counter advance
+        by one per read and each entry keeps the stamp of its page's
+        last read.  A page's leaf check and ``regions.find`` run once,
+        when its entry is first resolved.  Otherwise every read goes
+        through the real ``mmu.translate``, which may refill the TLB,
+        so the resolved entries are dropped."""
         mmu, page_of = self.mmu, self.page_of
+        tlb = mmu.tlb
+        if tlb is not None and not mmu.walk_hooks:
+            last = {page_of[tag]: pos for pos, tag in enumerate(reads)}
+            hits = self.tlb_hits
+            for page in last:
+                if page not in hits and not self._resolve_tlb_hit(page):
+                    break
+            else:
+                stamp = tlb._stamp
+                for page, pos in last.items():
+                    hits[page].stamp = stamp + pos + 1
+                tlb._stamp = stamp + len(reads)
+                tlb.hits += len(reads)
+                return len(reads) * self.tlb_lat
+            hits.clear()
         translate = mmu.translate
-        charge = mmu.tlb.access_latency if mmu.tlb is not None else None
+        charge = tlb.access_latency if tlb is not None else None
         privilege, secure = self.privilege, self.secure
         cycles = 0
-        for tag in (*self.key_tags, *tag_row):
+        for tag in reads:
             walks = mmu.walk_count
             translate(page_of[tag], "read", privilege, secure)
             if charge is not None:
                 cycles += charge(mmu.walk_count == walks)
         return cycles
+
+    def _resolve_tlb_hit(self, page: int) -> bool:
+        """Record the TLB entry a lookup of ``page`` hits, after the
+        leaf check and region lookup a hit's translation makes."""
+        mmu = self.mmu
+        entry = _peek_tlb(mmu.tlb, mmu.asid, page)
+        if entry is None:
+            return False
+        mmu._check_leaf(page, entry.paddr, entry.flags, "read",
+                        self.privilege)
+        mmu.bus.regions.find(entry.paddr)
+        self.tlb_hits[page] = entry
+        return True
 
     def finalize(self) -> None:
         """Write the victim-side bookkeeping back to the live objects.
@@ -807,32 +1097,6 @@ class _VictimModel:
                                    secure=core.world.is_secure)
             if view is not None:
                 view[self.words[offset]] = self.values[offset]
-
-
-class _AttackerModel:
-    """The attacker's primitives over the simulator + bus accounting."""
-
-    __slots__ = ("sim", "core_id", "domain", "threshold", "txns")
-
-    def __init__(self, attacker: AttackerProcess, sim: _SimHierarchy) -> None:
-        self.sim = sim
-        self.core_id = attacker.core_id
-        self.domain = attacker.domain
-        self.threshold = attacker.hit_threshold
-        self.txns = 0
-
-    def timed_read(self, tag: int) -> int:
-        self.txns += 1  # the bus read of the scalar ``timed_read``
-        return self.sim.access(self.core_id, tag, self.domain)
-
-    def touch(self, tag: int) -> None:
-        self.sim.access(self.core_id, tag, self.domain)
-
-    def flush(self, tag: int) -> None:
-        self.sim.flush_line(tag)
-
-    def finalize(self, bus) -> None:
-        bus.transaction_count += self.txns
 
 
 # ---------------------------------------------------------------------------
@@ -907,20 +1171,20 @@ def _attacker_reads_gate(attacker, addrs) -> str | None:
     return reason
 
 
-def _build_models(attack, model):
-    """Snapshot the live hierarchy and bind the event models.  Call only
+def _build_sim(attack, model) -> _SimHierarchy:
+    """Snapshot the live hierarchy and bind the victim model.  Call only
     after every gate passed (and after any live preconditions ran, so the
     snapshot captures their effects)."""
-    attacker = attack.attacker
-    sim = _SimHierarchy(attacker.soc.hierarchy)
+    sim = _SimHierarchy(attack.attacker.soc.hierarchy)
     model.attach(sim)
-    return sim, _AttackerModel(attacker, sim)
+    return sim
 
 
-def _finalize_cache_run(attack, sim, model, att):
+def _finalize_cache_run(attack, sim, model, timed_reads: int) -> None:
     model.finalize()  # before the writeback: see _VictimModel.finalize
     sim.writeback()
-    att.finalize(attack.attacker.soc.bus)
+    # The bus read of each of the scalar attacker's ``timed_read``s.
+    attack.attacker.soc.bus.transaction_count += timed_reads
 
 
 def _run_prime_probe(attack):
@@ -948,47 +1212,53 @@ def _run_prime_probe(attack):
         for addrs in eviction for addr in addrs])
     if reason:
         return reason
-    sim, att = _build_models(attack, model)
+    sim = _build_sim(attack, model)
     shift = sim.shift
     span = obs.span
+    sweep, encrypt = sim.sweep, model.encrypt
+    attacker = attack.attacker
+    core, domain = attacker.core_id, attacker.domain
+    threshold = attacker.hit_threshold
+    timed_reads = 0
     recovered: dict[int, int] = {}
     coverage = 0.0
     for target_byte, eviction, count in zip(cfg.target_bytes, evictions,
                                             covered):
-        with span("prime+probe:byte", cat="attack", byte=target_byte):
+        with span("prime+probe:byte", cat="attack",
+                  byte=target_byte) as byte_span:
             coverage = max(coverage, count / LINES_PER_TABLE)
             if count < LINES_PER_TABLE:
                 obs.event("prime+probe.blocked", cat="attack",
                           byte=target_byte, covered=count)
                 continue
-            ev_tags = [[addr >> shift for addr in addrs]
+            closed, walked = sim.sweeps_closed, sim.sweeps_walked
+            ev_tags = [tuple(addr >> shift for addr in addrs)
                        for addrs in eviction]
+            probe_reads = sum(map(len, ev_tags))
             values = _plaintext_nibbles(cfg)
             samples = cfg.samples_per_value
             pts = _draw_plaintexts(attack.rng, len(values) * samples,
                                    target_byte, values)
             tag_rows = model.lookup_tags(pts)
             counts = np.zeros((len(values), LINES_PER_TABLE))
-            touch, timed_read = att.touch, att.timed_read
-            threshold = att.threshold
             row = 0
             for vi in range(len(values)):
                 crow = counts[vi]
                 for _ in range(samples):
                     for tags in ev_tags:
-                        for tag in tags:
-                            touch(tag)
-                    model.encrypt(tag_rows[row])
+                        sweep(core, tags, domain)
+                    encrypt(tag_rows[row])
                     row += 1
                     for li, tags in enumerate(ev_tags):
-                        displaced = 0
-                        for tag in tags:
-                            if timed_read(tag) > threshold:
-                                displaced += 1
-                        crow[li] += displaced
+                        crow[li] += sweep(core, tags, domain, threshold)
+                    timed_reads += probe_reads
             recovered[target_byte] = _best_nibble(values, counts)
+            if byte_span is not None:
+                byte_span.add_args(
+                    sweeps_closed=sim.sweeps_closed - closed,
+                    sweeps_walked=sim.sweeps_walked - walked)
 
-    _finalize_cache_run(attack, sim, model, att)
+    _finalize_cache_run(attack, sim, model, timed_reads)
     score = _grade(recovered, attack.victim.key)
     from repro.attacks.base import AttackCategory, AttackResult
     return AttackResult(
@@ -1047,9 +1317,13 @@ def _run_flush_reload(attack):
             details={"blocked": "victim memory not attacker-addressable"})
 
     # Snapshot only now, so the live try_read's cache effects are in.
-    sim, att = _build_models(attack, model)
+    sim = _build_sim(attack, model)
     shift = sim.shift
     span = obs.span
+    flush, walk = sim.flush_line, sim.walk
+    core, domain = attacker.core_id, attacker.domain
+    threshold = attacker.hit_threshold
+    timed_reads = 0
     recovered: dict[int, int] = {}
     for target_byte in cfg.target_bytes:
         with span("flush+reload:byte", cat="attack", byte=target_byte):
@@ -1063,8 +1337,6 @@ def _run_flush_reload(attack):
                                    target_byte, values)
             tag_rows = model.lookup_tags(pts)
             counts = np.zeros((len(values), LINES_PER_TABLE))
-            flush, timed_read = att.flush, att.timed_read
-            threshold = att.threshold
             row = 0
             for vi in range(len(values)):
                 crow = counts[vi]
@@ -1074,11 +1346,12 @@ def _run_flush_reload(attack):
                     model.encrypt(tag_rows[row])
                     row += 1
                     for li, tag in enumerate(line_tags):
-                        if timed_read(tag) <= threshold:
+                        if not walk(core, (tag,), domain, threshold):
                             crow[li] += 1.0
+                    timed_reads += len(line_tags)
             recovered[target_byte] = _best_nibble(values, counts)
 
-    _finalize_cache_run(attack, sim, model, att)
+    _finalize_cache_run(attack, sim, model, timed_reads)
     score = _grade(recovered, attack.victim.key)
     return AttackResult(
         name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,
@@ -1103,7 +1376,7 @@ def _run_evict_time(attack):
     model = _cache_gates(attack)
     if isinstance(model, str):
         return model
-    sim, att = _build_models(attack, model)
+    sim = _build_sim(attack, model)
     cfg = attack.config
     shift = sim.shift
     llc = attack.attacker.soc.hierarchy.l2
@@ -1126,21 +1399,21 @@ def _run_evict_time(attack):
             target_byte, values)
         tag_rows = model.lookup_tags(pts)
         times = np.zeros((len(values), LINES_PER_TABLE))
-        touch = att.touch
+        walk = sim.walk
+        core, domain = attack.attacker.core_id, attack.attacker.domain
         row = 0
         for vi in range(len(values)):
             for line in range(LINES_PER_TABLE):
                 total = 0
                 tags = ev_tags[line]
                 for _ in range(samples):
-                    for tag in tags:
-                        touch(tag)
+                    walk(core, tags, domain)
                     total += model.encrypt(tag_rows[row])
                     row += 1
                 times[vi, line] += total
         recovered[target_byte] = _best_nibble(values, times)
 
-    _finalize_cache_run(attack, sim, model, att)
+    _finalize_cache_run(attack, sim, model, 0)
     score = _grade(recovered, attack.victim.key)
     return AttackResult(
         name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,

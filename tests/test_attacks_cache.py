@@ -171,3 +171,44 @@ class TestEvictionSetIndex:
         self._assert_matches_scan(attacker, counts=(8,))
         llc.index_fn = None  # back to plain indexing
         self._assert_matches_scan(attacker, counts=(8,))
+
+    @pytest.mark.parametrize("line_size,num_sets,pages", [
+        (64, 512, [0x8010_0000, 0x8020_0000, 0x8010_8000]),  # aligned
+        (64, 1024, [0x8000_3000 + i * 0x1000 for i in range(40)]),
+        (64, 8, [0x8000_0000, 0x8000_5000]),  # fewer sets than lines per page
+        (64, 96, [0x8000_0000, 0x8000_1000, 0x8000_7000]),  # 96 sets
+        (64, 512, [0x8000_0040, 0x8000_1000]),  # page not page-aligned
+        (32, 256, [0x8000_2000, 0x8000_0000, 0x8000_2000]),  # repeated
+        (8192, 16, [0x8000_0000, 0x8000_1000]),  # line wider than page
+    ])
+    def test_modulo_index_is_the_scan(self, line_size, num_sets, pages):
+        """The arithmetic index has the ``set_index`` scan's keys, key
+        order and per-set lists, whatever the geometry and alignment."""
+        from repro.attacks.base import _modulo_lines_by_set
+        from repro.cache.cache import Cache
+        set_index = Cache("llc", num_sets, 1, line_size).set_index
+        scan: dict[int, list[int]] = {}
+        for page in pages:
+            for line in range(0, 4096, line_size):
+                addr = page + line
+                scan.setdefault(set_index(addr), []).append(addr)
+        index = _modulo_lines_by_set(pages, line_size, num_sets)
+        assert list(index.items()) == list(scan.items())
+
+    def test_custom_index_fn_is_rebuilt_on_every_call(self):
+        arch = NullArchitecture(make_mobile_soc())
+        attacker = AttackerProcess(arch, core_id=1)
+        attacker.alloc_pages(3)
+        llc = arch.soc.hierarchy.l2
+        calls = []
+
+        def index_fn(addr):
+            calls.append(addr)
+            return addr // llc.line_size
+
+        llc.index_fn = index_fn
+        lines = 3 * 4096 // llc.line_size
+        first = attacker._lines_by_set()
+        assert attacker._lines_by_set() == first
+        assert len(calls) == 2 * lines  # scanned twice, never cached
+        assert attacker._set_lines is None

@@ -65,6 +65,8 @@ def _baseline(path: Path, date: str, means: dict[str, float],
 _HEALTHY = dict.fromkeys(GATED_BENCHMARKS, 0.010)
 _HEALTHY["cache_sca[scalar]"] = 1.0
 _HEALTHY["cache_sca[batched]"] = 0.15
+_HEALTHY["prime_probe[scalar]"] = 1.6
+_HEALTHY["prime_probe[batched]"] = 0.14
 _HEALTHY["kocher_timing[scalar]"] = 0.045
 _HEALTHY["kocher_timing[batched]"] = 0.018
 _HEALTHY["gauss_block[scalar]"] = 0.03
@@ -166,6 +168,16 @@ class TestGateVerdicts:
                             decayed)
         assert main([str(current), "--against", str(against)]) == 1
         assert "cache_sca[batched]" in capsys.readouterr().err
+
+    def test_speedup_floor_gates_prime_probe_ratio(self, tmp_path, capsys):
+        against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
+                            _HEALTHY)
+        decayed = dict(_HEALTHY)
+        decayed["prime_probe[batched]"] = 0.4  # 4.0x < 5.0x floor
+        current = _baseline(tmp_path / "current.json", "2026-08-08",
+                            decayed)
+        assert main([str(current), "--against", str(against)]) == 1
+        assert "prime_probe[batched]" in capsys.readouterr().err
 
     def test_speedup_floor_gates_memoized_scan_ratio(self, tmp_path,
                                                      capsys):

@@ -20,6 +20,7 @@ import json
 import pytest
 
 import repro.attacks.batch as batch
+import repro.obs as obs
 import repro.spec.scanner as scanner
 from repro.attacks.dpa import traces_to_success
 from repro.attacks.suites import MatrixKnobs
@@ -150,7 +151,10 @@ def test_default_run_scan_is_memoized(lanes):
 def test_tab_s41_batches_every_modelled_host(monkeypatch):
     """TAB-S41 rows are identical whether or not the kernels may run.
     Prime+Probe batches on every host but Sanctum; Flush+Reload batches
-    only on the baseline host, since every TEE refuses its first probe."""
+    only on the baseline host, since every TEE refuses its first probe.
+    Every attacker prime and probe of the four batched Prime+Probe rows
+    takes the closed-form set sweep (the ``prime+probe:byte`` span's
+    ``sweeps_closed``/``sweeps_walked``), none the per-access walk."""
     real_try = batch.try_run_batched
     accepted: dict[str, list[bool]] = {}
 
@@ -161,7 +165,9 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
         return result
 
     monkeypatch.setattr(batch, "try_run_batched", recording_try)
-    rows = cache_defence_table()
+    tracer = obs.Tracer(scope="tab-s41", seed=0x41)
+    with obs.activate(tracer):
+        rows = cache_defence_table()
     monkeypatch.setattr(batch, "try_run_batched", lambda attack: None)
     scalar_rows = cache_defence_table()
 
@@ -173,6 +179,11 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
                         "sanctum": [False, False],
                         "trustzone": [True, False],
                         "sanctuary": [True, False]}
+    sweeps = [(r["args"]["sweeps_closed"], r["args"]["sweeps_walked"])
+              for r in tracer.records if r["name"] == "prime+probe:byte"
+              and "sweeps_closed" in r["args"]]
+    # 4 rows x 2 bytes x (8 values x 8 samples x 16 sets x prime+probe).
+    assert sweeps == [(2048, 0)] * 8
 
 
 def _drain(tmp_path, job_doc: dict) -> ServiceWorker:
