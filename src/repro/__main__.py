@@ -178,7 +178,7 @@ def _scan(args) -> int:
 
 
 def _advisor(args) -> None:
-    from repro.attacks.base import AttackCategory
+    from repro.attacks.result import AttackCategory
     from repro.common import PlatformClass
     from repro.core import Requirements, recommend_architecture
     for platform in PlatformClass:

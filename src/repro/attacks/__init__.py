@@ -1,74 +1,35 @@
 """Executable attacks: the paper's Sections 4 and 5 as experiments.
 
 Every attack is a class with a ``run()`` method returning an
-:class:`~repro.attacks.base.AttackResult`; the evaluation matrix
+:class:`~repro.attacks.result.AttackResult`; the evaluation matrix
 (:mod:`repro.core.matrix`) and the benches drive them uniformly.  Attacks
 never receive secrets — success is graded afterwards against ground truth
 the harness kept to itself.
+
+The package namespace is lazy (PEP 562): ``from repro.attacks import
+FlushReloadAttack`` imports :mod:`repro.attacks.cache_sca` (and numpy)
+on that first access, so code that needs only the result types pays for
+no attack module.
 """
 
-from repro.attacks.base import (
-    AttackCategory,
-    AttackResult,
-    AttackerProcess,
-)
-from repro.attacks.software import (
-    CodeInjectionAttack,
-    DMAAttack,
-    KernelMemoryProbeAttack,
-)
-from repro.attacks.cache_sca import (
-    EvictTimeAttack,
-    FlushReloadAttack,
-    PrimeProbeAttack,
-)
-from repro.attacks.tlb_btb import BranchShadowingAttack, TLBContentionAttack
-from repro.attacks.spectre import SpectreBTBAttack, SpectreV1Attack
-from repro.attacks.meltdown import MeltdownAttack
-from repro.attacks.foreshadow import ForeshadowAttack
-from repro.attacks.timing import KocherTimingAttack
-from repro.attacks.dpa import (
-    cpa_attack,
-    cpa_recover_key,
-    dpa_attack,
-    dpa_recover_key,
-)
-from repro.attacks.fault_attacks import (
-    AESLastRoundDFA,
-    BellcoreRSAAttack,
-)
-from repro.attacks.clkscrew_attack import ClkscrewAttack
-from repro.attacks.controlled_channel import (
-    ControlledChannelAttack,
-    PagedModExpVictim,
-)
-from repro.attacks.rowhammer import RowhammerAttack
+from repro.common import lazy_exports
 
-__all__ = [
-    "AESLastRoundDFA",
-    "AttackCategory",
-    "AttackResult",
-    "AttackerProcess",
-    "BellcoreRSAAttack",
-    "BranchShadowingAttack",
-    "ClkscrewAttack",
-    "CodeInjectionAttack",
-    "ControlledChannelAttack",
-    "DMAAttack",
-    "EvictTimeAttack",
-    "FlushReloadAttack",
-    "ForeshadowAttack",
-    "KernelMemoryProbeAttack",
-    "KocherTimingAttack",
-    "MeltdownAttack",
-    "PagedModExpVictim",
-    "PrimeProbeAttack",
-    "RowhammerAttack",
-    "SpectreBTBAttack",
-    "SpectreV1Attack",
-    "TLBContentionAttack",
-    "cpa_attack",
-    "cpa_recover_key",
-    "dpa_attack",
-    "dpa_recover_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "result": ("AttackCategory", "AttackResult"),
+    "base": ("AttackerProcess",),
+    "software": ("CodeInjectionAttack", "DMAAttack",
+                 "KernelMemoryProbeAttack"),
+    "cache_sca": ("EvictTimeAttack", "FlushReloadAttack",
+                  "PrimeProbeAttack"),
+    "tlb_btb": ("BranchShadowingAttack", "TLBContentionAttack"),
+    "spectre": ("SpectreBTBAttack", "SpectreV1Attack"),
+    "meltdown": ("MeltdownAttack",),
+    "foreshadow": ("ForeshadowAttack",),
+    "timing": ("KocherTimingAttack",),
+    "dpa": ("cpa_attack", "cpa_recover_key", "dpa_attack",
+            "dpa_recover_key"),
+    "fault_attacks": ("AESLastRoundDFA", "BellcoreRSAAttack"),
+    "clkscrew_attack": ("ClkscrewAttack",),
+    "controlled_channel": ("ControlledChannelAttack", "PagedModExpVictim"),
+    "rowhammer": ("RowhammerAttack",),
+})

@@ -1,46 +1,16 @@
-"""Attack result types and the attacker's measurement primitives."""
+"""The attacker's measurement primitives, plus the result types.
+
+:class:`AttackCategory` and :class:`AttackResult` are defined in the
+leaf module :mod:`repro.attacks.result` and re-exported here.
+"""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
+from repro.attacks.result import AttackCategory, AttackResult
 from repro.errors import AccessFault, MemoryFault
 from repro.memory.bus import BusMaster, BusTransaction
 
-
-class AttackCategory(enum.Enum):
-    """The paper's adversary taxonomy (Section 2, after ref [1])."""
-
-    REMOTE = "remote"
-    LOCAL = "local"
-    MICROARCHITECTURAL = "microarchitectural"
-    PHYSICAL = "classical-physical"
-
-
-@dataclass
-class AttackResult:
-    """Outcome of one attack run.
-
-    ``score`` is attack-specific but normalised to [0, 1]: fraction of key
-    material recovered, probability of detection, etc.  ``success`` is the
-    binary verdict at the attack's own threshold.
-    """
-
-    name: str
-    category: AttackCategory
-    success: bool
-    score: float
-    leaked: object = None
-    details: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
-
-    def __str__(self) -> str:
-        verdict = "SUCCESS" if self.success else "defended"
-        return f"{self.name}: {verdict} (score={self.score:.2f})"
+__all__ = ["AttackCategory", "AttackResult", "AttackerProcess"]
 
 
 def _modulo_lines_by_set(pages: list[int], line_size: int,

@@ -10,8 +10,6 @@ another's stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import repro.obs as obs
 from repro.arch.null import NullArchitecture
 from repro.attacks.base import AttackCategory, AttackResult, AttackerProcess
@@ -22,6 +20,7 @@ from repro.attacks.cache_sca import (
 )
 from repro.attacks.dpa import cpa_recover_key, key_recovery_rate
 from repro.attacks.fault_attacks import BellcoreRSAAttack
+from repro.attacks.knobs import FIGURE1_CATEGORIES, PRIOR_ATTRS, MatrixKnobs
 from repro.attacks.meltdown import MeltdownAttack
 from repro.attacks.software import (
     CodeInjectionAttack,
@@ -37,52 +36,20 @@ from repro.crypto.rsa import RSA, generate_rsa_key
 from repro.power.instrument import capture_aes_traces
 from repro.power.leakage import HammingWeightModel
 
-
-@dataclass(frozen=True)
-class MatrixKnobs:
-    """Attack sizing; quick mode keeps the matrix fast for tests.
-
-    ``fr_samples`` is 12 even in quick mode: at 8, Flush+Reload's byte
-    vote is marginal and roughly 2% of ``(seed, platform)`` pairs
-    measured 0.5 instead of 1.0 — the grid must be seed-invariant.
-
-    ``sweep_instances``/``sweep_iters`` size the workload cell's kernel
-    calibration sweep (:mod:`repro.core.sweep`): N seed-varied instances
-    running an ``iters``-iteration kernel.  Quick keeps them small so
-    tier-1 tests that execute real cells stay fast; the sweep is the
-    part of a cell the ensemble engine vectorizes, and its summary is
-    bit-identical on the scalar reference lane — the knobs size the
-    measurement, the lane never changes it.
-    """
-
-    secret_len: int = 4
-    traces: int = 300
-    fr_samples: int = 12
-    fr_values: int = 8
-    rsa_bits: int = 64
-    timing_samples: int = 600
-    timing_bits: int = 8
-    sweep_instances: int = 12
-    sweep_iters: int = 48
-
-    @classmethod
-    def quick(cls) -> "MatrixKnobs":
-        return cls()
-
-    @classmethod
-    def full(cls) -> "MatrixKnobs":
-        return cls(secret_len=8, traces=1000, fr_samples=12, fr_values=8,
-                   rsa_bits=96, timing_samples=1200, timing_bits=16,
-                   sweep_instances=64, sweep_iters=160)
-
-    def as_key(self) -> tuple[tuple[str, int], ...]:
-        """Canonical, hashable, picklable form (cache-key material)."""
-        return tuple(sorted((f.name, getattr(self, f.name))
-                            for f in fields(self)))
-
-    @classmethod
-    def from_key(cls, key: tuple[tuple[str, int], ...]) -> "MatrixKnobs":
-        return cls(**dict(key))
+#: The knob and row-layout names are defined in the leaf
+#: :mod:`repro.attacks.knobs` (importable without loading any suite)
+#: and re-exported here.
+__all__ = [
+    "FIGURE1_CATEGORIES",
+    "MatrixKnobs",
+    "PRIOR_ATTRS",
+    "SUITES",
+    "local_suite",
+    "microarch_suite",
+    "physical_suite",
+    "remote_suite",
+    "run_suite",
+]
 
 
 def remote_suite(arch: NullArchitecture, rng: XorShiftRNG,
@@ -171,7 +138,8 @@ def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
     return [cpa_result, bellcore, timing]
 
 
-#: Suite entry point per adversary category, in Figure 1 row order.
+#: Suite entry point per adversary category, keyed in Figure 1 row
+#: order (:data:`FIGURE1_CATEGORIES`).
 SUITES = {
     AttackCategory.REMOTE: remote_suite,
     AttackCategory.LOCAL: local_suite,
@@ -191,9 +159,3 @@ def run_suite(suite, arch: NullArchitecture, rng: XorShiftRNG,
         return suite(arch, rng, knobs, batch=False)
     return suite(arch, rng, knobs)
 
-
-#: PlatformProfile attribute holding the category's exposure prior.
-PRIOR_ATTRS = {
-    AttackCategory.MICROARCHITECTURAL: "co_residency_prior",
-    AttackCategory.PHYSICAL: "physical_access_prior",
-}

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import enum
+import importlib
 import inspect
+import sys
 
 
 def accepts_keyword(fn, name: str) -> bool:
@@ -29,6 +31,35 @@ def accepts_keyword(fn, name: str) -> bool:
         return param.kind is not inspect.Parameter.POSITIONAL_ONLY
     return any(p.kind is inspect.Parameter.VAR_KEYWORD
                for p in params.values())
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 hooks for a package whose public names live in submodules.
+
+    ``exports`` maps each submodule (relative to ``package``) to the
+    public names it defines.  Returns ``(__all__, __getattr__, __dir__)``
+    for the package's ``__init__`` to bind.  A name's submodule is
+    imported on first access and the value is cached in the package
+    globals, so later lookups never reach ``__getattr__``; ``__dir__``
+    lists ``__all__`` alongside whatever is already bound.
+    """
+    owner = {name: module for module, names in exports.items()
+             for name in names}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        module = owner.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(owner))
+
+    return sorted(owner), __getattr__, __dir__
 
 
 class PrivilegeLevel(enum.IntEnum):

@@ -16,48 +16,21 @@ experiment outcomes on the simulated stack instead of asserting them:
 * :mod:`repro.core.advisor` — Section 6's closing advice ("select the
   optimal security architecture given the energy and performance budget")
   as a scoring engine.
+
+The package namespace is lazy (PEP 562): each name imports its
+submodule on first access, so rendering Figure 1 from cached cells
+never loads the comparison tables' architectures and attacks.
 """
 
-from repro.core.taxonomy import (
-    AdversaryModel,
-    Importance,
-    importance_from_score,
-)
-from repro.core.platforms import (
-    PlatformProfile,
-    STANDARD_PLATFORMS,
-    reference_workload,
-)
-from repro.core.matrix import CellResult, EvaluationMatrix
-from repro.core.figure1 import Figure1, generate_figure1
-from repro.core.comparison import (
-    architecture_feature_table,
-    cache_defence_table,
-    render_table,
-    transient_applicability_table,
-)
-from repro.core.advisor import (
-    Advice,
-    Requirements,
-    recommend_architecture,
-)
+from repro.common import lazy_exports
 
-__all__ = [
-    "Advice",
-    "AdversaryModel",
-    "CellResult",
-    "EvaluationMatrix",
-    "Figure1",
-    "Importance",
-    "PlatformProfile",
-    "Requirements",
-    "STANDARD_PLATFORMS",
-    "architecture_feature_table",
-    "cache_defence_table",
-    "generate_figure1",
-    "importance_from_score",
-    "recommend_architecture",
-    "reference_workload",
-    "render_table",
-    "transient_applicability_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "taxonomy": ("AdversaryModel", "Importance", "importance_from_score"),
+    "platforms": ("PlatformProfile", "STANDARD_PLATFORMS",
+                  "reference_workload"),
+    "matrix": ("CellResult", "EvaluationMatrix"),
+    "figure1": ("Figure1", "generate_figure1"),
+    "comparison": ("architecture_feature_table", "cache_defence_table",
+                   "render_table", "transient_applicability_table"),
+    "advisor": ("Advice", "Requirements", "recommend_architecture"),
+})

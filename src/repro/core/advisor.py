@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.arch.base import ArchFeatures
-from repro.attacks.base import AttackCategory
+from repro.attacks.result import AttackCategory
 from repro.common import PlatformClass
 from repro.core.comparison import ARCH_HOSTS
 

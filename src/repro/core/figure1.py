@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attacks.base import AttackCategory
+from repro.attacks.result import AttackCategory
 from repro.common import PlatformClass
 from repro.core.matrix import EvaluationMatrix
 from repro.core.taxonomy import Importance, importance_from_score

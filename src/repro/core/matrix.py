@@ -19,14 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.arch.null import NullArchitecture
-from repro.attacks.base import AttackCategory, AttackResult
-from repro.attacks.suites import (
-    MatrixKnobs,
-    PRIOR_ATTRS,
-    SUITES,
-    run_suite,
-)
+from repro.attacks.knobs import FIGURE1_CATEGORIES, PRIOR_ATTRS, MatrixKnobs
+from repro.attacks.result import AttackCategory, AttackResult
 from repro.common import PlatformClass
 from repro.core.platforms import (
     PlatformProfile,
@@ -36,7 +30,6 @@ from repro.core.platforms import (
 )
 from repro.core.taxonomy import Importance, importance_from_score
 from repro.cpu.soc import soc_factory_for
-from repro.crypto.rng import XorShiftRNG
 from repro.runner import (
     WORKLOAD_CATEGORY,
     CellSpec,
@@ -44,9 +37,6 @@ from repro.runner import (
     derive_cell_seed,
 )
 from repro.runner.serialize import attack_result_from_dict, workload_from_dict
-
-#: Backwards-compatible alias; the knobs now live with the suites.
-_QuickKnobs = MatrixKnobs
 
 
 @dataclass
@@ -142,12 +132,12 @@ class EvaluationMatrix:
         specs: list[CellSpec] = []
         for profile in remote:
             specs.extend(self._spec(profile, category.value)
-                         for category in SUITES)
+                         for category in FIGURE1_CATEGORIES)
             specs.append(self._spec(profile, WORKLOAD_CATEGORY))
         payloads = runner.run(specs) if specs else {}
 
         for profile in remote:
-            for category in SUITES:
+            for category in FIGURE1_CATEGORIES:
                 payload = payloads.get(self._spec(profile, category.value))
                 if payload is None:
                     # Every attempt failed: an explicit not-evaluated
@@ -173,7 +163,14 @@ class EvaluationMatrix:
     def _evaluate_locally(self, profile: PlatformProfile,
                           reference: bool) -> None:
         """In-process path for profiles with unregistered SoC factories
-        (same seed derivation and lane, no cache/fan-out)."""
+        (same seed derivation and lane, no cache/fan-out).
+
+        The suites are imported here, not at module level: a matrix
+        whose cells all come from the runner (a warm render above all)
+        never loads attack code."""
+        from repro.arch.null import NullArchitecture
+        from repro.attacks.suites import SUITES, run_suite
+        from repro.crypto.rng import XorShiftRNG
         for category, suite in SUITES.items():
             arch = NullArchitecture(profile.make_soc(), profile.platform)
             rng = XorShiftRNG(self.cell_seed(profile.platform, category))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.attacks.base import AttackCategory
+from repro.attacks.result import AttackCategory
 
 
 class Importance(enum.IntEnum):

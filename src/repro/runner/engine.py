@@ -26,6 +26,7 @@ trusted — the property the chaos suite (``make chaos``) attacks.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import time
 from collections import deque
@@ -59,6 +60,12 @@ WORKLOAD_CATEGORY = "workload"
 #: Pseudo-category for Spectre-scanner cells (repro.spec): ``platform``
 #: carries a scan-config name instead of a PlatformClass value.
 SCAN_CATEGORY = "spec-scan"
+
+#: What :func:`execute_spec` imports to compute a scan cell, and any
+#: other cell (see :func:`_import_cell_modules`).
+_SCAN_CELL_MODULES = ("repro.spec.scanner",)
+_MATRIX_CELL_MODULES = ("repro.attacks.suites", "repro.core.platforms",
+                        "repro.core.sweep", "repro.runner.serialize")
 
 #: Default per-cell wall-clock budget before a worker counts as hung.
 DEFAULT_TIMEOUT_S = 120.0
@@ -180,9 +187,7 @@ def execute_spec(spec: CellSpec, collect: bool = False,
         return payload
 
     import repro.obs as obs
-    from repro.arch.null import NullArchitecture
-    from repro.attacks.base import AttackCategory
-    from repro.attacks.suites import SUITES, MatrixKnobs, run_suite
+    from repro.attacks.knobs import MatrixKnobs
     from repro.common import PlatformClass
     from repro.core.platforms import reference_workload
     from repro.core.sweep import run_kernel_sweep
@@ -215,6 +220,9 @@ def execute_spec(spec: CellSpec, collect: bool = False,
                     "workload": workload_to_dict(reference_workload(soc)),
                     "sweep": sweep}
             else:
+                from repro.arch.null import NullArchitecture
+                from repro.attacks.result import AttackCategory
+                from repro.attacks.suites import SUITES, run_suite
                 category = AttackCategory(spec.category)
                 arch = NullArchitecture(soc, platform)
                 rng = XorShiftRNG(derive_cell_seed(spec.seed, spec.platform,
@@ -235,6 +243,23 @@ def execute_spec(spec: CellSpec, collect: bool = False,
         payload[CELL_METRICS_KEY] = registry.to_json()
     payload[INTEGRITY_KEY] = payload_fingerprint(payload)
     return payload
+
+
+def _import_cell_modules(specs: Iterable[CellSpec]) -> None:
+    """Import the modules :func:`execute_spec` needs for ``specs``.
+
+    The supervised pool forks its workers: whatever the parent has
+    imported by then, each worker inherits instead of importing (and
+    holding) its own copy.  Package namespaces are lazy, so rendering
+    from cache loads none of these; the pool path calls this just
+    before it forks.
+    """
+    names: set[str] = set()
+    for spec in specs:
+        names.update(_SCAN_CELL_MODULES if spec.category == SCAN_CATEGORY
+                     else _MATRIX_CELL_MODULES)
+    for name in sorted(names):
+        importlib.import_module(name)
 
 
 @dataclass(frozen=True)
@@ -426,13 +451,13 @@ class ExperimentRunner:
                 pending.append(spec)
                 observer.on_cache_miss(spec)
         stats.cache_misses = len(pending)
-        now = time.perf_counter()
-        for spec in pending:
-            self._span_start[spec] = now
 
         try:
             if pending:
                 if self.jobs > 1 and len(pending) > 1:
+                    # Pool cells queue together: each span runs from here.
+                    self._span_start = dict.fromkeys(pending,
+                                                     time.perf_counter())
                     self._run_supervised(pending, results, stats)
                 else:
                     stats.mode = "serial"
@@ -533,7 +558,14 @@ class ExperimentRunner:
 
     def _run_serial(self, pending: Sequence[CellSpec], results: dict,
                     stats: RunnerStats, degraded: bool) -> None:
+        """Run ``pending`` in this process, one cell after another.
+
+        A cell's span starts when the loop reaches it, so it covers that
+        cell's attempts and backoff only; a cell degraded from the pool
+        keeps the span start it was queued with there."""
         for spec in pending:
+            if not degraded:
+                self._span_start[spec] = time.perf_counter()
             failure: _CellFailure | None = None
             for attempt in range(self.retry.max_attempts):
                 if attempt:
@@ -590,6 +622,7 @@ class ExperimentRunner:
           degrade to in-process serial execution (with process-lethal
           chaos modes disarmed) rather than looping forever.
         """
+        _import_cell_modules(pending)
         max_workers = min(self.jobs, len(pending))
         #: (spec, attempt, not_before): ready-to-submit work items.
         queue: deque[tuple[CellSpec, int, float]] = deque(

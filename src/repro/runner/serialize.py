@@ -9,7 +9,7 @@ round trip is lossless.
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackCategory, AttackResult
+from repro.attacks.result import AttackCategory, AttackResult
 from repro.core.platforms import WorkloadResult
 
 _BYTES_TAG = "__bytes__"

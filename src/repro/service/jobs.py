@@ -23,6 +23,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 
+from repro.attacks.knobs import MatrixKnobs
+from repro.attacks.result import AttackCategory
+from repro.common import PlatformClass
 from repro.runner.engine import WORKLOAD_CATEGORY, CellSpec
 
 #: Current job-file schema; readers reject anything else.
@@ -30,12 +33,10 @@ JOB_SCHEMA = "repro-service-job/1"
 
 
 def _default_platforms() -> tuple[str, ...]:
-    from repro.common import PlatformClass
     return tuple(p.value for p in PlatformClass)
 
 
 def _default_categories() -> tuple[str, ...]:
-    from repro.attacks.base import AttackCategory
     return tuple(c.value for c in AttackCategory) + (WORKLOAD_CATEGORY,)
 
 
@@ -102,7 +103,6 @@ class JobSpec:
     @classmethod
     def matrix(cls, quick: bool = True, seed: int = 0x2019) -> "JobSpec":
         """The full Figure-1 evaluation grid as one job."""
-        from repro.attacks.suites import MatrixKnobs
         knobs = MatrixKnobs.quick() if quick else MatrixKnobs.full()
         return cls(seed=seed, knobs=knobs.as_key())
 

@@ -273,6 +273,25 @@ class TestSupervisedRunner:
         assert runner.stats.retries_total == 1
         assert payload_intact(results[spec])
 
+    def test_serial_cell_spans_do_not_overlap(self, monkeypatch):
+        """A serial cell's span starts when the loop reaches it, not when
+        the run queued every cell, so the spans of a serial run add up
+        to at most its wall time."""
+        real = engine_module.execute_spec
+
+        def slow(s):
+            time.sleep(0.05)
+            return real(s)
+
+        monkeypatch.setattr(engine_module, "execute_spec", slow)
+        runner = ExperimentRunner()
+        runner.run(_cheap_specs(3))
+        stats = runner.stats
+        assert stats.mode == "serial"
+        assert len(stats.cell_spans) == 3
+        assert min(stats.cell_spans.values()) >= 0.05
+        assert sum(stats.cell_spans.values()) <= stats.wall_time_s
+
     def test_retry_jitter_is_deterministic_and_capped(self):
         policy = RetryPolicy(max_retries=5, base_delay_s=0.05,
                              max_delay_s=0.4)
