@@ -20,9 +20,10 @@ bench:
 ## one core (repro.lockstep); test_lockstep_core.py proves that core
 ## catches a single changed observable in each harness, and
 ## test_sim_sweeps.py checks the attack twin's closed-form set sweeps
-## against its per-access walk and the live cache hierarchy.
+## against its per-access walk and the live cache hierarchy.  --run-diff
+## adds the checks too slow for tier 1 (TAB-S41 with scalar Evict+Time).
 diff:
-	$(PYTHON) -m pytest -q tests/test_lockstep_core.py \
+	$(PYTHON) -m pytest -q --run-diff tests/test_lockstep_core.py \
 		tests/test_differential.py \
 		tests/test_ensemble_differential.py \
 		tests/test_attack_differential.py tests/test_sim_sweeps.py \

@@ -8,15 +8,16 @@ Usage::
     python -m repro figure1 --full     # ... non-quick attack sizing
     python -m repro architectures      # TAB-S3 feature comparison
     python -m repro cache              # TAB-S41 cache side channels
+    python -m repro cache --jobs 4     # ... its 5 rows over 4 workers
     python -m repro transient          # TAB-S42 transient attacks
     python -m repro advisor            # Section-6 recommendations demo
     python -m repro all                # everything above
 
 Every artefact command runs the fast execution lanes: attack cells and
-TAB-S41 go through the batched attack kernels (:mod:`repro.attacks.batch`),
-workload cells through the vectorized kernel sweep
-(:mod:`repro.cpu.ensemble`) and scan cells through the memoized
-explorer (:mod:`repro.spec.memo`).  All are bit-identical to the
+TAB-S41 rows go through the batched attack kernels
+(:mod:`repro.attacks.batch`), workload cells through the vectorized
+kernel sweep (:mod:`repro.cpu.ensemble`) and scan cells through the
+memoized explorer (:mod:`repro.spec.memo`).  All are bit-identical to the
 retained oracles, which library callers select with
 ``ExperimentRunner(reference=True)`` (``repro scan --no-memo`` on the
 command line); configurations the kernels do not model fall back to
@@ -40,24 +41,26 @@ campaign a RunManifest describes — cells the shared cache already
 holds are skipped, not recomputed.
 
 Observability (``--trace``, ``--metrics``, ``--manifest``) makes a
-figure1 run emit machine-readable evidence: a Chrome ``trace_event``
-file of every runner/cell/attack phase, a Prometheus (or JSON) metrics
-snapshot, and a diffable per-run manifest.  All three default to off,
-which keeps execution on the unobserved fast path.
+figure1 or cache run emit machine-readable evidence: a Chrome
+``trace_event`` file of every runner/cell/attack phase, a Prometheus (or
+JSON) metrics snapshot, and a diffable per-run manifest.  All three
+default to off, which keeps execution on the unobserved fast path.
 
 Cell results are memoised on disk (``~/.cache/repro/cells`` or
 ``$REPRO_CACHE_DIR``) keyed by (package version, knobs, seed, platform,
 category); ``--no-cache`` bypasses the cache and ``--clear-cache``
-explicitly invalidates it first.  Runner statistics (mode, per-cell wall
-time, cache hits/misses, worker utilisation) are printed after every
-measured run.
+explicitly invalidates it first (under ``all``, once, before figure1).
+Runner statistics (mode, per-cell wall time, cache hits/misses, worker
+utilisation) are printed after figure1 and scan runs.
 
-Execution is supervised: each cell runs under a ``--timeout``, failing
-cells are retried ``--retries`` times with deterministic-jitter backoff,
-hung or crashed workers are replaced, and cells that still fail render
-as explicitly not-evaluated (``--fail-fast`` restores the historical
-abort-on-first-error behaviour).  ``--chaos RATE`` turns the repo's
-fault-injection discipline on the harness itself.
+Execution is supervised, for figure1, scan and TAB-S41 rows alike:
+each cell runs under a ``--timeout``, failing cells are retried
+``--retries`` times with deterministic-jitter backoff, hung or crashed
+workers are replaced, and Figure 1 cells that still fail render as
+explicitly not-evaluated (a scan cell or TAB-S41 row aborts its
+command; ``--fail-fast`` aborts on the first failure).  ``--chaos
+RATE`` turns the repo's fault-injection discipline on the harness
+itself.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ import argparse
 import sys
 
 
-def _make_observer(args):
+def _make_observer(args, run_seed: int):
     """An :class:`~repro.obs.Observability` sink, or ``None`` when no
     telemetry artefact was requested (the no-op fast path)."""
     if not (args.trace or args.metrics or args.manifest):
@@ -75,7 +78,7 @@ def _make_observer(args):
     command = "repro " + " ".join(
         part for part in (args.command, "--full" if args.full else "")
         if part)
-    return Observability(run_seed=0x2019, command=command)
+    return Observability(run_seed=run_seed, command=command)
 
 
 def _write_artifacts(args, observer) -> None:
@@ -112,7 +115,7 @@ def _make_runner(args, observer=None, reference=False):
 
 def _figure1(args) -> None:
     from repro.core import generate_figure1
-    observer = _make_observer(args)
+    observer = _make_observer(args, run_seed=0x2019)
     runner = _make_runner(args, observer=observer)
     figure = generate_figure1(quick=not args.full, runner=runner)
     print(figure.render())
@@ -138,8 +141,12 @@ def _cache(args) -> None:
         cache_defence_table,
         render_cache_defence_table,
     )
-    rows = cache_defence_table(quick=not args.full, jobs=args.jobs)
+    observer = _make_observer(args, run_seed=0x41)
+    runner = _make_runner(args, observer=observer)
+    rows = cache_defence_table(quick=not args.full, runner=runner)
+    # No runner summary: the table is the command's whole stdout.
     print(render_cache_defence_table(rows))
+    _write_artifacts(args, observer)
 
 
 def _transient(args) -> None:
@@ -363,16 +370,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="write a Chrome trace_event JSON of the run "
                              "(open in chrome://tracing or Perfetto) plus "
                              "a sibling .jsonl of the raw records "
-                             "(figure1 runs only)")
+                             "(figure1 and cache runs)")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="write run metrics: Prometheus text "
                              "exposition, or JSON when PATH ends in "
-                             ".json (figure1 runs only)")
+                             ".json (figure1 and cache runs)")
     parser.add_argument("--manifest", metavar="PATH", default=None,
                         help="write the diffable RunManifest JSON "
                              "(version, knobs, seeds, outcomes, payload "
                              "fingerprints, metric snapshot) "
-                             "(figure1 runs only)")
+                             "(figure1 and cache runs)")
     parser.add_argument("--queue", metavar="DIR", default=None,
                         help="service queue directory (default: "
                              "$REPRO_QUEUE_DIR or ~/.cache/repro/queue)")
@@ -426,6 +433,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, command in _COMMANDS.items():
             print(f"\n{'=' * 20} {name} {'=' * 20}")
             command(args)
+            # One-shot flags act on figure1 only: cache must neither clear
+            # figure1's cells nor overwrite its trace/metrics/manifest.
+            args.clear_cache = False
+            args.trace = args.metrics = args.manifest = None
     else:
         command = {**_COMMANDS, **_SERVICE_COMMANDS,
                    **_ANALYSIS_COMMANDS}[args.command]

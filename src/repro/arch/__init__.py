@@ -25,41 +25,39 @@ trustlite  TrustLite [26]               Secure Loader + locked EA-MPU
 tytan      TyTAN [6]                    TrustLite + secure boot/storage,
                                         real-time capable
 ========== ============================ ==================================
+
+The package namespace is lazy (PEP 562): each name imports its
+submodule on first access, so ``import repro.arch.null`` (every Figure 1
+cell) loads none of the eight architectures.
 """
 
-from repro.arch.base import (
-    AESVictim,
-    ArchFeatures,
-    EnclaveContext,
-    EnclaveHandle,
-    SecurityArchitecture,
-)
-from repro.arch.sgx import SGX
-from repro.arch.sanctum import Sanctum
-from repro.arch.trustzone import TrustZone
-from repro.arch.sanctuary import Sanctuary
-from repro.arch.smart import SMART
-from repro.arch.sancus import Sancus
-from repro.arch.trustlite import TrustLite
-from repro.arch.tytan import TyTAN
+from repro.common import lazy_exports
 
-ALL_ARCHITECTURES = (
-    SGX, Sanctum, TrustZone, Sanctuary, SMART, Sancus, TrustLite, TyTAN,
-)
+__all__, _lazy_getattr, _lazy_dir = lazy_exports(__name__, {
+    "base": ("AESVictim", "ArchFeatures", "EnclaveContext",
+             "EnclaveHandle", "SecurityArchitecture"),
+    "sgx": ("SGX",),
+    "sanctum": ("Sanctum",),
+    "trustzone": ("TrustZone",),
+    "sanctuary": ("Sanctuary",),
+    "smart": ("SMART",),
+    "sancus": ("Sancus",),
+    "trustlite": ("TrustLite",),
+    "tytan": ("TyTAN",),
+})
+__all__ = sorted([*__all__, "ALL_ARCHITECTURES"])
 
-__all__ = [
-    "AESVictim",
-    "ALL_ARCHITECTURES",
-    "ArchFeatures",
-    "EnclaveContext",
-    "EnclaveHandle",
-    "SGX",
-    "SMART",
-    "Sanctuary",
-    "Sanctum",
-    "Sancus",
-    "SecurityArchitecture",
-    "TrustLite",
-    "TrustZone",
-    "TyTAN",
-]
+
+def __getattr__(name: str):
+    """Lazy names, plus ``ALL_ARCHITECTURES``: the eight classes in the
+    paper's presentation order."""
+    if name != "ALL_ARCHITECTURES":
+        return _lazy_getattr(name)
+    value = globals()[name] = tuple(_lazy_getattr(cls) for cls in (
+        "SGX", "Sanctum", "TrustZone", "Sanctuary", "SMART", "Sancus",
+        "TrustLite", "TyTAN"))
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*_lazy_dir(), "ALL_ARCHITECTURES"})

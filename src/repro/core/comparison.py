@@ -16,7 +16,7 @@ corresponding attack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.arch import (
     SGX,
@@ -27,14 +27,6 @@ from repro.arch import (
     TrustLite,
     TrustZone,
     TyTAN,
-)
-from repro.arch.null import NullArchitecture
-from repro.attacks.base import AttackerProcess
-from repro.attacks.cache_sca import (
-    EvictTimeAttack,
-    FlushReloadAttack,
-    PrimeProbeAttack,
-    _CacheAttackConfig,
 )
 from repro.attacks.software import DMAAttack
 from repro.attacks.transient_oracle import (
@@ -48,8 +40,12 @@ from repro.cpu.soc import (
     make_mobile_soc,
     make_server_soc,
 )
-from repro.crypto.rng import XorShiftRNG
-from repro.runner import derive_seed, parallel_map
+from repro.runner import (
+    CACHE_DEFENCE_CATEGORY,
+    CellSpec,
+    ExperimentRunner,
+    derive_seed,
+)
 
 #: (architecture class, SoC factory) in the paper's presentation order.
 ARCH_HOSTS = (
@@ -158,66 +154,85 @@ class CacheDefenceRow:
         return all(s < 0.5 for s in scores)
 
 
-#: TAB-S41 hosts; module-level so worker processes can rebuild any row
-#: by index (classes and factories pickle by reference).
-_CACHE_HOSTS = (
-    (NullArchitecture, make_server_soc, "none (baseline)"),
-    (SGX, make_server_soc, "none (no LLC defence)"),
-    (Sanctum, make_server_soc, "LLC page colouring"),
-    (TrustZone, make_mobile_soc, "none (no LLC defence)"),
-    (Sanctuary, make_mobile_soc, "LLC exclusion + L1 flush"),
-)
+#: TAB-S41 rows in presentation order: host architecture ``NAME`` ->
+#: its cache defence.
+_CACHE_DEFENCES = {
+    "none": "none (baseline)",
+    "sgx": "none (no LLC defence)",
+    "sanctum": "LLC page colouring",
+    "trustzone": "none (no LLC defence)",
+    "sanctuary": "LLC exclusion + L1 flush",
+}
 
 
-def _cache_defence_row(task: tuple[int, bool, bool, int]) -> CacheDefenceRow:
-    """One TAB-S41 row; pickling-safe entry point for worker processes.
-
-    Each attack draws from its own digest-derived stream, so rows are
-    independent of each other and of attack ordering within the row.
-    The attacks run their default, batched lane.  The kernels model the
-    baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's DMA
-    filter fails their side-effect-free gates, so its row runs the scalar
-    loops, as does Flush+Reload on every TEE host, whose first probe the
-    host refuses.
+def execute_cache_defence_cell(spec: CellSpec,
+                               reference: bool = False) -> dict:
+    """Payload for one TAB-S41 row: ``spec.platform`` names the host
+    architecture, ``spec.seed`` is the table seed.  Each attack draws
+    from its own digest-derived stream, so rows are independent of each
+    other and of attack ordering within the row.  The attacks run their
+    batched lane unless ``reference`` is set.  The kernels model the
+    baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's
+    DMA filter fails their side-effect-free gates, so its row runs the
+    scalar loops, as does Flush+Reload on every TEE host, whose first
+    probe the host refuses.
     """
-    index, quick, include_evict_time, seed = task
-    arch_cls, make_soc, defence = _CACHE_HOSTS[index]
+    from repro.arch.null import NullArchitecture
+    from repro.attacks.base import AttackerProcess
+    from repro.attacks.cache_sca import (
+        EvictTimeAttack,
+        FlushReloadAttack,
+        PrimeProbeAttack,
+        _CacheAttackConfig,
+    )
+    from repro.crypto.rng import XorShiftRNG
+
+    knobs = dict(spec.knobs)
+    hosts = {arch_cls.NAME: (arch_cls, make_soc) for arch_cls, make_soc
+             in ((NullArchitecture, make_server_soc), *ARCH_HOSTS)}
+    arch_cls, make_soc = hosts[spec.platform]
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     config = _CacheAttackConfig(
-        samples_per_value=8 if quick else 14,
+        samples_per_value=8 if knobs["quick"] else 14,
         plaintext_values=8,
-        target_bytes=(0, 5) if quick else (0, 5, 10, 15))
+        target_bytes=(0, 5) if knobs["quick"] else (0, 5, 10, 15))
     arch = arch_cls(make_soc())
     victim = arch.deploy_aes_victim(key, core_id=0)
 
-    def rng_for(attack: str) -> XorShiftRNG:
-        return XorShiftRNG(derive_seed(seed, arch.NAME, attack))
+    def score(attack_cls, name: str) -> float:
+        rng = XorShiftRNG(derive_seed(spec.seed, arch.NAME, name))
+        return attack_cls(victim, AttackerProcess(arch, core_id=1), rng,
+                          config, batch=not reference).run().score
 
-    pp = PrimeProbeAttack(victim, AttackerProcess(arch, core_id=1),
-                          rng_for("prime+probe"), config).run()
-    fr = FlushReloadAttack(victim, AttackerProcess(arch, core_id=1),
-                           rng_for("flush+reload"), config).run()
-    et = None
-    if include_evict_time:
-        et = EvictTimeAttack(victim, AttackerProcess(arch, core_id=1),
-                             rng_for("evict+time"), config).run().score
-    return CacheDefenceRow(
-        architecture=arch.NAME, defence=defence,
-        prime_probe=pp.score, flush_reload=fr.score, evict_time=et)
+    row = CacheDefenceRow(
+        architecture=arch.NAME, defence=_CACHE_DEFENCES[arch.NAME],
+        prime_probe=score(PrimeProbeAttack, "prime+probe"),
+        flush_reload=score(FlushReloadAttack, "flush+reload"),
+        evict_time=(score(EvictTimeAttack, "evict+time")
+                    if knobs["evict_time"] else None))
+    return {"kind": CACHE_DEFENCE_CATEGORY, "row": asdict(row)}
 
 
 def cache_defence_table(quick: bool = True, include_evict_time: bool = False,
                         seed: int = 0x41,
-                        jobs: int = 1) -> list[CacheDefenceRow]:
+                        runner: ExperimentRunner | None = None
+                        ) -> list[CacheDefenceRow]:
     """TAB-S41: run the cache attacks against each enclave-capable arch.
 
-    ``jobs > 1`` fans the architecture rows out over worker processes
-    (rows are mutually independent by construction).
+    Each row is one cell of ``runner`` (default: a private serial,
+    uncached :class:`~repro.runner.ExperimentRunner`).
     """
-    tasks = [(index, quick, include_evict_time, seed)
-             for index in range(len(_CACHE_HOSTS))]
-    rows, _ = parallel_map(_cache_defence_row, tasks, jobs)
-    return rows
+    knobs = (("evict_time", int(include_evict_time)), ("quick", int(quick)))
+    specs = [CellSpec(seed=seed, platform=name,
+                      category=CACHE_DEFENCE_CATEGORY, knobs=knobs)
+             for name in _CACHE_DEFENCES]
+    runner = runner or ExperimentRunner()
+    payloads = runner.run(specs)
+    missing = [s.platform for s in specs if s not in payloads]
+    if missing:
+        raise RuntimeError(
+            "TAB-S41 rows failed after retries: " + ", ".join(missing))
+    return [CacheDefenceRow(**payloads[s]["row"]) for s in specs]
 
 
 def render_cache_defence_table(rows: list[CacheDefenceRow]) -> str:

@@ -84,14 +84,18 @@ def modexp_ladder(base: int, exponent: int, mod: int,
 
     Total operation *count* is bit-independent; residual leakage through
     operand-dependent :func:`mult_time` is charged at a constant, making
-    the per-bit signal Kocher's attack needs vanish.
+    the per-bit signal Kocher's attack needs vanish.  The ladder runs
+    over at least the modulus width, so an exponent's length does not
+    show in the time either: leading zero bits keep ``r0 = 1`` and
+    ``r1 = base``.
     """
     if mod <= 1:
         raise ValueError("modulus must be > 1")
     r0, r1 = 1 % mod, base % mod
     total = 0.0
     op_times: list[float] = []
-    for i in range(exponent.bit_length() - 1, -1, -1):
+    width = max(exponent.bit_length(), mod.bit_length())
+    for i in range(width - 1, -1, -1):
         bit = (exponent >> i) & 1
         if bit:
             r0 = (r0 * r1) % mod

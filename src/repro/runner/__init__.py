@@ -34,6 +34,7 @@ from repro.runner.cache import ResultCache, default_cache_root
 from repro.runner.chaos import ChaosConfig, FAULT_MODES, chaos_execute_spec
 from repro.runner.engine import (
     DEFAULT_TIMEOUT_S,
+    CACHE_DEFENCE_CATEGORY,
     INTEGRITY_KEY,
     SCAN_CATEGORY,
     WORKLOAD_CATEGORY,
@@ -43,7 +44,6 @@ from repro.runner.engine import (
     cache_key_for,
     execute_spec,
     execute_task,
-    parallel_map,
     payload_fingerprint,
     payload_intact,
 )
@@ -52,6 +52,7 @@ from repro.runner.seeding import derive_cell_seed, derive_seed
 from repro.runner.stats import CellOutcome, OUTCOME_STATUSES, RunnerStats
 
 __all__ = [
+    "CACHE_DEFENCE_CATEGORY",
     "CellOutcome",
     "CellSpec",
     "CellTask",
@@ -74,7 +75,6 @@ __all__ = [
     "derive_seed",
     "execute_spec",
     "execute_task",
-    "parallel_map",
     "payload_fingerprint",
     "payload_intact",
 ]

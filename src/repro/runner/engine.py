@@ -1,11 +1,13 @@
 """The experiment engine: deterministic cells, supervised and memoised.
 
 A :class:`CellSpec` names one unit of measurement — a ``(platform,
-category)`` attack cell or a platform's reference workload — by plain
-picklable values only.  :func:`execute_spec` turns a spec into a payload
-dict and is a *pure function* of the spec: the SoC is rebuilt from the
-platform's registered factory and the RNG is derived from the spec's
-coordinates, so any process computes the same payload.  That purity is
+category)`` attack cell, a platform's reference workload, a scan config
+or a TAB-S41 row — by plain picklable values only.  :func:`execute_spec`
+turns a spec into a payload dict and is a *pure function* of the spec:
+the SoC is rebuilt from the spec's platform or architecture and the RNG
+is derived from the spec's coordinates, so any process computes the same
+payload.  Every artefact that fans cells out (Figure 1, the scan,
+TAB-S41, the service) runs them through this one executor.  That purity is
 what makes both layers above it sound:
 
 * :class:`ExperimentRunner` fans pending specs out over a supervised
@@ -35,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pickle import PicklingError
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import (
     CellExecutionError,
@@ -61,9 +63,20 @@ WORKLOAD_CATEGORY = "workload"
 #: carries a scan-config name instead of a PlatformClass value.
 SCAN_CATEGORY = "spec-scan"
 
-#: What :func:`execute_spec` imports to compute a scan cell, and any
-#: other cell (see :func:`_import_cell_modules`).
-_SCAN_CELL_MODULES = ("repro.spec.scanner",)
+#: Pseudo-category for TAB-S41 rows (repro.core.comparison):
+#: ``platform`` carries the host architecture's ``NAME``.
+CACHE_DEFENCE_CATEGORY = "cache-defence"
+
+#: Cells that are not Figure 1 cells: category -> (module, entry point).
+#: Each entry point maps ``(spec, reference)`` to a payload dict.
+_TABLE_CELLS = {
+    SCAN_CATEGORY: ("repro.spec.scanner", "execute_scan_cell"),
+    CACHE_DEFENCE_CATEGORY: ("repro.core.comparison",
+                             "execute_cache_defence_cell"),
+}
+
+#: What :func:`execute_spec` imports to compute a Figure 1 cell (see
+#: :func:`_import_cell_modules`).
 _MATRIX_CELL_MODULES = ("repro.attacks.suites", "repro.core.platforms",
                         "repro.core.sweep", "repro.runner.serialize")
 
@@ -164,8 +177,9 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     runs the scalar per-core loop instead of the struct-of-arrays
     :class:`~repro.cpu.ensemble.CoreEnsemble`, attack suites run the
     scalar attacks instead of the batched kernels of
-    :mod:`repro.attacks.batch`, and scan cells run the reference
-    explorer instead of the memoized engine (:mod:`repro.spec.memo`).
+    :mod:`repro.attacks.batch` (TAB-S41 rows too), and scan cells run
+    the reference explorer instead of the memoized engine
+    (:mod:`repro.spec.memo`).
     Like ``collect`` it is an *execution strategy*, not a measurement
     input: payloads and their fingerprints are bit-identical on either
     lane (``make diff`` proves it), so both lanes share cache entries
@@ -174,14 +188,16 @@ def execute_spec(spec: CellSpec, collect: bool = False,
     Imports are deferred so that importing :mod:`repro.runner` stays
     cheap and free of circular imports with :mod:`repro.core`.
     """
-    if spec.category == SCAN_CATEGORY:
-        # Spectre-scanner cells: spec.platform names a scan config, not a
-        # PlatformClass, so they branch off before platform resolution.
-        # The sweep is pure analysis (no RNG), so the payload inherits the
-        # full integrity/caching machinery with no extra seeding.
-        from repro.spec.scanner import execute_scan_cell
+    table_cell = _TABLE_CELLS.get(spec.category)
+    if table_cell is not None:
+        # Scan and TAB-S41 cells: spec.platform names a scan config or
+        # an architecture, not a PlatformClass, so they branch off before
+        # platform resolution; each entry point seeds itself from the
+        # spec.
+        module, name = table_cell
+        entry = getattr(importlib.import_module(module), name)
         start = time.perf_counter()
-        payload = execute_scan_cell(spec, memo=not reference)
+        payload = entry(spec, reference)
         payload["cell_wall_time_s"] = time.perf_counter() - start
         payload[INTEGRITY_KEY] = payload_fingerprint(payload)
         return payload
@@ -256,7 +272,8 @@ def _import_cell_modules(specs: Iterable[CellSpec]) -> None:
     """
     names: set[str] = set()
     for spec in specs:
-        names.update(_SCAN_CELL_MODULES if spec.category == SCAN_CATEGORY
+        table_cell = _TABLE_CELLS.get(spec.category)
+        names.update((table_cell[0],) if table_cell is not None
                      else _MATRIX_CELL_MODULES)
     for name in sorted(names):
         importlib.import_module(name)
@@ -307,56 +324,6 @@ def execute_task(task: CellTask) -> tuple[str, object]:
         return ("ok", task.run())
     except BaseException as exc:  # noqa: BLE001 — the tag is the contract
         return ("err", f"{type(exc).__name__}: {exc}")
-
-
-@dataclass(frozen=True)
-class _Wrapped:
-    """Picklable wrapper making worker exceptions travel as results.
-
-    Used by :func:`parallel_map`: without it, an ``OSError`` raised *by
-    the mapped function* inside a worker is indistinguishable from pool
-    infrastructure dying, and would wrongly trigger the serial rerun.
-    """
-
-    fn: Callable
-
-    def __call__(self, item):
-        try:
-            return ("ok", self.fn(item))
-        except Exception as exc:  # noqa: BLE001 — re-raised by the parent
-            return ("err", exc)
-
-
-def parallel_map(fn: Callable, items: Iterable,
-                 jobs: int = 1) -> tuple[list, str]:
-    """``[fn(x) for x in items]``, fanned over processes when asked.
-
-    Returns ``(results, mode)`` with ``mode`` one of ``"serial"``,
-    ``"process-pool"`` or ``"serial-fallback"``.  Only pool
-    *infrastructure* failures (no fork permitted, broken pool, pickling
-    refusal) trigger the fallback; an exception raised by ``fn`` itself
-    propagates — even from inside a worker, thanks to the tagged-result
-    wrapping — because a failing experiment must fail loudly, not
-    quietly rerun.
-    """
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        outcomes = None
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(items))) as pool:
-                outcomes = list(pool.map(_Wrapped(fn), items))
-        except (OSError, ImportError, BrokenProcessPool, PicklingError):
-            pass
-        if outcomes is not None:
-            results = []
-            for tag, value in outcomes:
-                if tag == "err":
-                    raise value
-                results.append(value)
-            return results, "process-pool"
-    mode = "serial-fallback" if jobs > 1 and len(items) > 1 else "serial"
-    return [fn(item) for item in items], mode
 
 
 class _CellFailure(Exception):

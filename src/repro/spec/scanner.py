@@ -257,18 +257,19 @@ def _scan_gadget_memo(config: ScanConfig, gadget: Gadget,
     return row, record.instret
 
 
-def execute_scan_cell(spec, memo: bool = False) -> dict:
+def execute_scan_cell(spec, reference: bool = False) -> dict:
     """Payload for one scan cell: the whole corpus on one config.
 
     ``spec.platform`` carries the scan-config name (scan cells are not
     tied to a ``PlatformClass``); the payload shape is deterministic and
     participates in the runner's integrity/caching machinery unchanged.
-    ``memo`` is strategy, not measurement: the payload — rows *and*
+    ``reference`` runs the reference explorer instead of the memoized
+    one; it is strategy, not measurement: the payload — rows *and*
     ``cell_instret`` — is byte-identical either way, so memoized and
     reference cells share cache entries.
     """
     config = scan_config_for(spec.platform)
-    memo_cache = _scan_memo() if memo else None
+    memo_cache = None if reference else _scan_memo()
     rows = []
     instret = 0
     for gadget in GADGETS:

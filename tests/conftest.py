@@ -20,18 +20,24 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         "--run-chaos", action="store_true", default=False,
         help="run the chaos-harness fault-injection suite "
              "(crashes/hangs/corrupts runner workers; wall-clock heavy)")
+    parser.addoption(
+        "--run-diff", action="store_true", default=False,
+        help="run the slow fast-vs-reference checks (make diff)")
 
 
 def pytest_collection_modifyitems(config: pytest.Config,
                                   items: list[pytest.Item]) -> None:
-    """``chaos``-marked tests are opt-in, like the ``bench`` marker:
-    they wait out real per-cell timeouts, so tier 1 skips them."""
-    if config.getoption("--run-chaos"):
-        return
-    skip = pytest.mark.skip(reason="chaos-harness test; pass --run-chaos")
-    for item in items:
-        if "chaos" in item.keywords:
-            item.add_marker(skip)
+    """``chaos``- and ``diff``-marked tests are opt-in, like the
+    ``bench`` marker: chaos tests wait out real per-cell timeouts and
+    diff tests run slow scalar oracles, so tier 1 skips them."""
+    for marker, reason in (("chaos", "chaos-harness test"),
+                           ("diff", "slow differential check")):
+        if config.getoption(f"--run-{marker}"):
+            continue
+        skip = pytest.mark.skip(reason=f"{reason}; pass --run-{marker}")
+        for item in items:
+            if item.get_closest_marker(marker) is not None:
+                item.add_marker(skip)
 
 
 #: FIPS-197 appendix key/plaintext/ciphertext (used all over the suite).

@@ -39,6 +39,7 @@ from repro.attacks.cache_sca import (
 from repro.attacks.suites import MatrixKnobs, microarch_suite, physical_suite
 from repro.attacks.timing import KocherTimingAttack
 from repro.cache.policies import FIFOPolicy
+from repro.core.comparison import cache_defence_table
 from repro.core.figure1 import generate_figure1
 from repro.core.platforms import STANDARD_PLATFORMS
 from repro.crypto.rng import XorShiftRNG
@@ -423,3 +424,22 @@ def test_quick_figure1_identical_on_both_runner_lanes():
         assert len(seen.by_cell) == 15
         lanes[reference] = (seen.by_cell, figure.render())
     assert lanes[False] == lanes[True]
+
+
+@pytest.mark.diff
+def test_tab_s41_with_evict_time_identical_on_both_runner_lanes():
+    """TAB-S41 with its Evict+Time column: the default runner (batched
+    attacks where the kernels model the host) and
+    ``ExperimentRunner(reference=True)`` produce the same five payload
+    fingerprints.  Scalar Evict+Time takes about half a minute, so this
+    runs under ``make diff`` only."""
+    lanes = {}
+    for reference in (False, True):
+        seen = _Fingerprints()
+        runner = ExperimentRunner(observer=seen, reference=reference)
+        rows = cache_defence_table(include_evict_time=True, runner=runner)
+        assert len(seen.by_cell) == 5
+        lanes[reference] = (seen.by_cell, rows)
+    assert lanes[False] == lanes[True]
+    assert [row.evict_time for row in lanes[True][1]] \
+        == [1.0, 1.0, 0.0, 1.0, 0.0]

@@ -220,6 +220,14 @@ class TestModExp:
         assert len(a.op_times) == len(b.op_times)
         assert a.time == b.time
 
+    def test_ladder_time_independent_of_exponent_length(self):
+        mod = 1_000_003
+        runs = [modexp_ladder(3, exp, mod) for exp in (1, 0b1011, 2**19)]
+        assert len({run.time for run in runs}) == 1
+        assert len(runs[0].op_times) == mod.bit_length()
+        assert [run.value for run in runs] \
+            == [pow(3, exp, mod) for exp in (1, 0b1011, 2**19)]
+
     def test_mult_time_is_deterministic_and_data_dependent(self):
         mod = 1_000_003
         assert mult_time(2, 3, mod) == mult_time(2, 3, mod)

@@ -1,7 +1,8 @@
 """The import floor: each command loads only the layers it runs.
 
 A warm ``figure1`` render reads 15 cached cells and aggregates them; it
-must not pay for attack kernels or numpy.  These checks run each command
+must not pay for attack kernels or numpy, and only ``cache`` (TAB-S41)
+among the table commands runs cache attacks.  These checks run each command
 in a fresh interpreter and assert on its ``sys.modules`` afterwards, pin
 which modules may import numpy at module level, and pin the lazy package
 namespaces to the public names they always had.  The invariants at the
@@ -82,6 +83,25 @@ class TestCommandModuleSets:
                        "repro.attacks.cache_sca", "repro.power"):
             assert module not in loaded, module
 
+    def test_cold_figure1_loads_only_kernel_architectures(self, tmp_path):
+        """``repro.arch`` is lazy: a cold render loads the three
+        architectures the batched kernels model, not all eight."""
+        cold = _probe(tmp_path, "figure1")
+        assert "cache: 0 hits / 15 misses" in cold["stdout"]
+        assert {m for m in cold["modules"] if m.startswith("repro.arch.")} \
+            == {"repro.arch.base", "repro.arch.null", "repro.arch.sanctuary",
+                "repro.arch.sgx", "repro.arch.trustzone"}
+
+    @pytest.mark.parametrize("command",
+                             ["architectures", "transient", "advisor"])
+    def test_table_commands_load_no_numpy(self, tmp_path, command):
+        """Only TAB-S41 runs cache attacks; the other tables and the
+        advisor load neither their kernels nor numpy."""
+        result = _probe(tmp_path, command)
+        assert result["code"] == 0
+        assert "numpy" not in result["modules"]
+        assert "repro.attacks.cache_sca" not in result["modules"]
+
     def test_full_scan_loads_no_numpy(self, tmp_path):
         scan = _probe(tmp_path, "scan", "--full", "--no-cache")
         assert scan["code"] == 0
@@ -107,6 +127,37 @@ class TestCommandModuleSets:
         assert "numpy" not in loaded
         assert not {m for m in loaded
                     if m.startswith(("repro.attacks.", "repro.core."))}
+
+
+def test_arch_package_is_lazy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, repro.arch.null\n"
+         "print(json.dumps(sorted(sys.modules)))"],
+        env=_env(tmp_path), capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert {m for m in loaded if m.startswith("repro.arch")} \
+        == {"repro.arch", "repro.arch.base", "repro.arch.null"}
+
+
+def test_arch_public_names_unchanged():
+    import repro.arch as arch
+    names = ["AESVictim", "ALL_ARCHITECTURES", "ArchFeatures",
+             "EnclaveContext", "EnclaveHandle", "SGX", "SMART", "Sanctuary",
+             "Sanctum", "Sancus", "SecurityArchitecture", "TrustLite",
+             "TrustZone", "TyTAN"]
+    assert arch.__all__ == names
+    assert set(names) <= set(dir(arch))
+    namespace: dict = {}
+    exec("from repro.arch import *", namespace)
+    assert set(names) <= set(namespace)
+    assert [cls.NAME for cls in arch.ALL_ARCHITECTURES] == [
+        "sgx", "sanctum", "trustzone", "sanctuary", "smart", "sancus",
+        "trustlite", "tytan"]
+    from repro.arch.sgx import SGX
+    assert arch.SGX is SGX
+    with pytest.raises(AttributeError):
+        getattr(arch, "no_such_name")
 
 
 def _module_level_imports(tree: ast.Module):

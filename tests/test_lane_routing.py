@@ -7,8 +7,9 @@ explorer (:func:`repro.spec.scanner._scan_gadget_memo`, once per corpus
 gadget).  A default run must reach all three.  ``reference=True`` must
 reach none of them, on every path a cell can take: the serial runner,
 the pool entry point :func:`~repro.runner.engine.execute_task`, and the
-chaos wrapper.  TAB-S41 and the evaluation service run the fast lanes
-too; the service has no lane switch at all.
+chaos wrapper.  TAB-S41 rows are runner cells on the same switch, and
+the evaluation service runs the fast lanes too; the service has no lane
+switch at all.
 """
 
 from __future__ import annotations
@@ -149,12 +150,14 @@ def test_default_run_scan_is_memoized(lanes):
 
 
 def test_tab_s41_batches_every_modelled_host(monkeypatch):
-    """TAB-S41 rows are identical whether or not the kernels may run.
-    Prime+Probe batches on every host but Sanctum; Flush+Reload batches
-    only on the baseline host, since every TEE refuses its first probe.
-    Every attacker prime and probe of the four batched Prime+Probe rows
-    takes the closed-form set sweep (the ``prime+probe:byte`` span's
-    ``sweeps_closed``/``sweeps_walked``), none the per-access walk."""
+    """TAB-S41 rows are identical on the default lane and on
+    ``ExperimentRunner(reference=True)``, which never reaches the
+    kernels.  Prime+Probe batches on every host but Sanctum;
+    Flush+Reload batches only on the baseline host, since every TEE
+    refuses its first probe.  Every attacker prime and probe of the four
+    batched Prime+Probe rows takes the closed-form set sweep (the
+    ``prime+probe:byte`` span's ``sweeps_closed``/``sweeps_walked``),
+    none the per-access walk."""
     real_try = batch.try_run_batched
     accepted: dict[str, list[bool]] = {}
 
@@ -168,8 +171,10 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
     tracer = obs.Tracer(scope="tab-s41", seed=0x41)
     with obs.activate(tracer):
         rows = cache_defence_table()
-    monkeypatch.setattr(batch, "try_run_batched", lambda attack: None)
-    scalar_rows = cache_defence_table()
+    calls = sum(map(len, accepted.values()))
+    scalar_rows = cache_defence_table(
+        runner=ExperimentRunner(reference=True))
+    assert sum(map(len, accepted.values())) == calls
 
     assert [dataclasses.asdict(r) for r in rows] \
         == [dataclasses.asdict(r) for r in scalar_rows]

@@ -10,6 +10,7 @@ smoke test runs the matrix in fresh subprocesses under *different*
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -38,7 +39,6 @@ from repro.runner import (
     derive_cell_seed,
     derive_seed,
     execute_spec,
-    parallel_map,
     payload_fingerprint,
     payload_intact,
 )
@@ -131,13 +131,6 @@ def _assert_same_cells(matrix: EvaluationMatrix,
         assert workload.cycles == other.workloads[platform].cycles
 
 
-def _fail_and_mark(path: str):
-    """Module-level (picklable) worker: record the call, then fail."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write("x")
-    raise OSError("experiment failed inside worker")
-
-
 def _cheap_specs(count: int = 2) -> list[CellSpec]:
     """The cheapest real cells (sub-millisecond attack suites)."""
     knobs = MatrixKnobs.quick().as_key()
@@ -159,35 +152,6 @@ class TestParallelExecution:
         assert runner.stats.mode == "process-pool"
         assert runner.stats.cells_executed == 15
         assert 0.0 < runner.stats.worker_utilisation <= 1.0
-
-    def test_infrastructure_failure_falls_back_to_serial(self, monkeypatch):
-        class _NoPool:
-            def __init__(self, *a, **k):
-                raise OSError("fork denied")
-
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _NoPool)
-        results, mode = parallel_map(abs, [-1, -2, -3], jobs=4)
-        assert results == [1, 2, 3]
-        assert mode == "serial-fallback"
-
-    def test_task_errors_propagate(self):
-        def boom(_):
-            raise ValueError("experiment failed")
-
-        with pytest.raises(ValueError):
-            parallel_map(boom, [1, 2], jobs=1)
-
-    def test_worker_cell_exception_propagates_without_serial_rerun(
-            self, tmp_path):
-        """An ``OSError`` raised *by the cell* inside a worker must not
-        be conflated with pool-infrastructure failure: it propagates,
-        and the cells are not silently re-executed serially (each marker
-        file records exactly one execution)."""
-        markers = [str(tmp_path / "a"), str(tmp_path / "b")]
-        with pytest.raises(OSError, match="inside worker"):
-            parallel_map(_fail_and_mark, markers, jobs=2)
-        for marker in markers:
-            assert Path(marker).read_text(encoding="utf-8") == "x"
 
 
 class TestSupervisedRunner:
@@ -233,6 +197,34 @@ class TestSupervisedRunner:
         for outcome in runner.stats.outcomes.values():
             assert outcome.status == "failed"
             assert "worker-crash" in outcome.error
+
+    def test_cell_oserror_in_worker_is_not_pool_failure(
+            self, monkeypatch, tmp_path):
+        """An ``OSError`` raised *by a cell* inside a worker is that
+        cell's failure, not pool infrastructure failure: no pool
+        rebuild, no serial rerun (each marker records one execution)."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers must inherit the patched execute_spec")
+
+        def fail_and_mark(spec):
+            with open(tmp_path / spec.platform, "a",
+                      encoding="utf-8") as handle:
+                handle.write("x")
+            raise OSError("experiment failed inside worker")
+
+        monkeypatch.setattr(engine_module, "execute_spec", fail_and_mark)
+        runner = ExperimentRunner(jobs=2, retry=NO_RETRY)
+        specs = _cheap_specs(2)
+        assert runner.run(specs) == {}
+        assert runner.stats.mode == "process-pool"
+        assert runner.stats.pool_rebuilds == 0
+        for spec in specs:
+            outcome = runner.stats.outcomes[(spec.platform, spec.category)]
+            assert outcome.status == "failed"
+            assert "OSError: experiment failed inside worker" \
+                in outcome.error
+            assert (tmp_path / spec.platform).read_text(
+                encoding="utf-8") == "x"
 
     def test_corrupt_payload_detected_not_trusted(self):
         spec = _cheap_specs(1)[0]
