@@ -13,15 +13,16 @@ Usage::
     python -m repro advisor            # Section-6 recommendations demo
     python -m repro all                # everything above
 
-Every artefact command runs the fast execution lanes: attack cells and
-TAB-S41 rows go through the batched attack kernels
-(:mod:`repro.attacks.batch`), workload cells through the vectorized
-kernel sweep (:mod:`repro.cpu.ensemble`) and scan cells through the
-memoized explorer (:mod:`repro.spec.memo`).  All are bit-identical to the
-retained oracles, which library callers select with
-``ExperimentRunner(reference=True)`` (``repro scan --no-memo`` on the
-command line); configurations the kernels do not model fall back to
-the scalar path on their own.
+Every artefact command runs its cells through one executor
+(:func:`repro.runner.engine.execute_spec`) on the fast execution lanes:
+attack cells and TAB-S41 rows go through the batched attack kernels
+(:mod:`repro.attacks.batch`) and power capture, workload cells through
+the vectorized kernel sweep (:mod:`repro.cpu.ensemble`) and scan cells
+through the memoized explorer (:mod:`repro.spec.memo`).  All are
+bit-identical to the retained oracles, which library callers select
+with ``ExperimentRunner(reference=True)`` (``repro scan --no-memo`` on
+the command line); configurations the kernels do not model fall back
+to the scalar path on their own.
 
 Evaluation as a service (the crash-safe multi-host job layer,
 :mod:`repro.service`)::
@@ -41,10 +42,11 @@ campaign a RunManifest describes — cells the shared cache already
 holds are skipped, not recomputed.
 
 Observability (``--trace``, ``--metrics``, ``--manifest``) makes a
-figure1 or cache run emit machine-readable evidence: a Chrome
-``trace_event`` file of every runner/cell/attack phase, a Prometheus (or
-JSON) metrics snapshot, and a diffable per-run manifest.  All three
-default to off, which keeps execution on the unobserved fast path.
+figure1, cache or scan run emit machine-readable evidence: a Chrome
+``trace_event`` file of every runner/cell/attack phase (lane-decline
+events included), a Prometheus (or JSON) metrics snapshot, and a
+diffable per-run manifest.  All three default to off, which keeps
+execution on the unobserved fast path.
 
 Cell results are memoised on disk (``~/.cache/repro/cells`` or
 ``$REPRO_CACHE_DIR``) keyed by (package version, knobs, seed, platform,
@@ -160,12 +162,15 @@ def _transient(args) -> None:
 
 def _scan(args) -> int:
     from repro.spec import run_scan
-    runner = _make_runner(args, reference=args.no_memo)
+    from repro.spec.scanner import DEFAULT_SCAN_SEED
+    observer = _make_observer(args, run_seed=DEFAULT_SCAN_SEED)
+    runner = _make_runner(args, observer=observer, reference=args.no_memo)
     report = run_scan(quick=not args.full, runner=runner)
     print(report.render())
     print(f"\n{runner.stats.summary()}")
     if args.profile:
         print(f"\n{runner.stats.profile()}")
+    _write_artifacts(args, observer)
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -370,16 +375,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="write a Chrome trace_event JSON of the run "
                              "(open in chrome://tracing or Perfetto) plus "
                              "a sibling .jsonl of the raw records "
-                             "(figure1 and cache runs)")
+                             "(figure1, cache and scan runs)")
     parser.add_argument("--metrics", metavar="PATH", default=None,
                         help="write run metrics: Prometheus text "
                              "exposition, or JSON when PATH ends in "
-                             ".json (figure1 and cache runs)")
+                             ".json (figure1, cache and scan runs)")
     parser.add_argument("--manifest", metavar="PATH", default=None,
                         help="write the diffable RunManifest JSON "
                              "(version, knobs, seeds, outcomes, payload "
                              "fingerprints, metric snapshot) "
-                             "(figure1 and cache runs)")
+                             "(figure1, cache and scan runs)")
     parser.add_argument("--queue", metavar="DIR", default=None,
                         help="service queue directory (default: "
                              "$REPRO_QUEUE_DIR or ~/.cache/repro/queue)")

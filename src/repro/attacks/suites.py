@@ -6,6 +6,14 @@ by reference — a suite is a pure function of ``(arch, rng, knobs)`` with
 no instance state behind it.  Each cell passes its *own* independently
 seeded RNG (see :mod:`repro.runner.seeding`), so no suite can perturb
 another's stream.
+
+Every suite takes the runner's one lane switch, ``reference`` (default
+``False``): the fast lane routes Flush+Reload, Kocher timing and the
+power capture through their batched kernels, the reference lane runs
+the scalar oracles.  It is an execution strategy, not a measurement
+input: results, RNG streams and SoC end state are bit-identical on
+either lane, and configurations the kernels do not model fall back to
+the scalar path on their own.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from repro.attacks.software import (
 )
 from repro.attacks.spectre import SpectreV1Attack
 from repro.attacks.timing import KocherTimingAttack
-from repro.common import accepts_keyword
 from repro.crypto.aes import AES128
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
@@ -48,18 +55,19 @@ __all__ = [
     "microarch_suite",
     "physical_suite",
     "remote_suite",
-    "run_suite",
 ]
 
 
 def remote_suite(arch: NullArchitecture, rng: XorShiftRNG,
-                 knobs: MatrixKnobs) -> list[AttackResult]:
+                 knobs: MatrixKnobs,
+                 reference: bool = False) -> list[AttackResult]:
     with obs.span("attack:code-injection", cat="attack"):
         return [CodeInjectionAttack(arch).run()]
 
 
 def local_suite(arch: NullArchitecture, rng: XorShiftRNG,
-                knobs: MatrixKnobs) -> list[AttackResult]:
+                knobs: MatrixKnobs,
+                reference: bool = False) -> list[AttackResult]:
     dram = arch.soc.regions.get("dram")
     secret_paddr = dram.base + dram.size // 2 - 0x8000
     secret = rng.bytes(8)
@@ -74,13 +82,9 @@ def local_suite(arch: NullArchitecture, rng: XorShiftRNG,
 
 def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
                     knobs: MatrixKnobs,
-                    batch: bool = True) -> list[AttackResult]:
-    """``batch`` (the default) routes the Flush+Reload cell through the
-    batched attack kernels (:mod:`repro.attacks.batch`) — an execution
-    strategy, not a measurement input: results, RNG streams and SoC end
-    state are bit-identical to the scalar path, with automatic scalar
-    fallback for configurations the kernels don't cover.
-    ``batch=False`` runs the scalar oracle."""
+                    reference: bool = False) -> list[AttackResult]:
+    """The fast lane runs Flush+Reload on the batched attack kernels
+    (:mod:`repro.attacks.batch`)."""
     soc = arch.soc
     secret = bytes(0x41 + rng.next_below(26)
                    for _ in range(knobs.secret_len))
@@ -98,23 +102,24 @@ def microarch_suite(arch: NullArchitecture, rng: XorShiftRNG,
     with obs.span("attack:flush-reload", cat="attack",
                   samples=knobs.fr_samples, values=knobs.fr_values):
         results.append(FlushReloadAttack(service, attacker, rng,
-                                         config, batch=batch).run())
+                                         config, batch=not reference).run())
     return results
 
 
 def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
                    knobs: MatrixKnobs,
-                   batch: bool = True) -> list[AttackResult]:
-    """``batch`` picks the Kocher timing lane, as in
-    :func:`microarch_suite`."""
-    # Power: CPA on an unprotected AES running on the device.  Acquisition
-    # is batched (bit-identical to the scalar reference; repro.power.diff
-    # proves it), so the cell's payload digest is unchanged.
+                   reference: bool = False) -> list[AttackResult]:
+    """The fast lane captures the power traces and runs Kocher timing
+    on their batched kernels."""
+    # Power: CPA on an unprotected AES running on the device.  Batched
+    # acquisition is bit-identical to the scalar instrument
+    # (repro.power.diff proves it), so the payload digest is the same on
+    # either lane.
     aes_key = rng.bytes(16)
     traces = capture_aes_traces(
         lambda leak: AES128(aes_key, leak_hook=leak), knobs.traces,
         HammingWeightModel(noise_std=1.0, rng=XorShiftRNG(rng.next_u64())),
-        rng=XorShiftRNG(rng.next_u64()), batch=True)
+        rng=XorShiftRNG(rng.next_u64()), batch=not reference)
     with obs.span("attack:cpa-power", cat="attack", traces=knobs.traces):
         rate = key_recovery_rate(cpa_recover_key(traces), aes_key)
     cpa_result = AttackResult(
@@ -134,7 +139,8 @@ def physical_suite(arch: NullArchitecture, rng: XorShiftRNG,
         timing = KocherTimingAttack(
             RSA(rsa_key), samples=knobs.timing_samples,
             max_bits=knobs.timing_bits,
-            rng=XorShiftRNG(rng.next_u64()), batch=batch).run()
+            rng=XorShiftRNG(rng.next_u64()),
+            batch=not reference).run()
     return [cpa_result, bellcore, timing]
 
 
@@ -146,16 +152,4 @@ SUITES = {
     AttackCategory.MICROARCHITECTURAL: microarch_suite,
     AttackCategory.PHYSICAL: physical_suite,
 }
-
-
-def run_suite(suite, arch: NullArchitecture, rng: XorShiftRNG,
-              knobs: MatrixKnobs,
-              reference: bool = False) -> list[AttackResult]:
-    """Run one suite on the fast lane, or on its scalar oracle lane when
-    ``reference`` is set.  The ``batch=False`` keyword is passed only
-    for the reference lane, so suites without the knob (and three-arg
-    stand-ins) keep the plain ``suite(arch, rng, knobs)`` call shape."""
-    if reference and accepts_keyword(suite, "batch"):
-        return suite(arch, rng, knobs, batch=False)
-    return suite(arch, rng, knobs)
 

@@ -165,14 +165,16 @@ _CACHE_DEFENCES = {
 }
 
 
-def execute_cache_defence_cell(spec: CellSpec,
-                               reference: bool = False) -> dict:
-    """Payload for one TAB-S41 row: ``spec.platform`` names the host
-    architecture, ``spec.seed`` is the table seed.  Each attack draws
-    from its own digest-derived stream, so rows are independent of each
-    other and of attack ordering within the row.  The attacks run their
-    batched lane unless ``reference`` is set.  The kernels model the
-    baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's
+def execute_cache_defence_cell(spec: CellSpec, reference: bool = False
+                               ) -> tuple[dict, tuple]:
+    """Payload for one TAB-S41 row, and the row's SoC: ``spec.platform``
+    names the host architecture, ``spec.seed`` is the table seed.  Each
+    attack draws from its own digest-derived stream, so rows are
+    independent of each other and of attack ordering within the row.
+    The payload carries no ``cell_instret``: the field is fingerprinted,
+    so adding it would change every row's fingerprint.  The attacks run
+    their batched lane unless ``reference`` is set.  The kernels model
+    the baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's
     DMA filter fails their side-effect-free gates, so its row runs the
     scalar loops, as does Flush+Reload on every TEE host, whose first
     probe the host refuses.
@@ -210,7 +212,7 @@ def execute_cache_defence_cell(spec: CellSpec,
         flush_reload=score(FlushReloadAttack, "flush+reload"),
         evict_time=(score(EvictTimeAttack, "evict+time")
                     if knobs["evict_time"] else None))
-    return {"kind": CACHE_DEFENCE_CATEGORY, "row": asdict(row)}
+    return {"kind": CACHE_DEFENCE_CATEGORY, "row": asdict(row)}, (arch.soc,)
 
 
 def cache_defence_table(quick: bool = True, include_evict_time: bool = False,

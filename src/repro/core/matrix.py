@@ -26,10 +26,8 @@ from repro.core.platforms import (
     PlatformProfile,
     STANDARD_PLATFORMS,
     WorkloadResult,
-    reference_workload,
 )
 from repro.core.taxonomy import Importance, importance_from_score
-from repro.cpu.soc import soc_factory_for
 from repro.runner import (
     WORKLOAD_CATEGORY,
     CellSpec,
@@ -78,8 +76,7 @@ class EvaluationMatrix:
     ``jobs``/``cache`` to parallelise or memoise.  After
     :meth:`evaluate`, the runner's ``stats`` describe the run.  The
     runner also picks the execution lane: ``ExperimentRunner(
-    reference=True)`` runs every cell, the in-process ones included, on
-    the retained scalar oracles.
+    reference=True)`` runs every cell on the retained scalar oracles.
     """
 
     def __init__(self, platforms: tuple[PlatformProfile, ...]
@@ -109,14 +106,6 @@ class EvaluationMatrix:
         return CellSpec(seed=self.seed, platform=profile.platform.value,
                         category=category, knobs=self.knobs.as_key())
 
-    def _runnable_in_worker(self, profile: PlatformProfile) -> bool:
-        """Workers rebuild SoCs from the registry; a profile with a
-        custom factory must run in-process instead."""
-        try:
-            return soc_factory_for(profile.platform) is profile.make_soc
-        except KeyError:
-            return False
-
     # -- the grid --------------------------------------------------------------
 
     def evaluate(self, force: bool = False
@@ -126,17 +115,14 @@ class EvaluationMatrix:
             return self.cells
 
         runner = self.runner or ExperimentRunner()
-        remote = [p for p in self.platforms if self._runnable_in_worker(p)]
-        local = [p for p in self.platforms if p not in remote]
-
         specs: list[CellSpec] = []
-        for profile in remote:
+        for profile in self.platforms:
             specs.extend(self._spec(profile, category.value)
                          for category in FIGURE1_CATEGORIES)
             specs.append(self._spec(profile, WORKLOAD_CATEGORY))
-        payloads = runner.run(specs) if specs else {}
+        payloads = runner.run(specs)
 
-        for profile in remote:
+        for profile in self.platforms:
             for category in FIGURE1_CATEGORIES:
                 payload = payloads.get(self._spec(profile, category.value))
                 if payload is None:
@@ -155,32 +141,7 @@ class EvaluationMatrix:
             if workload is not None:
                 self.workloads[profile.platform] = \
                     workload_from_dict(workload["workload"])
-
-        for profile in local:
-            self._evaluate_locally(profile, runner.reference)
         return self.cells
-
-    def _evaluate_locally(self, profile: PlatformProfile,
-                          reference: bool) -> None:
-        """In-process path for profiles with unregistered SoC factories
-        (same seed derivation and lane, no cache/fan-out).
-
-        The suites are imported here, not at module level: a matrix
-        whose cells all come from the runner (a warm render above all)
-        never loads attack code."""
-        from repro.arch.null import NullArchitecture
-        from repro.attacks.suites import SUITES, run_suite
-        from repro.crypto.rng import XorShiftRNG
-        for category, suite in SUITES.items():
-            arch = NullArchitecture(profile.make_soc(), profile.platform)
-            rng = XorShiftRNG(self.cell_seed(profile.platform, category))
-            results = run_suite(suite, arch, rng, self.knobs,
-                                reference=reference)
-            self.cells[(profile.platform, category)] = CellResult(
-                profile.platform, category, results,
-                self._prior(profile, category))
-        self.workloads[profile.platform] = \
-            reference_workload(profile.make_soc())
 
     # -- requirement rows ----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Platform profiles: the three Figure 1 columns.
 
-A profile combines (a) a SoC factory producing the platform's
-microarchitecture, (b) *exposure priors* — how plausible each adversary's
-physical preconditions are on that platform class, and (c) a measured
-performance/energy characterisation from a reference workload.
+A profile names (a) a platform class, whose microarchitecture the
+:func:`repro.cpu.soc.soc_factory_for` registry builds, (b) *exposure
+priors* — how plausible each adversary's physical preconditions are on
+that platform class, and (c) a measured performance/energy
+characterisation from a reference workload.
 
 The exposure priors are the only non-measured model inputs in Figure 1's
 regeneration, and they encode exactly the paper's stated reasoning:
@@ -18,25 +19,21 @@ single-purpose embedded nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 from repro.common import PlatformClass
-from repro.cpu.soc import (
-    SoC,
-    make_embedded_soc,
-    make_mobile_soc,
-    make_server_soc,
-)
 from repro.crypto.aes import TTableAES
+
+if TYPE_CHECKING:
+    from repro.cpu.soc import SoC
 
 
 @dataclass(frozen=True)
 class PlatformProfile:
-    """One platform class with its priors and SoC factory."""
+    """One platform class with its priors."""
 
     platform: PlatformClass
     description: str
-    make_soc: Callable[[], SoC]
     #: Probability that a physical adversary can reach the device.
     physical_access_prior: float
     #: Probability that attacker software co-resides with victims.
@@ -53,19 +50,16 @@ STANDARD_PLATFORMS: tuple[PlatformProfile, ...] = (
     PlatformProfile(
         platform=PlatformClass.SERVER_DESKTOP,
         description="stationary high-performance (SGX/Sanctum hosts)",
-        make_soc=make_server_soc,
         physical_access_prior=0.1,  # locked data centres / homes
         co_residency_prior=1.0),    # multi-tenancy is the business model
     PlatformProfile(
         platform=PlatformClass.MOBILE,
         description="mobile high-performance (TrustZone/Sanctuary hosts)",
-        make_soc=make_mobile_soc,
         physical_access_prior=0.6,  # devices are lost, stolen, borrowed
         co_residency_prior=0.7),    # third-party apps, but sandboxed
     PlatformProfile(
         platform=PlatformClass.EMBEDDED,
         description="low-energy embedded/IoT (SMART/TrustLite hosts)",
-        make_soc=make_embedded_soc,
         physical_access_prior=0.95,  # deployed in the field
         co_residency_prior=0.2),     # mostly single-purpose firmware
 )

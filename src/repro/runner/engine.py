@@ -3,12 +3,14 @@
 A :class:`CellSpec` names one unit of measurement — a ``(platform,
 category)`` attack cell, a platform's reference workload, a scan config
 or a TAB-S41 row — by plain picklable values only.  :func:`execute_spec`
-turns a spec into a payload dict and is a *pure function* of the spec:
-the SoC is rebuilt from the spec's platform or architecture and the RNG
-is derived from the spec's coordinates, so any process computes the same
-payload.  Every artefact that fans cells out (Figure 1, the scan,
-TAB-S41, the service) runs them through this one executor.  That purity is
-what makes both layers above it sound:
+looks the spec's category up in one table of entry points
+(:data:`_TABLE_CELLS`), turns the spec into a payload dict, and is a
+*pure function* of the spec: the SoC is rebuilt from the spec's platform
+or architecture and the RNG is derived from the spec's coordinates, so
+any process computes the same payload.  Every artefact that fans cells
+out (Figure 1, the scan, TAB-S41, the service) runs them through this
+one executor, with one telemetry wrapper.  That purity is what makes
+both layers above it sound:
 
 * :class:`ExperimentRunner` fans pending specs out over a supervised
   ``ProcessPoolExecutor`` — per-cell timeouts, hung-worker replacement,
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from pickle import PicklingError
 from typing import Iterable, Sequence
 
+import repro.obs as obs
 from repro.errors import (
     CellExecutionError,
     CellTimeoutError,
@@ -67,18 +70,18 @@ SCAN_CATEGORY = "spec-scan"
 #: ``platform`` carries the host architecture's ``NAME``.
 CACHE_DEFENCE_CATEGORY = "cache-defence"
 
-#: Cells that are not Figure 1 cells: category -> (module, entry point).
-#: Each entry point maps ``(spec, reference)`` to a payload dict.
+#: The one cell dispatch: category -> (module, entry point).  Each entry
+#: point maps ``(spec, reference)`` to ``(payload, socs)`` (see
+#: :func:`execute_spec`); modules are imported only to execute a cell.
 _TABLE_CELLS = {
+    WORKLOAD_CATEGORY: ("repro.core.cells", "execute_workload_cell"),
+    **dict.fromkeys(("remote", "local", "microarchitectural",
+                     "classical-physical"),
+                    ("repro.core.cells", "execute_attack_cell")),
     SCAN_CATEGORY: ("repro.spec.scanner", "execute_scan_cell"),
     CACHE_DEFENCE_CATEGORY: ("repro.core.comparison",
                              "execute_cache_defence_cell"),
 }
-
-#: What :func:`execute_spec` imports to compute a Figure 1 cell (see
-#: :func:`_import_cell_modules`).
-_MATRIX_CELL_MODULES = ("repro.attacks.suites", "repro.core.platforms",
-                        "repro.core.sweep", "repro.runner.serialize")
 
 #: Default per-cell wall-clock budget before a worker counts as hung.
 DEFAULT_TIMEOUT_S = 120.0
@@ -163,98 +166,53 @@ def execute_spec(spec: CellSpec, collect: bool = False,
                  reference: bool = False) -> dict:
     """Compute one cell; importable by reference from worker processes.
 
-    ``collect`` turns on in-cell telemetry: a per-cell
-    :class:`~repro.obs.tracer.Tracer` (IDs derived from the cell seed)
-    is activated around the suite so attack-phase spans are recorded, a
-    :class:`~repro.obs.metrics.MetricsRegistry` is attached to every
-    core (``Core.run`` flushes instructions/cycles/energy into it) and
-    fed the cache-hierarchy hit rates, and both land in the payload
-    under volatile keys — the payload fingerprint is unchanged, so
+    The spec's category names its entry point in :data:`_TABLE_CELLS`:
+    Figure 1's attack and workload cells (:mod:`repro.core.cells`), scan
+    cells (:func:`repro.spec.scanner.execute_scan_cell`) and TAB-S41
+    rows (:func:`repro.core.comparison.execute_cache_defence_cell`).
+    Each entry point rebuilds what it simulates from the spec, seeds
+    itself from the spec's coordinates and returns ``(payload, socs)``;
+    this wrapper stamps the wall time and the integrity digest.
+
+    ``collect`` turns on in-cell telemetry, the same for every kind: a
+    per-cell :class:`~repro.obs.tracer.Tracer` (IDs derived from the
+    cell seed) is activated around the entry point, so attack-phase
+    spans and lane-decline events are recorded, and the cores and cache
+    hierarchies of the returned SoCs are metered into a
+    :class:`~repro.obs.metrics.MetricsRegistry`.  Both land in the
+    payload under volatile keys, so the fingerprint is unchanged and
     observed and unobserved runs share cache entries.
 
     ``reference`` selects the retained oracle lane instead of the fast
-    one, per cell kind: the workload cell's kernel calibration sweep
-    runs the scalar per-core loop instead of the struct-of-arrays
-    :class:`~repro.cpu.ensemble.CoreEnsemble`, attack suites run the
-    scalar attacks instead of the batched kernels of
-    :mod:`repro.attacks.batch` (TAB-S41 rows too), and scan cells run
+    one: the workload cell's kernel calibration sweep runs the scalar
+    per-core loop instead of the struct-of-arrays
+    :class:`~repro.cpu.ensemble.CoreEnsemble`, attack suites and TAB-S41
+    rows run the scalar attacks and power capture instead of the
+    batched kernels of :mod:`repro.attacks.batch`, and scan cells run
     the reference explorer instead of the memoized engine
     (:mod:`repro.spec.memo`).
     Like ``collect`` it is an *execution strategy*, not a measurement
     input: payloads and their fingerprints are bit-identical on either
     lane (``make diff`` proves it), so both lanes share cache entries
     and manifests.
-
-    Imports are deferred so that importing :mod:`repro.runner` stays
-    cheap and free of circular imports with :mod:`repro.core`.
     """
-    table_cell = _TABLE_CELLS.get(spec.category)
-    if table_cell is not None:
-        # Scan and TAB-S41 cells: spec.platform names a scan config or
-        # an architecture, not a PlatformClass, so they branch off before
-        # platform resolution; each entry point seeds itself from the
-        # spec.
-        module, name = table_cell
-        entry = getattr(importlib.import_module(module), name)
-        start = time.perf_counter()
-        payload = entry(spec, reference)
-        payload["cell_wall_time_s"] = time.perf_counter() - start
-        payload[INTEGRITY_KEY] = payload_fingerprint(payload)
-        return payload
-
-    import repro.obs as obs
-    from repro.attacks.knobs import MatrixKnobs
-    from repro.common import PlatformClass
-    from repro.core.platforms import reference_workload
-    from repro.core.sweep import run_kernel_sweep
-    from repro.cpu.soc import soc_factory_for
-    from repro.crypto.rng import XorShiftRNG
-    from repro.runner.serialize import attack_result_to_dict, workload_to_dict
-
+    module, name = _TABLE_CELLS[spec.category]
+    entry = getattr(importlib.import_module(module), name)
     coords = f"{spec.platform}/{spec.category}"
     tracer = obs.Tracer(scope=coords, seed=derive_cell_seed(
         spec.seed, spec.platform, spec.category)) if collect else None
-    registry = obs.MetricsRegistry() if collect else None
-
     start = time.perf_counter()
-    platform = PlatformClass(spec.platform)
-    soc = soc_factory_for(platform)()
-    if registry is not None:
-        for core in soc.cores:
-            core.metrics = registry
     with obs.activate(tracer) if collect else nullcontext():
         with obs.span(f"cell:{coords}", cat="cell", seed=spec.seed):
-            if spec.category == WORKLOAD_CATEGORY:
-                knobs = MatrixKnobs.from_key(spec.knobs)
-                sweep = run_kernel_sweep(
-                    platform, derive_cell_seed(spec.seed, spec.platform,
-                                               spec.category),
-                    knobs.sweep_instances, knobs.sweep_iters,
-                    ensemble=not reference)
-                payload = {
-                    "kind": WORKLOAD_CATEGORY,
-                    "workload": workload_to_dict(reference_workload(soc)),
-                    "sweep": sweep}
-            else:
-                from repro.arch.null import NullArchitecture
-                from repro.attacks.result import AttackCategory
-                from repro.attacks.suites import SUITES, run_suite
-                category = AttackCategory(spec.category)
-                arch = NullArchitecture(soc, platform)
-                rng = XorShiftRNG(derive_cell_seed(spec.seed, spec.platform,
-                                                   spec.category))
-                knobs = MatrixKnobs.from_key(spec.knobs)
-                results = run_suite(SUITES[category], arch, rng, knobs,
-                                    reference=reference)
-                payload = {
-                    "kind": "attacks",
-                    "attacks": [attack_result_to_dict(r) for r in results]}
-    payload["cell_instret"] = sum(core.instret for core in soc.cores)
+            payload, socs = entry(spec, reference)
     payload["cell_wall_time_s"] = time.perf_counter() - start
     if collect:
-        for core in soc.cores:
-            core.flush_metrics()
-        soc.hierarchy.metrics_into(registry)
+        registry = obs.MetricsRegistry()
+        for soc in socs:
+            for core in soc.cores:
+                core.metrics = registry
+                core.flush_metrics()
+            soc.hierarchy.metrics_into(registry)
         payload[SPANS_KEY] = tracer.export_records()
         payload[CELL_METRICS_KEY] = registry.to_json()
     payload[INTEGRITY_KEY] = payload_fingerprint(payload)
@@ -262,7 +220,8 @@ def execute_spec(spec: CellSpec, collect: bool = False,
 
 
 def _import_cell_modules(specs: Iterable[CellSpec]) -> None:
-    """Import the modules :func:`execute_spec` needs for ``specs``.
+    """Import the entry-point modules :func:`execute_spec` needs for
+    ``specs``.
 
     The supervised pool forks its workers: whatever the parent has
     imported by then, each worker inherits instead of importing (and
@@ -270,12 +229,8 @@ def _import_cell_modules(specs: Iterable[CellSpec]) -> None:
     from cache loads none of these; the pool path calls this just
     before it forks.
     """
-    names: set[str] = set()
-    for spec in specs:
-        table_cell = _TABLE_CELLS.get(spec.category)
-        names.update((table_cell[0],) if table_cell is not None
-                     else _MATRIX_CELL_MODULES)
-    for name in sorted(names):
+    categories = {spec.category for spec in specs} & _TABLE_CELLS.keys()
+    for name in sorted({_TABLE_CELLS[c][0] for c in categories}):
         importlib.import_module(name)
 
 
@@ -304,12 +259,8 @@ class CellTask:
                                       in_worker=in_worker,
                                       collect=self.collect,
                                       reference=self.reference)
-        # Keywords only when set: a default task keeps the bare
-        # ``execute_spec(spec)`` call shape that one-argument stand-ins
-        # (the runner tests' fault injectors) rely on.
-        flags = {name: True for name in ("collect", "reference")
-                 if getattr(self, name)}
-        return execute_spec(self.spec, **flags)
+        return execute_spec(self.spec, collect=self.collect,
+                            reference=self.reference)
 
 
 def execute_task(task: CellTask) -> tuple[str, object]:

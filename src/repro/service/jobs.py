@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from repro.attacks.knobs import MatrixKnobs
 from repro.attacks.result import AttackCategory
 from repro.common import PlatformClass
-from repro.runner.engine import WORKLOAD_CATEGORY, CellSpec
+from repro.runner.engine import SCAN_CATEGORY, WORKLOAD_CATEGORY, CellSpec
 
 #: Current job-file schema; readers reject anything else.
 JOB_SCHEMA = "repro-service-job/1"
@@ -114,12 +114,20 @@ class JobSpec:
         cache is enough to re-submit the job — cells whose payloads
         already sit in the cache are skipped by every worker, so only
         genuinely missing cells recompute.
+
+        A scan manifest is refused with :class:`ValueError`: each scan
+        cell's seed is derived from its config name, so one job seed
+        would rebuild different cells.
         """
         coords = sorted(manifest.outcomes)
         platforms: list[str] = []
         categories: list[str] = []
         for cell in coords:
             platform, _, category = cell.partition("/")
+            if category == SCAN_CATEGORY:
+                raise ValueError(
+                    f"cannot resubmit scan cell {cell!r} from a manifest: "
+                    "scan cells carry per-config derived seeds")
             if platform not in platforms:
                 platforms.append(platform)
             if category not in categories:

@@ -257,7 +257,7 @@ def _scan_gadget_memo(config: ScanConfig, gadget: Gadget,
     return row, record.instret
 
 
-def execute_scan_cell(spec, reference: bool = False) -> dict:
+def execute_scan_cell(spec, reference: bool = False) -> tuple[dict, tuple]:
     """Payload for one scan cell: the whole corpus on one config.
 
     ``spec.platform`` carries the scan-config name (scan cells are not
@@ -266,7 +266,9 @@ def execute_scan_cell(spec, reference: bool = False) -> dict:
     ``reference`` runs the reference explorer instead of the memoized
     one; it is strategy, not measurement: the payload — rows *and*
     ``cell_instret`` — is byte-identical either way, so memoized and
-    reference cells share cache entries.
+    reference cells share cache entries.  The cell hands the runner no
+    SoCs to meter: the memoized lane derives most rows from recordings,
+    so per-SoC counters would describe the lane, not the cell.
     """
     config = scan_config_for(spec.platform)
     memo_cache = None if reference else _scan_memo()
@@ -286,7 +288,7 @@ def execute_scan_cell(spec, reference: bool = False) -> dict:
         "corpus_rev": CORPUS_REV,
         "rows": [row.as_dict() for row in rows],
         "cell_instret": instret,
-    }
+    }, ()
 
 
 # -- the sweep ---------------------------------------------------------------

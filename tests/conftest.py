@@ -40,6 +40,16 @@ def pytest_collection_modifyitems(config: pytest.Config,
                 item.add_marker(skip)
 
 
+@pytest.fixture(autouse=True)
+def _private_repro_dirs(monkeypatch, tmp_path_factory) -> None:
+    """Point the default result cache and service queue at a private
+    directory, so no test reads or writes the user's
+    ``~/.cache/repro``.  Subprocesses inherit the variables."""
+    root = tmp_path_factory.mktemp("repro-dirs")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cells"))
+    monkeypatch.setenv("REPRO_QUEUE_DIR", str(root / "queue"))
+
+
 #: FIPS-197 appendix key/plaintext/ciphertext (used all over the suite).
 AES_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 AES_PT = bytes.fromhex("00112233445566778899aabbccddeeff")

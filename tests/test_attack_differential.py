@@ -42,6 +42,7 @@ from repro.cache.policies import FIFOPolicy
 from repro.core.comparison import cache_defence_table
 from repro.core.figure1 import generate_figure1
 from repro.core.platforms import STANDARD_PLATFORMS
+from repro.cpu.soc import soc_factory_for
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA, generate_rsa_key
 from repro.errors import SecurityViolation
@@ -373,11 +374,13 @@ class TestMatrixEquivalence:
     def test_recovered_keys_equal_across_batch_knob(self, profile, suite):
         knobs = MatrixKnobs.quick()
 
-        def cell(batch):
-            arch = NullArchitecture(profile.make_soc(), profile.platform)
-            return suite(arch, XorShiftRNG(0x2019), knobs, batch=batch)
+        def cell(reference):
+            arch = NullArchitecture(soc_factory_for(profile.platform)(),
+                                    profile.platform)
+            return suite(arch, XorShiftRNG(0x2019), knobs,
+                         reference=reference)
 
-        for batched, scalar in zip(cell(True), cell(False)):
+        for batched, scalar in zip(cell(False), cell(True)):
             assert batched.name == scalar.name
             assert batched.score == scalar.score
             assert batched.success == scalar.success

@@ -135,6 +135,35 @@ class TestCLI:
         assert {cache_key_for(spec) for spec in job.cells()} \
             == {path.stem for path in (tmp_path / "cells").glob("*.json")}
 
+    def test_traced_run_records_in_cell_spans_and_declines(
+            self, tmp_path, capsys):
+        """Rows run under the per-cell tracer: the trace holds every
+        row's Prime+Probe byte spans and the gate that turned each
+        declined kernel away, and the metrics hold the rows' caches."""
+        trace = tmp_path / "tab-s41.json"
+        metrics = tmp_path / "tab-s41.prom"
+        assert cli.main(["cache", "--no-cache", "--trace", str(trace),
+                         "--metrics", str(metrics)]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in trace.with_suffix(
+            ".jsonl").read_text(encoding="utf-8").splitlines()]
+        # Five rows x two target bytes.
+        assert sum(r["name"] == "prime+probe:byte" for r in records) == 10
+        declined = sorted(
+            (r["scope"].partition("/")[0], r["args"]["kernel"],
+             r["args"]["reason"])
+            for r in records if r["name"] == "attack.batch_declined")
+        assert declined == [
+            ("sanctuary", "flush+reload", "bus-denied"),
+            ("sanctum", "flush+reload", "bus-controller"),
+            ("sanctum", "prime+probe", "bus-controller"),
+            ("sgx", "flush+reload", "bus-denied"),
+            ("trustzone", "flush+reload", "bus-denied")]
+        prom = metrics.read_text(encoding="utf-8")
+        for host in HOSTS:
+            assert (f'repro_cache_hit_rate{{cell="{host}/'
+                    f'{CACHE_DEFENCE_CATEGORY}",level="llc"}}') in prom
+
     def test_all_applies_one_shot_flags_to_figure1_only(self, monkeypatch):
         seen = []
 

@@ -55,7 +55,7 @@ class TestPlatforms:
     def test_prior_validation(self):
         from repro.core.platforms import PlatformProfile
         with pytest.raises(ValueError):
-            PlatformProfile(PlatformClass.MOBILE, "x", make_server_soc,
+            PlatformProfile(PlatformClass.MOBILE, "x",
                             physical_access_prior=2.0,
                             co_residency_prior=0.5)
 

@@ -80,7 +80,8 @@ class TestCommandModuleSets:
                 in warm["stdout"])
         loaded = warm["modules"]
         for module in ("numpy", "repro.attacks.suites",
-                       "repro.attacks.cache_sca", "repro.power"):
+                       "repro.attacks.cache_sca", "repro.power",
+                       "repro.core.cells", "repro.cpu.soc"):
             assert module not in loaded, module
 
     def test_cold_figure1_loads_only_kernel_architectures(self, tmp_path):

@@ -1,11 +1,12 @@
 """Lane routing: the fast lanes are the default, ``reference=True`` the oracle.
 
 The tests count how often cells reach the batched attack kernels
-(:func:`repro.attacks.batch.try_run_batched`), the ensemble engine
-(:meth:`repro.cpu.ensemble.CoreEnsemble.run`) and the memoized scan
-explorer (:func:`repro.spec.scanner._scan_gadget_memo`, once per corpus
-gadget).  A default run must reach all three.  ``reference=True`` must
-reach none of them, on every path a cell can take: the serial runner,
+(:func:`repro.attacks.batch.try_run_batched`), the batched power capture
+(:meth:`repro.power.batch.BatchPowerInstrument.capture`), the ensemble
+engine (:meth:`repro.cpu.ensemble.CoreEnsemble.run`) and the memoized
+scan explorer (:func:`repro.spec.scanner._scan_gadget_memo`, once per
+corpus gadget).  A default run must reach all four.  ``reference=True``
+must reach none of them, on every path a cell can take: the serial runner,
 the pool entry point :func:`~repro.runner.engine.execute_task`, and the
 chaos wrapper.  TAB-S41 rows are runner cells on the same switch, and
 the evaluation service runs the fast lanes too; the service has no lane
@@ -15,6 +16,7 @@ switch at all.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import inspect
 import json
 
@@ -24,10 +26,11 @@ import repro.attacks.batch as batch
 import repro.obs as obs
 import repro.spec.scanner as scanner
 from repro.attacks.dpa import traces_to_success
-from repro.attacks.suites import MatrixKnobs
+from repro.attacks.suites import SUITES, MatrixKnobs
 from repro.core.comparison import cache_defence_table
 from repro.core.matrix import EvaluationMatrix
 from repro.cpu.ensemble import CoreEnsemble
+from repro.power.batch import BatchPowerInstrument
 from repro.runner import (
     SCAN_CATEGORY,
     WORKLOAD_CATEGORY,
@@ -37,7 +40,12 @@ from repro.runner import (
     ResultCache,
 )
 from repro.runner.chaos import chaos_execute_spec
-from repro.runner.engine import CellTask, execute_spec, execute_task
+from repro.runner.engine import (
+    _TABLE_CELLS,
+    CellTask,
+    execute_spec,
+    execute_task,
+)
 from repro.service import JobQueue, JobSpec, ServiceWorker
 from repro.spec import run_scan
 from repro.spec.gadgets import GADGETS
@@ -46,29 +54,38 @@ from repro.spec.scanner import CORPUS_REV
 KNOBS = MatrixKnobs.quick().as_key()
 ATTACK = CellSpec(seed=0x2019, platform="mobile",
                   category="microarchitectural", knobs=KNOBS)
+PHYSICAL = CellSpec(seed=0x2019, platform="mobile",
+                    category="classical-physical", knobs=KNOBS)
 WORKLOAD = CellSpec(seed=0x2019, platform="mobile",
                     category=WORKLOAD_CATEGORY, knobs=KNOBS)
 SCAN_KNOBS = (("corpus_rev", CORPUS_REV),)
 SCAN = CellSpec(seed=0x2019, platform="in-order", category=SCAN_CATEGORY,
                 knobs=SCAN_KNOBS)
-SPECS = [ATTACK, WORKLOAD, SCAN]
+SPECS = [ATTACK, PHYSICAL, WORKLOAD, SCAN]
 
-FAST = {"batched": 1, "ensemble": 1, "memo": len(GADGETS)}
-NONE = {"batched": 0, "ensemble": 0, "memo": 0}
+#: Flush+Reload and Kocher reach the attack kernels; the physical cell's
+#: CPA traces are the one power capture.
+FAST = {"batched": 2, "power": 1, "ensemble": 1, "memo": len(GADGETS)}
+NONE = {"batched": 0, "power": 0, "ensemble": 0, "memo": 0}
 NO_CHAOS = ChaosConfig(rate=0.0)
 
 
 @pytest.fixture()
 def lanes(monkeypatch) -> dict[str, int]:
-    """Call counts of the three fast-lane entry points."""
+    """Call counts of the four fast-lane entry points."""
     counts = dict(NONE)
     real_try = batch.try_run_batched
+    real_capture = BatchPowerInstrument.capture
     real_run = CoreEnsemble.run
     real_memo = scanner._scan_gadget_memo
 
     def counting_try(attack):
         counts["batched"] += 1
         return real_try(attack)
+
+    def counting_capture(self, *args, **kwargs):
+        counts["power"] += 1
+        return real_capture(self, *args, **kwargs)
 
     def counting_run(self, *args, **kwargs):
         counts["ensemble"] += 1
@@ -79,6 +96,7 @@ def lanes(monkeypatch) -> dict[str, int]:
         return real_memo(*args, **kwargs)
 
     monkeypatch.setattr(batch, "try_run_batched", counting_try)
+    monkeypatch.setattr(BatchPowerInstrument, "capture", counting_capture)
     monkeypatch.setattr(CoreEnsemble, "run", counting_run)
     monkeypatch.setattr(scanner, "_scan_gadget_memo", counting_memo)
     return counts
@@ -102,16 +120,30 @@ class TestStrategyDefaults:
             traces_to_success).parameters
         assert not {"ensemble", "batch", "memo"} & set(JobSpec().to_dict())
 
+    def test_cell_entry_points_and_suites_take_only_reference(self):
+        # Every dispatch-table entry point and every attack suite takes
+        # the same switch, with the same default.
+        entries = {getattr(importlib.import_module(module), name)
+                   for module, name in _TABLE_CELLS.values()}
+        for fn in (*entries, *SUITES.values()):
+            params = inspect.signature(fn).parameters
+            assert params["reference"].default is False, fn
+            assert not {"ensemble", "batch", "memo"} & set(params), fn
+
+    def test_table_dispatches_every_figure1_category(self):
+        assert {c.value for c in SUITES} | {WORKLOAD_CATEGORY} \
+            <= set(_TABLE_CELLS)
+
 
 class TestDefaultLane:
-    """A default run reaches all three fast lanes."""
+    """A default run reaches all four fast lanes."""
 
     def test_default_runner_reaches_both_fast_lanes(self, lanes):
-        assert len(ExperimentRunner().run(SPECS)) == 3
+        assert len(ExperimentRunner().run(SPECS)) == len(SPECS)
         assert lanes == FAST
 
     def test_default_chaos_runner_reaches_both_fast_lanes(self, lanes):
-        assert len(ExperimentRunner(chaos=NO_CHAOS).run(SPECS)) == 3
+        assert len(ExperimentRunner(chaos=NO_CHAOS).run(SPECS)) == len(SPECS)
         assert lanes == FAST
 
     def test_default_pool_entry_reaches_both_fast_lanes(self, lanes):
@@ -124,7 +156,7 @@ class TestReferenceLane:
     """``reference=True`` reaches none of them."""
 
     def test_serial_runner_stays_scalar(self, lanes):
-        assert len(ExperimentRunner(reference=True).run(SPECS)) == 3
+        assert len(ExperimentRunner(reference=True).run(SPECS)) == len(SPECS)
         assert lanes == NONE
 
     def test_pool_entry_stays_scalar(self, lanes):
@@ -140,7 +172,7 @@ class TestReferenceLane:
             chaos_execute_spec(spec, 0, NO_CHAOS, in_worker=False,
                                reference=True)
         assert len(ExperimentRunner(chaos=NO_CHAOS,
-                                    reference=True).run(SPECS)) == 3
+                                    reference=True).run(SPECS)) == len(SPECS)
         assert lanes == NONE
 
 
@@ -213,7 +245,7 @@ def test_service_job_without_strategy_keys_runs_fast_lane(tmp_path, lanes):
     assert JobSpec.from_dict(legacy) == job
     assert JobSpec.from_dict(legacy).job_id == legacy["job_id"]
     assert _drain(tmp_path, legacy).stats.cells_computed == 2
-    assert lanes == {"batched": 1, "ensemble": 1, "memo": 0}
+    assert lanes == {"batched": 1, "power": 0, "ensemble": 1, "memo": 0}
 
 
 def test_service_scan_job_runs_memoized_lane(tmp_path, lanes):
@@ -221,4 +253,5 @@ def test_service_scan_job_runs_memoized_lane(tmp_path, lanes):
                   knobs=SCAN_KNOBS)
     assert job.cells() == [SCAN]
     assert _drain(tmp_path, job.to_dict()).stats.cells_computed == 1
-    assert lanes == {"batched": 0, "ensemble": 0, "memo": len(GADGETS)}
+    assert lanes == {"batched": 0, "power": 0, "ensemble": 0,
+                     "memo": len(GADGETS)}

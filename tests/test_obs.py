@@ -38,7 +38,10 @@ from repro.obs import (
 )
 from repro.obs.tracer import VOLATILE_FIELDS
 from repro.runner import (
+    CACHE_DEFENCE_CATEGORY,
     INTEGRITY_KEY,
+    SCAN_CATEGORY,
+    WORKLOAD_CATEGORY,
     CellSpec,
     ExperimentRunner,
     ResultCache,
@@ -47,6 +50,12 @@ from repro.runner import (
     payload_intact,
 )
 from repro.runner.stats import CellOutcome, RunnerStats
+from repro.service import JobSpec
+from repro.spec.scanner import (
+    CORPUS_REV,
+    DEFAULT_SCAN_SEED,
+    quick_config_names,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -345,6 +354,29 @@ class TestObservedRun:
         assert sink.metrics.counter(
             "repro_runner_cell_outcomes_total").value(status="ok") == 1
 
+    def test_scan_command_writes_its_artifacts(self, tmp_path, capsys):
+        """``repro scan`` observes its run like ``figure1`` and
+        ``cache``; its manifest is not a resumable service job."""
+        import repro.__main__ as cli
+        trace = tmp_path / "scan.json"
+        metrics = tmp_path / "scan.prom"
+        manifest = tmp_path / "scan-manifest.json"
+        assert cli.main(["scan", "--no-cache", "--trace", str(trace),
+                         "--metrics", str(metrics),
+                         "--manifest", str(manifest)]) == 0
+        out = capsys.readouterr().out
+        for path in (trace, trace.with_suffix(".jsonl"), metrics, manifest):
+            assert f"wrote {path}" in out
+        loaded = RunManifest.read(manifest)
+        assert loaded.seed == DEFAULT_SCAN_SEED
+        assert set(loaded.outcomes) == {f"{name}/{SCAN_CATEGORY}"
+                                        for name in quick_config_names()}
+        names = {json.loads(line)["name"] for line in
+                 trace.with_suffix(".jsonl").read_text().splitlines()}
+        assert f"cell:in-order/{SCAN_CATEGORY}" in names
+        with pytest.raises(ValueError, match="per-config derived seeds"):
+            JobSpec.from_manifest(loaded)
+
     def test_cache_hits_are_observed(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = _cheap_spec()
@@ -385,13 +417,24 @@ class TestFastPathNeutrality:
         assert CELL_METRICS_KEY not in payload
         assert payload_intact(payload)
 
-    def test_observed_and_unobserved_fingerprints_agree(self):
+    @pytest.mark.parametrize("spec", [
+        _cheap_spec(category=WORKLOAD_CATEGORY),
+        _cheap_spec(),
+        CellSpec(seed=0x2019, platform="in-order", category=SCAN_CATEGORY,
+                 knobs=(("corpus_rev", CORPUS_REV),)),
+        CellSpec(seed=0x41, platform="none",
+                 category=CACHE_DEFENCE_CATEGORY,
+                 knobs=(("evict_time", 0), ("quick", 1))),
+    ], ids=["workload", "attack", "scan", "cache-defence"])
+    def test_observed_and_unobserved_fingerprints_agree(self, spec):
         """Telemetry lives under volatile keys, so observed runs share
-        cache entries with unobserved ones."""
-        spec = _cheap_spec()
+        cache entries with unobserved ones; every cell kind runs under
+        the same per-cell tracer."""
         unobserved = execute_spec(spec)
         observed = execute_spec(spec, collect=True)
-        assert SPANS_KEY in observed
+        assert not {SPANS_KEY, CELL_METRICS_KEY} & set(unobserved)
+        cell_span = f"cell:{spec.platform}/{spec.category}"
+        assert cell_span in {r["name"] for r in observed[SPANS_KEY]}
         assert payload_intact(observed)
         assert payload_fingerprint(observed) \
             == payload_fingerprint(unobserved)

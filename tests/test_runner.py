@@ -24,8 +24,8 @@ from repro.attacks.base import AttackCategory
 from repro.attacks.suites import MatrixKnobs
 from repro.common import PlatformClass
 from repro.core.matrix import EvaluationMatrix
-from repro.core.platforms import PlatformProfile, profile_for
-from repro.cpu.soc import make_embedded_soc, soc_factory_for
+from repro.core.platforms import profile_for
+from repro.cpu.soc import soc_factory_for
 from repro.runner import (
     INTEGRITY_KEY,
     NO_RETRY,
@@ -206,7 +206,7 @@ class TestSupervisedRunner:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers must inherit the patched execute_spec")
 
-        def fail_and_mark(spec):
+        def fail_and_mark(spec, **_):
             with open(tmp_path / spec.platform, "a",
                       encoding="utf-8") as handle:
                 handle.write("x")
@@ -248,7 +248,7 @@ class TestSupervisedRunner:
         real = engine_module.execute_spec
         calls = {"n": 0}
 
-        def flaky(s):
+        def flaky(s, **_):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient harness failure")
@@ -271,7 +271,7 @@ class TestSupervisedRunner:
         to at most its wall time."""
         real = engine_module.execute_spec
 
-        def slow(s):
+        def slow(s, **_):
             time.sleep(0.05)
             return real(s)
 
@@ -466,7 +466,7 @@ root, kill_after = sys.argv[1], int(sys.argv[2])
 real = engine.execute_spec
 state = {"done": 0}
 
-def dying_execute(spec):
+def dying_execute(spec, **_):
     if state["done"] >= kill_after:
         os.kill(os.getpid(), signal.SIGKILL)   # no cleanup, no atexit
     state["done"] += 1
@@ -549,15 +549,3 @@ class TestWorkerConstructibility:
             knobs=MatrixKnobs.quick().as_key()))
         assert payload["kind"] == WORKLOAD_CATEGORY
         assert payload["workload"]["cycles"] > 0
-
-    def test_custom_profile_falls_back_to_local_execution(self):
-        profile = PlatformProfile(
-            platform=PlatformClass.EMBEDDED,
-            description="custom rig",
-            make_soc=lambda: make_embedded_soc(),
-            physical_access_prior=1.0,
-            co_residency_prior=0.1)
-        matrix = EvaluationMatrix(platforms=(profile,))
-        cells = matrix.evaluate()
-        assert (PlatformClass.EMBEDDED, AttackCategory.REMOTE) in cells
-        assert PlatformClass.EMBEDDED in matrix.workloads
