@@ -148,15 +148,16 @@ class _SimLevel:
         self.num_sets = cache.num_sets
         self.ways = cache.ways
         self.line_size = cache.line_size
-        self.tags = [list(ts) for ts in cache._tags]
-        self.lookup = [{t: w for w, t in enumerate(ts) if t is not None}
-                       for ts in cache._tags]
+        states = cache.set_states()
+        self.tags = [list(st.tags) for st in states]
+        self.lookup = [{t: w for w, t in enumerate(st.tags) if t is not None}
+                       for st in states]
         self.lines = [[None if ln is None
                        else [ln.tag, ln.addr, ln.domain, ln.dirty]
-                       for ln in ways]
-                      for ways in cache._sets]
-        self.stamps = [p._stamp for p in cache._policies]
-        self.last_use = [list(p._last_use) for p in cache._policies]
+                       for ln in st.lines]
+                      for st in states]
+        self.stamps = [st.policy._stamp for st in states]
+        self.last_use = [list(st.policy._last_use) for st in states]
         stats = cache.stats
         self.hits = stats.hits
         self.misses = stats.misses
@@ -176,10 +177,16 @@ class _SimLevel:
 
     def writeback(self, cache: Cache) -> None:
         """Restore the live cache to this (final) state, recycling
-        ``_Line`` records in place exactly like the scalar hot path."""
-        sets, tags = cache._sets, cache._tags
+        ``_Line`` records in place exactly like the scalar hot path.
+
+        A set the live cache never touched stays unallocated when the
+        run left it pristine, which its zero stamp shows: every fill and
+        hit bumps it."""
+        touched = set(cache.touched_sets())
         for idx in range(self.num_sets):
-            live_ways, live_tags = sets[idx], tags[idx]
+            if not self.stamps[idx] and idx not in touched:
+                continue
+            live_ways, live_tags, policy = cache.materialise(idx)
             sim_lines = self.lines[idx]
             for w in range(self.ways):
                 rec = sim_lines[w]
@@ -195,7 +202,6 @@ class _SimLevel:
                     line.tag, line.addr = rec[0], rec[1]
                     line.domain, line.dirty = rec[2], rec[3]
                 live_tags[w] = rec[0]
-            policy = cache._policies[idx]
             policy._stamp = self.stamps[idx]
             policy._last_use[:] = self.last_use[idx]
         stats = cache.stats
@@ -600,7 +606,7 @@ def _hierarchy_gate(hierarchy) -> str | None:
             return "cache-partition"
         if cache.index_fn is not None:
             return "cache-index-fn"
-        if any(type(p) is not LRUPolicy for p in cache._policies):
+        if cache.policy_types() != {LRUPolicy}:
             return "cache-policy"
         if cache.line_size != hierarchy.config.line_size:
             return "cache-line-size"

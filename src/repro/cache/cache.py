@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from repro.cache.policies import LRUPolicy, ReplacementPolicy
 
@@ -48,6 +48,16 @@ class _Line:
     dirty: bool = False
 
 
+class SetState(NamedTuple):
+    """One cache set: per-way line records and tags, and its policy."""
+
+    lines: Sequence[_Line | None]
+    #: ``None`` = invalid way.  The hot lookup scans this flat int list
+    #: (``in``, then ``list.index`` on a hit) instead of walking lines.
+    tags: Sequence[int | None]
+    policy: ReplacementPolicy
+
+
 class Cache:
     """One cache level.
 
@@ -57,6 +67,14 @@ class Cache:
     installed via :attr:`partition` limits which ways a domain may fill —
     the paper's "cache partitioning" defence [39].  ``index_fn`` overrides
     the set-index computation — the "randomised mapping" defence [40].
+
+    Sets are sparse, like :class:`~repro.memory.phys.PhysicalMemory`: a
+    set's lines, tags and policy are created by :meth:`materialise` the
+    first time an access reaches it.  An untouched set is
+    all-invalid with a fresh policy, which is what :attr:`pristine`
+    holds, so it reads exactly as an eagerly built one would.
+    ``policy_factory`` is called once for :attr:`pristine` and then once
+    per set, on first touch.
     """
 
     def __init__(self, name: str, num_sets: int, ways: int,
@@ -75,25 +93,69 @@ class Cache:
         self.index_fn = index_fn
         self.partition = None  # WayPartition | None
         self.stats = CacheStats()
-        self._sets: list[list[_Line | None]] = [
-            [None] * ways for _ in range(num_sets)]
-        #: Tag array mirroring ``_sets`` (``None`` = invalid way).  The hot
-        #: lookup scans this flat int list (``in``, then ``list.index`` on
-        #: a hit) instead of walking ``_Line`` objects.
-        self._tags: list[list[int | None]] = [
-            [None] * ways for _ in range(num_sets)]
-        self._policies = [policy_factory(ways) for _ in range(num_sets)]
+        self._policy_factory = policy_factory
+        #: The state every untouched set reads as.  Shared by all of them,
+        #: so readers must not mutate it (its sequences are tuples).
+        self.pristine = SetState((None,) * ways, (None,) * ways,
+                                 policy_factory(ways))
+        # Per-set state, ``None`` until materialise() creates it.  Three
+        # parallel lists, not one of SetStates, so the hot path reads a
+        # set's tags and policy without unpacking a tuple.
+        self._lines: list[list[_Line | None] | None] = [None] * num_sets
+        self._tags: list[list[int | None] | None] = [None] * num_sets
+        self._policies: list[ReplacementPolicy | None] = [None] * num_sets
+        #: Indices of touched sets, in the order they were first touched.
+        self._touched: list[int] = []
         # Hot-path allocation avoidance: per-set-index AccessResult
         # singletons (results are frozen, so sharing is safe even when a
-        # caller holds several across calls), plus reusable all-True /
-        # all-occupied vectors for the unpartitioned victim query.
+        # caller holds several across calls).
         self._hit_results: list[AccessResult | None] = [None] * num_sets
         self._fill_results: list[AccessResult | None] = [None] * num_sets
         self._nofill_results: list[AccessResult | None] = [None] * num_sets
-        self._allowed_all = [True] * ways
-        self._occupied_full = [True] * ways
-        self._victim_full = [getattr(p, "victim_full", None)
-                             for p in self._policies]
+
+    # -- set state -------------------------------------------------------------
+
+    def materialise(self, idx: int) -> SetState:
+        """The live state of set ``idx``, created pristine on first use.
+
+        The one path that allocates a set: accesses and the fast lanes
+        that write state back go through it.  A flush only clears lines,
+        so it never needs to allocate."""
+        if self._tags[idx] is None:
+            ways = self.ways
+            self._lines[idx] = [None] * ways
+            self._tags[idx] = [None] * ways
+            self._policies[idx] = self._policy_factory(ways)
+            self._touched.append(idx)
+        return SetState(self._lines[idx], self._tags[idx],
+                        self._policies[idx])
+
+    def set_state(self, idx: int) -> SetState:
+        """State of set ``idx`` for readers: :attr:`pristine` if the set
+        was never touched.  Allocates no set; do not mutate the result
+        (write through :meth:`materialise`)."""
+        tags = self._tags[idx]
+        if tags is None:
+            return self.pristine
+        return SetState(self._lines[idx], tags, self._policies[idx])
+
+    def set_states(self) -> list[SetState]:
+        """:meth:`set_state` of every set, in set order."""
+        pristine = self.pristine
+        return [pristine if tags is None else SetState(lines, tags, policy)
+                for lines, tags, policy
+                in zip(self._lines, self._tags, self._policies)]
+
+    def touched_sets(self) -> list[int]:
+        """Indices of the sets allocated so far, in set order."""
+        return sorted(self._touched)
+
+    def policy_types(self) -> set[type]:
+        """The type of every set's replacement policy."""
+        types = {type(self._policies[idx]) for idx in self._touched}
+        if len(self._touched) < self.num_sets:
+            types.add(type(self.pristine.policy))
+        return types
 
     # -- geometry ------------------------------------------------------------
 
@@ -111,11 +173,6 @@ class Cache:
     def _tag(self, addr: int) -> int:
         return addr // self.line_size
 
-    def _allowed_ways(self, domain: str | None) -> list[bool]:
-        if self.partition is None:
-            return [True] * self.ways
-        return self.partition.allowed_ways(domain, self.ways)
-
     # -- operations ------------------------------------------------------------
 
     def access(self, addr: int, is_write: bool = False,
@@ -127,6 +184,8 @@ class Cache:
         else:
             idx = self.index_fn(addr) % self.num_sets
         tags = self._tags[idx]
+        if tags is None:
+            tags = self.materialise(idx).tags
         policy = self._policies[idx]
 
         if tag in tags:
@@ -134,7 +193,7 @@ class Cache:
             self.stats.hits += 1
             policy.on_hit(way)
             if is_write:
-                self._sets[idx][way].dirty = True
+                self._lines[idx][way].dirty = True
             result = self._hit_results[idx]
             if result is None:
                 result = self._hit_results[idx] = AccessResult(
@@ -149,7 +208,7 @@ class Cache:
                     False, idx, self.hit_latency, filled=False)
             return result
 
-        ways = self._sets[idx]
+        ways = self._lines[idx]
         if self.partition is None:
             # Unpartitioned fast path: every policy prefers the first free
             # way (victim() returns _first_free when one exists), and with
@@ -157,9 +216,7 @@ class Cache:
             if None in tags:
                 way = tags.index(None)
             else:
-                vf = self._victim_full[idx]
-                way = vf() if vf is not None else policy.victim(
-                    self._occupied_full, self._allowed_all)
+                way = policy.victim_full()
         else:
             allowed = self.partition.allowed_ways(domain, self.ways)
             occupied = [t is not None for t in tags]
@@ -188,25 +245,31 @@ class Cache:
 
     def probe(self, addr: int) -> bool:
         """Presence check without touching replacement state."""
-        return self._tag(addr) in self._tags[self.set_index(addr)]
+        return self._tag(addr) in self.set_state(self.set_index(addr)).tags
 
     def flush_line(self, addr: int) -> bool:
         """Invalidate the line containing ``addr``; True if it was present."""
-        idx = self.set_index(addr)
+        tag = addr // self.line_size
+        if self.index_fn is None:
+            idx = tag % self.num_sets
+        else:
+            idx = self.index_fn(addr) % self.num_sets
         tags = self._tags[idx]
-        tag = self._tag(addr)
-        if tag not in tags:
+        if tags is None or tag not in tags:
             return False
         way = tags.index(tag)
-        self._sets[idx][way] = None
+        self._lines[idx][way] = None
         tags[way] = None
         self.stats.flushes += 1
         return True
 
     def flush_all(self) -> int:
         """Invalidate everything; returns the number of lines dropped."""
+        # Untouched sets hold no lines, so both flushes walk only touched
+        # ones; sets flush independently, so their order cannot matter.
         count = 0
-        for ways, tags in zip(self._sets, self._tags):
+        for idx in self._touched:
+            ways, tags = self._lines[idx], self._tags[idx]
             for way, line in enumerate(ways):
                 if line is not None:
                     ways[way] = None
@@ -218,7 +281,8 @@ class Cache:
     def flush_domain(self, domain: str | None) -> int:
         """Invalidate every line filled by ``domain`` (enclave exit flush)."""
         count = 0
-        for ways, tags in zip(self._sets, self._tags):
+        for idx in self._touched:
+            ways, tags = self._lines[idx], self._tags[idx]
             for way, line in enumerate(ways):
                 if line is not None and line.domain == domain:
                     ways[way] = None
@@ -230,19 +294,20 @@ class Cache:
     # -- inspection ------------------------------------------------------------
 
     def resident_lines(self) -> list[int]:
-        """Base addresses of all valid lines (diagnostics/tests)."""
-        return [line.addr for ways in self._sets for line in ways
-                if line is not None]
+        """Base addresses of all valid lines, in set order
+        (diagnostics/tests)."""
+        return [line.addr for idx in self.touched_sets()
+                for line in self._lines[idx] if line is not None]
 
     def set_occupancy(self, idx: int) -> int:
         """Number of valid lines in set ``idx``."""
-        return sum(1 for line in self._sets[idx] if line is not None)
+        return sum(1 for line in self.set_state(idx).lines
+                   if line is not None)
 
     def domain_of_line(self, addr: int) -> str | None:
         """Filling domain of the resident line containing ``addr``."""
-        idx = self.set_index(addr)
         tag = self._tag(addr)
-        for line in self._sets[idx]:
+        for line in self.set_state(self.set_index(addr)).lines:
             if line is not None and line.tag == tag:
                 return line.domain
         return None

@@ -2,7 +2,7 @@
 
 The ensemble execution engine (:mod:`repro.cpu.ensemble`) advances N
 independent ``(seed, config)`` SoC instances in lockstep.  Every scalar
-hierarchy keeps its state in per-set Python lists (``Cache._tags``,
+hierarchy keeps its state in per-set Python lists (``SetState.tags``,
 ``LRUPolicy._last_use``), which is exactly the wrong layout for advancing
 many instances at once — so this module *adopts* each instance's cache
 state into padded numpy arrays indexed ``[instance, set, way]``, serves
@@ -50,12 +50,12 @@ def _cache_blocker(cache: Cache) -> str | None:
         return "way partition installed"
     if cache.index_fn is not None:
         return "custom index function"
-    if any(type(p) is not LRUPolicy for p in cache._policies):
+    if cache.policy_types() != {LRUPolicy}:
         return "non-LRU replacement policy"
     if cache.num_sets & (cache.num_sets - 1):
         return "non-power-of-two set count"
-    for ways in cache._sets:
-        for line in ways:
+    for idx in cache.touched_sets():
+        for line in cache.set_state(idx).lines:
             if line is not None and line.domain is not None:
                 return "domain-tagged resident line"
     return None
@@ -78,7 +78,7 @@ def adoption_blocker(hierarchy: CacheHierarchy, core_id: int) -> str | None:
     for idx, l1 in enumerate(hierarchy.l1s):
         if idx == core_id:
             continue
-        if any(t is not None for row in l1._tags for t in row):
+        if l1.resident_lines():
             return f"non-running core {idx} has a warm L1"
     for cache in (hierarchy.l1s[core_id], hierarchy.l2):
         reason = _cache_blocker(cache)
@@ -117,20 +117,22 @@ class _LevelArrays:
         # missed is empty with virgin policy state — skip the per-line
         # walk (the common adopt-at-construction case).
         cold = (stats.hits == 0 and stats.misses == 0
-                and all(p._stamp == 0 for p in cache._policies))
+                and all(cache.set_state(idx).policy._stamp == 0
+                        for idx in cache.touched_sets()))
         self.tags[i, :s, :w] = _FREE
         self.lu[i, :s, :w] = 0
         self.stamp[i, :s] = 0
         self.dirty[i, :s, :w] = False
         if not cold:
+            states = cache.set_states()
             self.tags[i, :s, :w] = [
-                [_FREE if t is None else t for t in row]
-                for row in cache._tags]
-            self.lu[i, :s, :w] = [p._last_use for p in cache._policies]
-            self.stamp[i, :s] = [p._stamp for p in cache._policies]
+                [_FREE if t is None else t for t in st.tags]
+                for st in states]
+            self.lu[i, :s, :w] = [st.policy._last_use for st in states]
+            self.stamp[i, :s] = [st.policy._stamp for st in states]
             self.dirty[i, :s, :w] = [
-                [line is not None and line.dirty for line in ways]
-                for ways in cache._sets]
+                [line is not None and line.dirty for line in st.lines]
+                for st in states]
         self.hits[i] = stats.hits
         self.misses[i] = stats.misses
         self.evictions[i] = stats.evictions
@@ -144,15 +146,19 @@ class _LevelArrays:
         dirty = self.dirty[i, :s, :w].tolist()
         lu = self.lu[i, :s, :w].tolist()
         stamp = self.stamp[i, :s].tolist()
+        touched = set(cache.touched_sets())
         for idx in range(s):
+            # A zero stamp means no access reached the set (fills and hits
+            # bump it), so an untouched set stays unallocated.
+            if not stamp[idx] and idx not in touched:
+                continue
+            lines, live_tags, policy = cache.materialise(idx)
             trow = tags[idx]
-            cache._tags[idx] = [
-                None if t == _FREE else t for t in trow]
-            cache._sets[idx] = [
+            live_tags[:] = [None if t == _FREE else t for t in trow]
+            lines[:] = [
                 None if t == _FREE else _Line(
                     tag=t, addr=t * line_size, domain=None, dirty=d)
                 for t, d in zip(trow, dirty[idx])]
-            policy = cache._policies[idx]
             policy._stamp = stamp[idx]
             policy._last_use = lu[idx]
         stats = cache.stats

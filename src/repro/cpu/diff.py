@@ -62,14 +62,19 @@ def soc_observables(soc: SoC) -> dict[str, Any]:
             "l1_view": dict(getattr(core, "_l1_view", None) or {})}
     for cache in (*soc.hierarchy.l1s, soc.hierarchy.l2):
         stats = cache.stats
+        # Every set, untouched ones as the pristine state they read as,
+        # so allocating a set without changing it changes nothing here.
+        states = cache.set_states()
         obs[cache.name] = {
-            "tags": list(map(tuple, cache._tags)),
+            "tags": [tuple(st.tags) for st in states],
             # Flat, row-major over (set, way): one pass instead of one
             # comprehension per set, since lockstep snapshots every step.
             "lines": [None if ln is None
                       else (ln.tag, ln.addr, ln.domain, ln.dirty)
-                      for ln in chain.from_iterable(cache._sets)],
-            "lru": [(p._stamp, tuple(p._last_use)) for p in cache._policies],
+                      for ln in chain.from_iterable(
+                          st.lines for st in states)],
+            "lru": [(st.policy._stamp, tuple(st.policy._last_use))
+                    for st in states],
             "stats": (stats.hits, stats.misses, stats.evictions,
                       stats.flushes)}
     for core, mmu, tlb in zip(soc.cores, soc.mmus, soc.tlbs):

@@ -71,8 +71,16 @@ class PhysicalMemory:
     def clear_range(self, addr: int, length: int) -> None:
         """Zero a range (used by SMART's attestation-trace cleanup)."""
         self._check(addr, length, "write")
-        for i in range(length):
-            self._bytes.pop(addr + i, None)
+        stored = self._bytes
+        end = addr + length
+        if length <= len(stored):
+            for a in range(addr, end):
+                stored.pop(a, None)
+        else:
+            # Fewer stored bytes than addresses: delete the stored ones in
+            # range.  Either way the other keys keep their order.
+            for a in [a for a in stored if addr <= a < end]:
+                del stored[a]
 
     def footprint(self) -> int:
         """Number of bytes ever written (for tests/diagnostics)."""

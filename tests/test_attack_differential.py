@@ -206,6 +206,7 @@ class TestDeclineReasons:
         attack, _, soc = CacheScenario(attack="prime+probe",
                                        samples_per_value=1).build()
         llc = soc.hierarchy.l2
+        llc.materialise(0)
         llc._policies[0] = FIFOPolicy(llc.ways)
         with obs.activate(obs.Tracer(scope="decline", seed=1)):
             assert try_run_batched(attack) is None

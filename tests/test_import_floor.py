@@ -83,6 +83,7 @@ class TestCommandModuleSets:
                        "repro.attacks.cache_sca", "repro.power",
                        "repro.core.cells", "repro.cpu.soc"):
             assert module not in loaded, module
+        assert not [m for m in loaded if m.startswith("repro.crypto")]
 
     def test_cold_figure1_loads_only_kernel_architectures(self, tmp_path):
         """``repro.arch`` is lazy: a cold render loads the three

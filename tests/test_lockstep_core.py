@@ -33,7 +33,7 @@ def test_attack_harness_names_one_llc_lru_stamp(monkeypatch):
 
     def bumped(attack):
         result = real(attack)
-        attack.attacker.soc.hierarchy.l2._policies[3]._last_use[0] += 1
+        attack.attacker.soc.hierarchy.l2.materialise(3).policy._last_use[0] += 1
         return result
 
     monkeypatch.setattr(batch, "try_run_batched", bumped)
@@ -41,6 +41,33 @@ def test_attack_harness_names_one_llc_lru_stamp(monkeypatch):
                        match=r"^soc\.llc\.lru\[3\]\[1\]\[0\] diverged"):
         run_pair(CacheScenario(attack="prime+probe", samples_per_value=1),
                  batched_run, scalar_run)
+
+
+@pytest.mark.parametrize("bump", [0, 1])
+def test_attack_harness_sees_a_stamp_in_an_untouched_set(monkeypatch, bump):
+    """A set the run never touched snapshots as pristine whether or not
+    it was allocated, and a stamp changed there is still named."""
+    real = batch.try_run_batched
+    bumped_sets = []
+
+    def bumped(attack):
+        result = real(attack)
+        llc = attack.attacker.soc.hierarchy.l2
+        idx = next(i for i in range(llc.num_sets)
+                   if llc.set_state(i) is llc.pristine)
+        llc.materialise(idx).policy._last_use[0] += bump
+        bumped_sets.append(idx)
+        return result
+
+    monkeypatch.setattr(batch, "try_run_batched", bumped)
+    scenario = CacheScenario(attack="prime+probe", samples_per_value=1)
+    if not bump:
+        run_pair(scenario, batched_run, scalar_run)
+        return
+    with pytest.raises(Divergence) as caught:
+        run_pair(scenario, batched_run, scalar_run)
+    assert str(caught.value).startswith(
+        f"soc.llc.lru[{bumped_sets[0]}][1][0] diverged")
 
 
 def test_power_harness_compares_samples_bitwise():

@@ -1,6 +1,8 @@
 """Physical memory model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MemoryFault
 from repro.memory.phys import PhysicalMemory
@@ -68,6 +70,42 @@ class TestMaintenance:
         assert data[:8] == b"\xff" * 8
         assert data[8:24] == bytes(16)
         assert data[24:] == b"\xff" * 8
+
+    @staticmethod
+    def _clear_against_reference(stored: dict[int, int], addr: int,
+                                 length: int) -> None:
+        """``clear_range`` leaves the bytes, in their order, that popping
+        each address of the range leaves."""
+        mem = PhysicalMemory(size=4096)
+        for a, value in stored.items():
+            mem.write_byte(a, value)
+        expected = dict(stored)
+        for a in range(addr, addr + length):
+            expected.pop(a, None)
+        mem.clear_range(addr, length)
+        assert list(mem._bytes.items()) == list(expected.items())
+        assert mem.footprint() == len(expected)
+
+    @pytest.mark.parametrize("length", [4, 3000],
+                             ids=["walks-range", "walks-stored"])
+    def test_clear_range_branches_keep_key_order(self, length):
+        stored = {a: a & 0xFF for a in (900, 10, 7, 11, 3000, 8, 2)}
+        self._clear_against_reference(stored, 8, length)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stored=st.dictionaries(st.integers(0, 255), st.integers(0, 255),
+                                  max_size=40),
+           addr=st.integers(0, 255), length=st.integers(0, 128))
+    def test_clear_range_matches_per_address_pop(self, stored, addr, length):
+        self._clear_against_reference(stored, addr, length)
+
+    @pytest.mark.parametrize("addr, length", [(4090, 8), (-1, 2)])
+    def test_clear_range_out_of_range_faults(self, addr, length):
+        mem = PhysicalMemory(size=4096)
+        mem.write_byte(4095, 1)
+        with pytest.raises(MemoryFault):
+            mem.clear_range(addr, length)
+        assert mem.footprint() == 1
 
     def test_footprint_counts_written_bytes(self, memory):
         assert memory.footprint() == 0

@@ -370,21 +370,29 @@ class TestServiceWorker:
         """Satellite: SIGTERM mid-run finishes the in-flight cell,
         releases every lease, and leaves the rest immediately
         re-claimable."""
-        job = JobSpec.matrix(quick=True)       # 15 cells: surely mid-run
+        job = JobSpec.matrix(quick=True)       # 15 cells
         queue.submit(job)
         worker = make_worker(queue, cache)
         restore = worker.install_signal_handlers()
-        killer = threading.Timer(0.4, os.kill, (os.getpid(),
-                                                signal.SIGTERM))
+        execute = worker._execute
+        started = []
+
+        def execute_under_sigterm(*args):
+            # The signal lands while the second cell is in flight, so the
+            # drain is mid-job however fast the cells run.
+            started.append(args[1])
+            if len(started) == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+            return execute(*args)
+
+        worker._execute = execute_under_sigterm
         try:
-            killer.start()
             stats = worker.run_until_drained()
         finally:
-            killer.cancel()
             restore()
         assert stats.drained
-        # Something finished, something remains: genuinely mid-job.
-        assert 0 < stats.cells_computed < len(job.cells())
+        # The in-flight cell finished and no further cell started.
+        assert stats.cells_computed == len(started) == 2
         # No lease left held; every remaining cell claimable right now.
         assert queue.held_leases() == {}
         assert not list(queue.leases_dir.glob("*.lease"))

@@ -45,10 +45,11 @@ def _state(sim: _SimHierarchy) -> dict:
 
 def _tie_stamps(cache, idx: int, rng: random.Random) -> None:
     """Give two occupied ways of set ``idx`` the same last-use stamp."""
-    used = [w for w, t in enumerate(cache._tags[idx]) if t is not None]
+    _, tags, policy = cache.materialise(idx)
+    used = [w for w, t in enumerate(tags) if t is not None]
     if len(used) >= 2:
         a, b = rng.sample(used, 2)
-        lu = cache._policies[idx]._last_use
+        lu = policy._last_use
         lu[b] = lu[a]
 
 
