@@ -24,7 +24,9 @@ kernels run the *same* experiments in array form:
   access.  Each Prime+Probe prime or probe of one LLC set is applied
   once, in closed form, when its walk would be uniform (every access
   misses the attacker's L1 and the LLC serves all of them or none),
-  and walked otherwise;
+  and walked otherwise.  A closed sweep leaves its sets in a symbolic
+  steady form, so from a run's second sample on each list's prime and
+  probe cost O(1) (:meth:`_SimHierarchy.sample`);
 * the Kocher measured/lookahead phases share one reduced product per
   modelled multiplication instead of recomputing it for the timing model
   and the value update separately.
@@ -69,7 +71,8 @@ differential suite proving the equivalence.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import NamedTuple
+from functools import partial
+from operator import add
 
 import numpy as np
 
@@ -130,45 +133,191 @@ _DICT_HEADROOM = 1024
 # ---------------------------------------------------------------------------
 
 
+class _Steady:
+    """A full set in the shape a closed sweep of one eviction list
+    leaves it, kept as that shape instead of as per-way lists.
+
+    ``tags[j]`` sits in way ``ways[j]`` with line record ``lines[j]``
+    (clean, filled by ``domain``), least recently used first, and the
+    stamps are consecutive.  ``src`` is the eviction list: an LLC set
+    holds all of it, an L1 set its last ``ways`` tags.  ``members`` is
+    ``tags`` as a set.  ``foreign``, when set, is the line record of the
+    one miss by another line since: it took way ``ways[0]`` and evicted
+    ``tags[0]``, and its stamp is the set's counter.  Without it, the
+    stamps end at the counter.  A record belongs to one set, and the
+    steady transitions update its ``ways`` and ``foreign`` in place."""
+
+    __slots__ = ("src", "tags", "ways", "lines", "domain", "members",
+                 "foreign")
+
+    def __init__(self, src: tuple[int, ...], tags: tuple[int, ...],
+                 ways: tuple[int, ...], lines: tuple[tuple, ...], domain,
+                 members: frozenset) -> None:
+        self.src = src
+        self.tags = tags
+        self.ways = ways
+        self.lines = lines
+        self.domain = domain
+        self.members = members
+        self.foreign: tuple | None = None
+
+
+def _steady(src, tags, ways, domain, size: int) -> _Steady:
+    """The :class:`_Steady` record of ``tags`` (filled by ``domain``) in
+    ``ways``."""
+    return _Steady(src, tags, ways,
+                   tuple((tag, tag * size, domain, False) for tag in tags),
+                   domain, frozenset(tags))
+
+
 class _SimLevel:
     """Flat mirror of one :class:`Cache` level (LRU, unpartitioned).
 
     State per set: a ``tag -> way`` dict for O(1) hit checks (tags are
     unique within a set, so this is equivalent to ``list.index``), the
     tag list itself (preserving ``tags.index(None)`` first-free order),
-    mutable ``[tag, addr, domain, dirty]`` line records, and the LRU
-    stamp/last-use arrays with scalar-identical update order.
+    ``(tag, addr, domain, dirty)`` line records, and the LRU stamp/last-use
+    arrays with scalar-identical update order.
+
+    Sets are sparse, like the live cache's, and each is in one of three
+    forms.  *Untouched*: ``lookup[idx]`` is ``None`` and ``steady`` has
+    no entry; it reads as pristine (empty, stamp 0).  *Concrete*: the
+    per-set lists above.  *Steady*: ``lookup[idx]`` is ``None`` and
+    ``steady[idx]`` is the :class:`_Steady` record a closed sweep wrote;
+    only its ``stamps`` entry is kept current.  :meth:`concrete` turns
+    the other two forms into lists the first time a walk, a flush, a
+    back-invalidation or the writeback reads the set; only a walk's miss
+    into a steady LLC set stays symbolic (:meth:`miss_steady`).
     """
 
     __slots__ = ("num_sets", "ways", "line_size", "lookup", "tags",
-                 "lines", "stamps", "last_use", "hits", "misses",
-                 "evictions", "flushes")
+                 "lines", "stamps", "last_use", "steady", "touched",
+                 "hits", "misses", "evictions", "flushes")
 
     def __init__(self, cache: Cache) -> None:
-        self.num_sets = cache.num_sets
+        n = self.num_sets = cache.num_sets
         self.ways = cache.ways
         self.line_size = cache.line_size
-        states = cache.set_states()
-        self.tags = [list(st.tags) for st in states]
-        self.lookup = [{t: w for w, t in enumerate(st.tags) if t is not None}
-                       for st in states]
-        self.lines = [[None if ln is None
-                       else [ln.tag, ln.addr, ln.domain, ln.dirty]
-                       for ln in st.lines]
-                      for st in states]
-        self.stamps = [st.policy._stamp for st in states]
-        self.last_use = [list(st.policy._last_use) for st in states]
+        self.lookup: list[dict | None] = [None] * n
+        self.tags: list[list | None] = [None] * n
+        self.lines: list[list | None] = [None] * n
+        self.last_use: list[list | None] = [None] * n
+        self.stamps = [0] * n
+        self.steady: dict[int, _Steady] = {}
+        #: Sets the snapshot copied or the run allocated.
+        self.touched = set(cache.touched_sets())
+        for idx in self.touched:
+            lines, tags, policy = cache.set_state(idx)
+            self.tags[idx] = list(tags)
+            self.lookup[idx] = {t: w for w, t in enumerate(tags)
+                                if t is not None}
+            self.lines[idx] = [None if ln is None
+                               else (ln.tag, ln.addr, ln.domain, ln.dirty)
+                               for ln in lines]
+            self.stamps[idx] = policy._stamp
+            self.last_use[idx] = list(policy._last_use)
         stats = cache.stats
         self.hits = stats.hits
         self.misses = stats.misses
         self.evictions = stats.evictions
         self.flushes = stats.flushes
 
+    def concrete(self, idx: int) -> dict:
+        """Set ``idx``'s ``tag -> way`` dict, with its lists valid: an
+        untouched set is allocated pristine, a steady one expanded."""
+        look = self.lookup[idx]
+        if look is not None:
+            return look
+        rec = self.steady.pop(idx, None)
+        if rec is None:
+            ways = self.ways
+            self.tags[idx] = [None] * ways
+            self.lines[idx] = [None] * ways
+            self.last_use[idx] = [0] * ways
+            self.touched.add(idx)
+            look = self.lookup[idx] = {}
+            return look
+        tags, lines, lu = self.tags[idx], self.lines[idx], self.last_use[idx]
+        counter = self.stamps[idx]
+        foreign = rec.foreign
+        top = counter if foreign is None else counter - 1
+        for stamp, tag, way, line in zip(
+                range(top - len(rec.tags) + 1, top + 1), rec.tags, rec.ways,
+                rec.lines):
+            tags[way] = tag
+            lines[way] = line
+            lu[way] = stamp
+        look = self.lookup[idx] = dict(zip(rec.tags, rec.ways))
+        if foreign is not None:
+            way = rec.ways[0]
+            del look[rec.tags[0]]
+            look[foreign[0]] = way
+            tags[way] = foreign[0]
+            lines[way] = foreign
+            lu[way] = counter
+        return look
+
+    def view(self, idx: int) -> dict:
+        """Set ``idx``'s ``tag -> way`` dict for a reader that may not
+        write: a steady set is expanded, an untouched one reads as an
+        empty dict and stays unallocated."""
+        look = self.lookup[idx]
+        if look is not None:
+            return look
+        return self.concrete(idx) if idx in self.steady else {}
+
+    def settle(self, idx: int, rec: _Steady) -> None:
+        """Leave set ``idx`` in steady form (its lists go stale)."""
+        self.lookup[idx] = None
+        self.steady[idx] = rec
+
+    def miss_steady(self, idx: int, tag: int, domain, l1s) -> bool:
+        """A walk's read of ``tag`` reaching set ``idx`` while the set's
+        lookup is ``None``.  When the set is steady, has no ``foreign``
+        line yet and does not hold ``tag``, serve the miss on the record:
+        its least recent line makes way and leaves every L1 in ``l1s``,
+        and the new line becomes ``foreign``.  Otherwise make the set
+        concrete and return ``False`` for the walk to serve the read."""
+        rec = self.steady.get(idx)
+        if rec is None or rec.foreign is not None or tag in rec.members:
+            self.concrete(idx)
+            return False
+        self.stamps[idx] += 1
+        self.misses += 1
+        self.evictions += 1
+        rec.foreign = (tag, tag * self.line_size, domain, False)
+        evicted = rec.tags[0]
+        for lv in l1s:
+            lv.flush(evicted)
+        return True
+
+    def flush(self, tag: int) -> bool:
+        """``Cache.flush_line`` of one tag."""
+        idx = tag % self.num_sets
+        look = self.lookup[idx]
+        if look is None:
+            rec = self.steady.get(idx)
+            if rec is None or (tag not in rec.members
+                               and (rec.foreign is None
+                                    or tag != rec.foreign[0])):
+                return False
+            look = self.concrete(idx)
+        way = look.pop(tag, None)
+        if way is None:
+            return False
+        self.lines[idx][way] = None
+        self.tags[idx][way] = None
+        self.flushes += 1
+        return True
+
     def flush_all(self) -> None:
         """``Cache.flush_all``: every valid line counts one flush; the
         replacement stamps stay as they are, as in the scalar cache."""
+        for idx in list(self.steady):
+            self.concrete(idx)
         ways = self.ways
-        for idx, look in enumerate(self.lookup):
+        for idx in self.touched:
+            look = self.lookup[idx]
             if look:
                 self.flushes += len(look)
                 look.clear()
@@ -179,13 +328,11 @@ class _SimLevel:
         """Restore the live cache to this (final) state, recycling
         ``_Line`` records in place exactly like the scalar hot path.
 
-        A set the live cache never touched stays unallocated when the
-        run left it pristine, which its zero stamp shows: every fill and
-        hit bumps it."""
-        touched = set(cache.touched_sets())
-        for idx in range(self.num_sets):
-            if not self.stamps[idx] and idx not in touched:
-                continue
+        Only the sets the snapshot copied or the run allocated are
+        written: every other set is pristine on both sides, and the live
+        cache leaves it unallocated, as the scalar run would."""
+        for idx in sorted(self.touched):
+            self.concrete(idx)
             live_ways, live_tags, policy = cache.materialise(idx)
             sim_lines = self.lines[idx]
             for w in range(self.ways):
@@ -211,24 +358,6 @@ class _SimLevel:
         stats.flushes = self.flushes
 
 
-class _SetsLeft(NamedTuple):
-    """What a closed set sweep left behind, for the next sweep of the
-    same list (see :meth:`_SimHierarchy._sweep_closed`)."""
-
-    core: int
-    tags: tuple[int, ...]
-    #: (stamp of the L1 set, flush count of that L1) when it was left.
-    l1_mark: tuple[int, int]
-    #: The L1 set's ways in the order the sweep last filled them, and
-    #: the inverse permutation.
-    l1_order: list[int]
-    l1_pos: list[int]
-    #: (stamp of the LLC set, flush count of the LLC) when it was left.
-    llc_mark: tuple[int, int]
-    #: The LLC way of each line of the list.
-    llc_ways: list[int]
-
-
 class _SimHierarchy:
     """Exact twin of ``CacheHierarchy.access``/``flush_line``/
     ``flush_core`` over :class:`_SimLevel` arrays, keyed by line tag
@@ -240,12 +369,16 @@ class _SimHierarchy:
     takes one attacker eviction list (a Prime+Probe prime or probe of
     one LLC set) and writes its end state in one step when the replay
     order makes that state plain; otherwise it walks.
-    ``sweeps_closed``/``sweeps_walked`` count the two outcomes.
+    ``sweeps_closed``/``sweeps_walked`` count the two outcomes,
+    ``sweeps_steady`` the closed sweeps that took the O(1) steady
+    transition, and ``samples_closed`` the Prime+Probe samples
+    (:meth:`sample`) whose every sweep did.
     """
 
     __slots__ = ("l1s", "l2", "lat_l1", "lat_l1_l2", "lat_l1_dram",
                  "lat_full", "shift", "nested", "sweeps_closed",
-                 "sweeps_walked", "_left", "_hierarchy")
+                 "sweeps_walked", "sweeps_steady", "samples_closed",
+                 "_hierarchy")
 
     def __init__(self, hierarchy: CacheHierarchy) -> None:
         self._hierarchy = hierarchy
@@ -263,19 +396,8 @@ class _SimHierarchy:
                           for lv in self.l1s)
         self.sweeps_closed = 0
         self.sweeps_walked = 0
-        #: LLC set -> what the last closed sweep into it left there.
-        self._left: dict[int, _SetsLeft] = {}
-
-    @staticmethod
-    def _level_flush(lv: _SimLevel, tag: int) -> bool:
-        idx = tag % lv.num_sets
-        way = lv.lookup[idx].pop(tag, None)
-        if way is None:
-            return False
-        lv.lines[idx][way] = None
-        lv.tags[idx][way] = None
-        lv.flushes += 1
-        return True
+        self.sweeps_steady = 0
+        self.samples_closed = 0
 
     # -- the per-access path --------------------------------------------------
 
@@ -294,7 +416,7 @@ class _SimHierarchy:
         n2, w2, size2 = l2.num_sets, l2.ways, l2.line_size
         look2s, tags2s, lines2s = l2.lookup, l2.tags, l2.lines
         stamps2, lus2 = l2.stamps, l2.last_use
-        l1s, level_flush = self.l1s, self._level_flush
+        l1s = self.l1s
         lat_l1, lat_l1_l2 = self.lat_l1, self.lat_l1_l2
         lat_miss = self.lat_l1_dram if excluded else self.lat_full
         hits1 = misses1 = evictions1 = hits2 = misses2 = evictions2 = 0
@@ -302,6 +424,8 @@ class _SimHierarchy:
         for tag in tags:
             idx = tag % n1
             look = look1s[idx]
+            if look is None:
+                look = l1.concrete(idx)
             way = look.get(tag)
             stamp = stamps1[idx] + 1
             stamps1[idx] = stamp
@@ -320,51 +444,52 @@ class _SimHierarchy:
                 lu[way] = stamp
                 ways[way] = tag
                 look[tag] = way
-                old = lines1s[idx][way]
-                if old is None:
-                    lines1s[idx][way] = [tag, tag * size1, domain, False]
-                else:
+                lines = lines1s[idx]
+                old = lines[way]
+                lines[way] = (tag, tag * size1, domain, False)
+                if old is not None:
                     evictions1 += 1
                     del look[old[0]]
-                    old[0], old[1], old[2], old[3] = (tag, tag * size1,
-                                                      domain, False)
                 if excluded:
                     latency = lat_miss
                 else:
                     idx = tag % n2
                     look = look2s[idx]
-                    way = look.get(tag)
-                    stamp = stamps2[idx] + 1
-                    stamps2[idx] = stamp
-                    if way is not None:
-                        hits2 += 1
-                        lus2[idx][way] = stamp
-                        latency = lat_l1_l2
-                    else:
-                        misses2 += 1
+                    if look is None and l2.miss_steady(idx, tag, domain,
+                                                       l1s):
                         latency = lat_miss
-                        ways = tags2s[idx]
-                        lu = lus2[idx]
-                        if len(look) < w2:
-                            way = ways.index(None)
+                    else:
+                        if look is None:
+                            look = look2s[idx]
+                        way = look.get(tag)
+                        stamp = stamps2[idx] + 1
+                        stamps2[idx] = stamp
+                        if way is not None:
+                            hits2 += 1
+                            lus2[idx][way] = stamp
+                            latency = lat_l1_l2
                         else:
-                            way = lu.index(min(lu))
-                        lu[way] = stamp
-                        ways[way] = tag
-                        look[tag] = way
-                        old = lines2s[idx][way]
-                        if old is None:
-                            lines2s[idx][way] = [tag, tag * size2, domain,
-                                                 False]
-                        else:
-                            evictions2 += 1
-                            ev_tag = old[0]
-                            del look[ev_tag]
-                            old[0], old[1], old[2], old[3] = (
-                                tag, tag * size2, domain, False)
-                            # Inclusive LLC: the victim leaves every L1.
-                            for lv in l1s:
-                                level_flush(lv, ev_tag)
+                            misses2 += 1
+                            latency = lat_miss
+                            ways = tags2s[idx]
+                            lu = lus2[idx]
+                            if len(look) < w2:
+                                way = ways.index(None)
+                            else:
+                                way = lu.index(min(lu))
+                            lu[way] = stamp
+                            ways[way] = tag
+                            look[tag] = way
+                            lines = lines2s[idx]
+                            old = lines[way]
+                            lines[way] = (tag, tag * size2, domain, False)
+                            if old is not None:
+                                evictions2 += 1
+                                ev_tag = old[0]
+                                del look[ev_tag]
+                                # Inclusive LLC: the victim leaves every L1.
+                                for lv in l1s:
+                                    lv.flush(ev_tag)
             total += latency
             if threshold is not None and latency > threshold:
                 slow += 1
@@ -380,12 +505,15 @@ class _SimHierarchy:
 
     @staticmethod
     def _victim_order(lv: _SimLevel, idx: int) -> list[int] | None:
-        """The ways consecutive misses in set ``idx`` fill, in order:
-        free ways by index (``tags.index(None)``), then occupied ways by
+        """The ways consecutive misses in set ``idx`` (untouched, or read
+        through :meth:`_SimLevel.view`) fill, in order: free ways by
+        index (``tags.index(None)``), then occupied ways by
         ``(last_use, way)`` (``lu.index(min(lu))``).  ``None`` when a
-        stamp exceeds the set's counter, so fresh fills would not be
-        the newest (no access history leaves that state)."""
+        stamp exceeds the set's counter, so fresh fills would not be the
+        newest (no access history leaves that state)."""
         ways = lv.tags[idx]
+        if ways is None:  # untouched: every way free
+            return list(range(lv.ways))
         lu = lv.last_use[idx]
         if None in ways:
             used = sorted((w for w, t in enumerate(ways) if t is not None),
@@ -397,24 +525,40 @@ class _SimHierarchy:
             top = lu[order[-1]]
         return None if top > lv.stamps[idx] else order
 
+    def sample(self, core: int, lists, domain, threshold: int,
+               victim) -> list[int]:
+        """One Prime+Probe sample: :meth:`sweep` every eviction list,
+        call ``victim()``, then sweep every list again with
+        ``threshold``; returns each list's count of slow probe reads.
+
+        From the second sample of a run on, every list's sets are
+        usually steady, and the sample costs O(1) per list
+        (:meth:`_sweep_steady`) besides the victim's own reads."""
+        before = self.sweeps_steady
+        sweep = self.sweep
+        for tags in lists:
+            sweep(core, tags, domain)
+        victim()
+        slow = [sweep(core, tags, domain, threshold) for tags in lists]
+        if self.sweeps_steady - before == 2 * len(lists):
+            self.samples_closed += 1
+        return slow
+
     def sweep(self, core: int, tags: tuple[int, ...], domain,
               threshold: int | None = None) -> int:
         """:meth:`walk` over one eviction list: distinct tags of one LLC
         set, at most one per LLC way.
 
-        When every access misses the core's L1, the LLC serves all of
-        them or none of them, and no line the LLC evicts is still in
-        the core's L1 at that moment, the end state is written
-        directly: the L1 set's last fills, the LLC set's stamps or
-        fills, the stats, and the evicted lines' flushes from the other
-        cores' L1s.  Any other sweep walks.  The checks follow
-        :meth:`_victim_order`, the order in which the walk's misses
-        fill ways.  A closed sweep remembers what it left in its two
-        sets (:class:`_SetsLeft`), so that the next sweep of the same
-        list over sets nothing has touched since (a prime after the
-        probe) skips the checks and lookups.
+        Three ways lead to the same end state; the first whose
+        preconditions hold is taken: the steady transition
+        (:meth:`_sweep_steady`), the per-sweep closed form
+        (:meth:`_sweep_closed`), the walk.
         """
-        latency = self.nested and self._sweep_closed(core, tags, domain)
+        latency = self._sweep_steady(core, tags, domain)
+        if latency is not False:
+            self.sweeps_steady += 1
+        elif self.nested:
+            latency = self._sweep_closed(core, tags, domain)
         if latency is False:
             self.sweeps_walked += 1
             return self.walk(core, tags, domain, threshold)
@@ -423,40 +567,102 @@ class _SimHierarchy:
             return latency * len(tags)
         return len(tags) if latency > threshold else 0
 
+    def _sweep_steady(self, core: int, tags: tuple[int, ...], domain):
+        """The sweep of a list over the steady sets a closed sweep of the
+        same list left, in O(1): returns the uniform per-access latency,
+        or ``False`` (nothing changed).
+
+        The core's L1 set holds the list's last ``ways`` lines, and the
+        list outnumbers its ways, so every access misses and the set
+        refills in its order rotated by ``len(tags) % ways``.  The LLC
+        set holds the whole list and is in one of the two shapes a
+        Prime+Probe sample leaves it in.  Nothing else touched it:
+        every access hits.  One miss by another line (the victim's) made
+        the list's least recent line give way: the first access evicts
+        the second line, and so on down the list, until the last access
+        evicts that foreign line; every line of the list is back, each
+        one way along.  Every other shape has no steady record here."""
+        l1, l2 = self.l1s[core], self.l2
+        s = tags[0] % l2.num_sets
+        i = s % l1.num_sets
+        rec1 = l1.steady.get(i)
+        rec2 = l2.steady.get(s)
+        n = len(tags)
+        if (rec1 is None or rec2 is None or rec1.src is not tags
+                or rec2.src is not tags or n <= l1.ways
+                or rec1.domain != domain):
+            return False
+        foreign = rec2.foreign
+        if foreign is None:
+            l2.stamps[s] += n
+            l2.hits += n
+            latency = self.lat_l1_l2
+        else:
+            # The evicted lines leave the other L1s; the sweeping core's
+            # set holds none of them when each is evicted.
+            members = rec2.members
+            for lv in self.l1s:
+                if lv is not l1:
+                    lv.flush(foreign[0])
+                    idx = s % lv.num_sets
+                    held = lv.lookup[idx]
+                    if held is None:
+                        held = lv.steady.get(idx)
+                        held = () if held is None else held.members
+                    if not members.isdisjoint(held):
+                        for tag in tags[1:]:
+                            lv.flush(tag)
+            l2.stamps[s] += n
+            l2.misses += n
+            l2.evictions += n
+            ways = rec2.ways
+            if rec2.domain == domain:
+                rec2.ways = ways[1:] + ways[:1]
+                rec2.foreign = None
+            else:
+                l2.steady[s] = _steady(tags, tags, ways[1:] + ways[:1],
+                                       domain, l2.line_size)
+            latency = self.lat_full
+        l1.stamps[i] += n
+        l1.misses += n
+        l1.evictions += n
+        shift = n % l1.ways
+        if shift:
+            ways = rec1.ways
+            rec1.ways = ways[shift:] + ways[:shift]
+        return latency
+
     def _sweep_closed(self, core: int, tags: tuple[int, ...], domain):
         """Apply the sweep in closed form and return its (uniform)
-        per-access latency, or ``False`` (nothing changed) to walk."""
+        per-access latency, or ``False`` (no observable change) to walk.
+
+        It applies when every access misses the core's L1, the LLC
+        serves all of them or none of them, and no line the LLC evicts
+        is still in the core's L1 at that moment.  The end state is
+        written directly: the L1 set's last fills, the LLC set's stamps
+        or fills, the stats, and the evicted lines' flushes from the
+        other cores' L1s.  The checks follow :meth:`_victim_order`, the
+        order in which the walk's misses fill ways.  A set whose every
+        way holds a line of the list afterwards is left steady."""
         n = len(tags)
         l1, l2 = self.l1s[core], self.l2
         if not n or n > l2.ways:
             return False
         s = tags[0] % l2.num_sets
         i = s % l1.num_sets
-        # A set nothing has accessed or flushed since this list's last
-        # closed sweep left it is known: the L1 refills in the order
-        # that sweep filled it (every line is the list's, and the list
-        # is longer than the set, so every access misses), and the LLC
-        # holds the whole list where that sweep put it.
-        left = self._left.get(s)
-        if left is not None and (left.tags is not tags or left.core != core):
-            left = None
-        if left is not None and (l1.stamps[i], l1.flushes) == left.l1_mark:
-            order1, pos1 = left.l1_order, left.l1_pos
-        else:
-            order1 = self._victim_order(l1, i)
-            if order1 is None:
+        look1 = l1.view(i)
+        look2 = l2.view(s)
+        order1 = self._victim_order(l1, i)
+        if order1 is None:
+            return False
+        # pos1[way]: the step whose fill first replaces ``way``.
+        pos1 = sorted(range(l1.ways), key=order1.__getitem__)
+        # Every access misses the L1: a line of the list it already
+        # holds must be replaced by an earlier step of the sweep.
+        for tag, way in look1.items():
+            if tag in tags and pos1[way] >= tags.index(tag):
                 return False
-            # pos1[way]: the step whose fill first replaces ``way``.
-            pos1 = sorted(range(l1.ways), key=order1.__getitem__)
-            # Every access misses the L1: a line of the list it already
-            # holds must be replaced by an earlier step of the sweep.
-            for tag, way in l1.lookup[i].items():
-                if tag in tags and pos1[way] >= tags.index(tag):
-                    return False
-        if left is not None and (l2.stamps[s], l2.flushes) == left.llc_mark:
-            resident = left.llc_ways
-        else:
-            resident = list(map(l2.lookup[s].get, tags))
+        resident = list(map(look2.get, tags))
         if None not in resident:
             self._write_fills(l1, i, order1, tags, domain)
             lu = l2.last_use[s]
@@ -465,7 +671,11 @@ class _SimHierarchy:
                 lu[way] = stamp
             l2.stamps[s] = stamp
             l2.hits += n
-            self._leave(core, tags, s, i, order1, resident)
+            lines = l2.lines[s]
+            clean = (lines[resident[0]][2], False)
+            if n == l2.ways and all(lines[w][2:] == clean for w in resident):
+                l2.settle(s, _steady(tags, tags, tuple(resident), clean[0],
+                                     l2.line_size))
             return self.lat_l1_l2
         order2 = self._victim_order(l2, s)
         if order2 is None:
@@ -480,10 +690,9 @@ class _SimHierarchy:
         # mid-sweep, freeing a way: walk.  This is checked at eviction
         # time: a line of the list that the probe cascade evicts before
         # its turn has usually left the L1 by then.
-        look1 = l1.lookup[i]
-        ways2 = l2.tags[s]
+        ways2 = l2.tags[s] if look2 else ()
         evicted = []
-        for step in range(n):
+        for step in range(n if look2 else 0):
             old = ways2[order2[step]]
             if old is not None:
                 way = look1.get(old)
@@ -496,32 +705,9 @@ class _SimHierarchy:
         # eviction, and a line of the list may be back by now.
         for lv in self.l1s:
             if lv is not l1:
-                look = lv.lookup[s % lv.num_sets]
                 for old in evicted:
-                    if old in look:
-                        self._level_flush(lv, old)
-        self._leave(core, tags, s, i, order1, order2[:n])
+                    lv.flush(old)
         return self.lat_full
-
-    def _leave(self, core: int, tags, s: int, i: int,
-               order1: list[int], llc_ways: list[int]) -> None:
-        """Remember what a closed sweep just wrote into LLC set ``s`` and
-        its L1 set ``i`` (only useful once the list outnumbers the L1's
-        ways, so that repeating it cannot hit)."""
-        l1, l2 = self.l1s[core], self.l2
-        n, ways = len(tags), l1.ways
-        if n <= ways:
-            self._left.pop(s, None)
-            return
-        left = self._left.get(s)
-        if n % ways == 0 and left is not None and left.l1_order is order1:
-            order, pos = order1, left.l1_pos  # refilled in the same order
-        else:
-            order = [order1[k % ways] for k in range(n - ways, n)]
-            pos = sorted(range(ways), key=order.__getitem__)
-        self._left[s] = _SetsLeft(core, tags, (l1.stamps[i], l1.flushes),
-                                  order, pos,
-                                  (l2.stamps[s], l2.flushes), llc_ways)
 
     @staticmethod
     def _write_fills(lv: _SimLevel, idx: int, order: list[int], tags,
@@ -529,25 +715,32 @@ class _SimHierarchy:
         """The end state of ``len(tags)`` missing fills of set ``idx``:
         fill ``k`` takes way ``order[k % ways]`` and stamp ``+k+1``, so
         only the last ``ways`` fills remain, and every fill after the
-        free ways are used up evicts."""
+        free ways are used up evicts.  When those fills cover every way,
+        the set is left steady."""
         n, ways = len(tags), lv.ways
-        look, set_tags, lines = lv.lookup[idx], lv.tags[idx], lv.lines[idx]
-        lu, stamp, size = lv.last_use[idx], lv.stamps[idx], lv.line_size
-        free = ways - len(look)
+        look = lv.concrete(idx)
+        stamp = lv.stamps[idx]
+        lv.stamps[idx] = stamp + n
+        lv.misses += n
+        lv.evictions += max(0, n - (ways - len(look)))
+        if n >= ways:
+            last = tags[n - ways:]
+            lv.settle(idx, _steady(
+                tags, last, tuple(order[k % ways] for k in range(n - ways, n)),
+                domain, lv.line_size))
+            return
+        set_tags, lines, lu = lv.tags[idx], lv.lines[idx], lv.last_use[idx]
+        size = lv.line_size
         for way in order[:n]:
             old = set_tags[way]
             if old is not None:
                 del look[old]
-        for step in range(max(0, n - ways), n):
-            tag = tags[step]
-            way = order[step % ways]
+        for step, tag in enumerate(tags):
+            way = order[step]
             set_tags[way] = tag
             look[tag] = way
-            lines[way] = [tag, tag * size, domain, False]
+            lines[way] = (tag, tag * size, domain, False)
             lu[way] = stamp + step + 1
-        lv.stamps[idx] = stamp + n
-        lv.misses += n
-        lv.evictions += max(0, n - free)
 
     # -- maintenance ------------------------------------------------------------
 
@@ -555,8 +748,8 @@ class _SimHierarchy:
         """clflush across every level (the attacker's ``flush``)."""
         found = False
         for l1 in self.l1s:
-            found |= self._level_flush(l1, tag)
-        found |= self._level_flush(self.l2, tag)
+            found |= l1.flush(tag)
+        found |= self.l2.flush(tag)
         return found
 
     def flush_core(self, core: int) -> None:
@@ -1221,7 +1414,7 @@ def _run_prime_probe(attack):
     sim = _build_sim(attack, model)
     shift = sim.shift
     span = obs.span
-    sweep, encrypt = sim.sweep, model.encrypt
+    sample, encrypt = sim.sample, model.encrypt
     attacker = attack.attacker
     core, domain = attacker.core_id, attacker.domain
     threshold = attacker.hit_threshold
@@ -1238,6 +1431,7 @@ def _run_prime_probe(attack):
                           byte=target_byte, covered=count)
                 continue
             closed, walked = sim.sweeps_closed, sim.sweeps_walked
+            samples_closed = sim.samples_closed
             ev_tags = [tuple(addr >> shift for addr in addrs)
                        for addrs in eviction]
             probe_reads = sum(map(len, ev_tags))
@@ -1247,22 +1441,21 @@ def _run_prime_probe(attack):
                                    target_byte, values)
             tag_rows = model.lookup_tags(pts)
             counts = np.zeros((len(values), LINES_PER_TABLE))
-            row = 0
+            rows = iter(tag_rows)
             for vi in range(len(values)):
-                crow = counts[vi]
+                crow = [0] * LINES_PER_TABLE
                 for _ in range(samples):
-                    for tags in ev_tags:
-                        sweep(core, tags, domain)
-                    encrypt(tag_rows[row])
-                    row += 1
-                    for li, tags in enumerate(ev_tags):
-                        crow[li] += sweep(core, tags, domain, threshold)
+                    slow = sample(core, ev_tags, domain, threshold,
+                                  partial(encrypt, next(rows)))
+                    crow = list(map(add, crow, slow))
                     timed_reads += probe_reads
+                counts[vi] = crow
             recovered[target_byte] = _best_nibble(values, counts)
             if byte_span is not None:
                 byte_span.add_args(
                     sweeps_closed=sim.sweeps_closed - closed,
-                    sweeps_walked=sim.sweeps_walked - walked)
+                    sweeps_walked=sim.sweeps_walked - walked,
+                    samples_closed=sim.samples_closed - samples_closed)
 
     _finalize_cache_run(attack, sim, model, timed_reads)
     score = _grade(recovered, attack.victim.key)

@@ -66,7 +66,7 @@ _HEALTHY = dict.fromkeys(GATED_BENCHMARKS, 0.010)
 _HEALTHY["cache_sca[scalar]"] = 1.0
 _HEALTHY["cache_sca[batched]"] = 0.15
 _HEALTHY["prime_probe[scalar]"] = 1.6
-_HEALTHY["prime_probe[batched]"] = 0.14
+_HEALTHY["prime_probe[batched]"] = 0.06
 _HEALTHY["kocher_timing[scalar]"] = 0.045
 _HEALTHY["kocher_timing[batched]"] = 0.018
 _HEALTHY["gauss_block[scalar]"] = 0.03
@@ -173,7 +173,7 @@ class TestGateVerdicts:
         against = _baseline(tmp_path / "BENCH_old.json", "2026-08-01",
                             _HEALTHY)
         decayed = dict(_HEALTHY)
-        decayed["prime_probe[batched]"] = 0.4  # 4.0x < 5.0x floor
+        decayed["prime_probe[batched]"] = 0.12  # 13.3x < 15.0x floor
         current = _baseline(tmp_path / "current.json", "2026-08-08",
                             decayed)
         assert main([str(current), "--against", str(against)]) == 1

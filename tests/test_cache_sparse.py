@@ -156,15 +156,30 @@ def _touched(soc) -> list[list[int]]:
 @pytest.mark.parametrize("attack, host", [("prime+probe", "null"),
                                           ("flush+reload", "null"),
                                           ("evict+time", "sanctuary")])
-def test_batched_attack_allocates_the_sets_the_scalar_one_touches(attack,
-                                                                 host):
-    """The attack twin's writeback leaves every set it left pristine
-    unallocated, so both lanes allocate the same sets."""
+def test_batched_attack_allocates_the_sets_the_scalar_one_touches(
+        attack, host, monkeypatch):
+    """The attack twin snapshots only the sets the live caches hold and
+    allocates only those the run touches, so at its writeback it holds
+    exactly the sets the scalar run touched, and the writeback leaves
+    every other set unallocated: both lanes allocate the same sets."""
+    twin = []
+    writeback = batch._SimHierarchy.writeback
+
+    def spy(sim):
+        levels = (*sim.l1s, sim.l2)
+        twin.append([sorted(lv.touched) for lv in levels])
+        for lv in levels:
+            assert [i for i, tags in enumerate(lv.tags) if tags is not None] \
+                == sorted(lv.touched)
+        writeback(sim)
+
+    monkeypatch.setattr(batch._SimHierarchy, "writeback", spy)
     scenario = CacheScenario(attack=attack, host=host, samples_per_value=1)
     fast, _, fast_soc = scenario.build()
     assert batch.try_run_batched(fast) is not None
     scalar, _, scalar_soc = scenario.build()
     scalar._run_scalar()
+    assert twin == [_touched(scalar_soc)]
     assert _touched(fast_soc) == _touched(scalar_soc)
 
 

@@ -189,7 +189,8 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
     refuses its first probe.  Every attacker prime and probe of the four
     batched Prime+Probe rows takes the closed-form set sweep (the
     ``prime+probe:byte`` span's ``sweeps_closed``/``sweeps_walked``),
-    none the per-access walk."""
+    none the per-access walk, and every sample but each byte's first
+    replays in the steady transition (``samples_closed``)."""
     real_try = batch.try_run_batched
     accepted: dict[str, list[bool]] = {}
 
@@ -216,11 +217,13 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
                         "sanctum": [False, False],
                         "trustzone": [True, False],
                         "sanctuary": [True, False]}
-    sweeps = [(r["args"]["sweeps_closed"], r["args"]["sweeps_walked"])
+    sweeps = [(r["args"]["sweeps_closed"], r["args"]["sweeps_walked"],
+               r["args"]["samples_closed"])
               for r in tracer.records if r["name"] == "prime+probe:byte"
               and "sweeps_closed" in r["args"]]
-    # 4 rows x 2 bytes x (8 values x 8 samples x 16 sets x prime+probe).
-    assert sweeps == [(2048, 0)] * 8
+    # 4 rows x 2 bytes x (8 values x 8 samples x 16 sets x prime+probe);
+    # a byte's first sample primes sets the previous byte's lists left.
+    assert sweeps == [(2048, 0, 63)] * 8
 
 
 def _drain(tmp_path, job_doc: dict) -> ServiceWorker:

@@ -70,6 +70,31 @@ def test_attack_harness_sees_a_stamp_in_an_untouched_set(monkeypatch, bump):
         f"soc.llc.lru[{bumped_sets[0]}][1][0] diverged")
 
 
+def test_attack_harness_names_a_stamp_in_a_steady_set(monkeypatch):
+    """The twin leaves the sets of the last sweeps in symbolic (steady)
+    form and expands them only at the writeback; one stamp changed in
+    such a set is named."""
+    real = batch._SimHierarchy.writeback
+    bumped = []
+
+    def skewed(sim):
+        llc = sim.l2
+        idx = min(llc.steady)
+        way = llc.steady[idx].ways[-1]
+        llc.concrete(idx)
+        llc.last_use[idx][way] += 1
+        bumped.append((idx, way))
+        real(sim)
+
+    monkeypatch.setattr(batch._SimHierarchy, "writeback", skewed)
+    with pytest.raises(Divergence) as caught:
+        run_pair(CacheScenario(attack="prime+probe", samples_per_value=1),
+                 batched_run, scalar_run)
+    idx, way = bumped[0]
+    assert str(caught.value).startswith(
+        f"soc.llc.lru[{idx}][1][{way}] diverged")
+
+
 def test_power_harness_compares_samples_bitwise():
     # Round 11 never fires, so its sample slots stay zero on both paths.
     config = SCAConfig(key=AES_KEY, num_traces=4, rounds_of_interest=(1, 11))

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import hashlib
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +10,6 @@ from repro.crypto.aes import AES128, MaskedAES, expand_key, invert_key_schedule
 from repro.crypto.hmacmod import hmac_sha256, hmac_verify
 from repro.crypto.modexp import modexp_ladder, modexp_square_multiply
 from repro.crypto.rng import XorShiftRNG
-from repro.crypto.sha256 import sha256
 from repro.memory.paging import (
     PAGE_SIZE,
     FrameAllocator,
@@ -31,11 +28,6 @@ blocks16 = st.binary(min_size=16, max_size=16)
 
 
 class TestCryptoProperties:
-    @_slow
-    @given(message=st.binary(max_size=300))
-    def test_sha256_matches_stdlib(self, message):
-        assert sha256(message) == hashlib.sha256(message).digest()
-
     @_slow
     @given(key=keys16, pt=blocks16)
     def test_aes_decrypt_inverts_encrypt(self, key, pt):

@@ -17,6 +17,14 @@ through :func:`repro.lockstep.compare`, that
 
 Every decline branch fires in the sample: an L1 hit inside the sweep, a
 partly resident LLC, and an evicted line still in the sweeping core's L1.
+
+Whole Prime+Probe samples (:meth:`~repro.attacks.batch._SimHierarchy.sample`:
+a prime of every eviction list, the victim's reads, a probe of every
+list) are checked the same way, round after round over random dirty
+pre-states and victim reads: the sample against the walk, against the
+per-sweep closed form and against the live hierarchy.  The steady
+transition is taken exactly when its preconditions hold, and both of
+its shapes and every reason to fall back show up.
 """
 
 from __future__ import annotations
@@ -27,19 +35,33 @@ from collections import Counter
 
 import pytest
 
-from repro.attacks.batch import _SimHierarchy
+from repro.attacks.batch import _SimHierarchy, _SimLevel
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.lockstep import compare
 
 DOMAIN = "attacker-proc"
 
 
+def _level_state(lv) -> dict:
+    """One level's replacement-visible state: every allocated set as
+    lists, steady ones expanded (on a copy, so the level keeps its
+    form), plus the set counters and the stats."""
+    lv = copy.deepcopy(lv)
+    for idx in list(lv.steady):
+        lv.concrete(idx)
+    sets = sorted(lv.touched)
+    return {"tags": {i: lv.tags[i] for i in sets},
+            "lookup": {i: lv.lookup[i] for i in sets},
+            "lines": {i: lv.lines[i] for i in sets},
+            "last_use": {i: lv.last_use[i] for i in sets},
+            "stamps": lv.stamps,
+            "stats": (lv.hits, lv.misses, lv.evictions, lv.flushes)}
+
+
 def _state(sim: _SimHierarchy) -> dict:
     """Every level's replacement-visible state, by cache name."""
     names = [f"l1-core{i}" for i in range(len(sim.l1s))] + ["llc"]
-    return {name: {"tags": lv.tags, "lookup": lv.lookup, "lines": lv.lines,
-                   "stamps": lv.stamps, "last_use": lv.last_use,
-                   "stats": (lv.hits, lv.misses, lv.evictions, lv.flushes)}
+    return {name: _level_state(lv)
             for name, lv in zip(names, (*sim.l1s, sim.l2))}
 
 
@@ -227,7 +249,7 @@ def test_a_remembered_l1_set_counts_its_flushes():
     for other in (10, 11, 12):  # evict all three from the LLC
         for sim in sims:
             sim.walk(1, (other,), "victim")
-    assert sims[0].l1s[0].lookup[0] == {}
+    assert _state(sims[0])["l1-core0"]["lookup"][0] == {}
     _sweep_both(sims, 0, tags)  # refills way 0 first, not way 1
 
 
@@ -267,3 +289,246 @@ def test_unnested_sets_always_walk():
     assert not sim.nested
     sim.sweep(0, tuple(1 + k * 6 for k in range(4)), DOMAIN)
     assert (sim.sweeps_closed, sim.sweeps_walked) == (0, 1)
+
+
+# -- whole Prime+Probe samples ----------------------------------------------
+
+VICTIM_BASE = 1 << 12  # victim line tags: a multiple of every set count
+
+
+def _sample_scenario(rng: random.Random):
+    """A small nested hierarchy with a random, partly dirty history over
+    a few eviction lists and the victim lines that share their sets:
+    ``(hierarchy, core, vcore, lists, victim_tags, excluded)``."""
+    l1_sets = rng.choice([1, 2, 4])
+    l1_ways = rng.randint(1, 3)
+    cfg = HierarchyConfig(num_cores=rng.randint(2, 3), line_size=64,
+                          l1_sets=l1_sets, l1_ways=l1_ways,
+                          l2_sets=l1_sets * rng.choice([1, 2, 4]),
+                          l2_ways=rng.randint(l1_ways + 1, 5))
+    hierarchy = CacheHierarchy(cfg)
+    n2 = cfg.l2_sets
+    sets = rng.sample(range(n2), rng.randint(1, min(3, n2)))
+    lists = []
+    for s in sets:
+        n = cfg.l2_ways if rng.random() < 0.85 else rng.randint(1,
+                                                                cfg.l2_ways)
+        lists.append(tuple(s + k * n2 for k in range(n)))
+    victim_tags = [VICTIM_BASE + s + k * n2 for s in sets for k in range(3)]
+    # Sanctuary: the victim's lines bypass the LLC.
+    excluded = rng.random() < 0.2
+    if excluded:
+        hierarchy.exclude_from_llc(VICTIM_BASE * 64, 64 * 64 * n2)
+    pool = [tag for tags in lists for tag in tags] + victim_tags
+    for _ in range(rng.randrange(40)):
+        roll = rng.random()
+        if roll < 0.8:
+            hierarchy.access(rng.randrange(cfg.num_cores),
+                             rng.choice(pool) * 64,
+                             is_write=rng.random() < 0.3,
+                             domain=rng.choice([DOMAIN, "victim"]))
+        elif roll < 0.95:
+            hierarchy.flush_line(rng.choice(pool) * 64)
+        else:
+            hierarchy.flush_core(rng.randrange(cfg.num_cores))
+    core = rng.randrange(cfg.num_cores)
+    vcore = core if rng.random() < 0.1 else rng.choice(
+        [c for c in range(cfg.num_cores) if c != core])
+    return hierarchy, core, vcore, lists, victim_tags, excluded
+
+
+class _PerSweep(_SimHierarchy):
+    """A twin without the steady transition: every sweep takes the
+    per-sweep closed form or the walk."""
+
+    __slots__ = ()
+
+    def _sweep_steady(self, core, tags, domain):
+        return False
+
+
+class _Lanes:
+    """One sample, replayed on the live hierarchy, on a walking twin, on
+    a twin that sweeps list by list in the per-sweep closed form, and on
+    a twin that replays it with :meth:`_SimHierarchy.sample`."""
+
+    def __init__(self, hierarchy) -> None:
+        self.live = hierarchy
+        self.walked = _SimHierarchy(hierarchy)
+        self.swept = _PerSweep(hierarchy)
+        self.fast = _SimHierarchy(hierarchy)
+
+    def sims(self):
+        return self.walked, self.swept, self.fast
+
+    def read(self, core: int, tag: int, domain) -> None:
+        """One stray read, on all four."""
+        self.live.access(core, tag * 64, domain=domain)
+        for sim in self.sims():
+            sim.walk(core, (tag,), domain,
+                     excluded=not self.live._llc_allowed(tag * 64))
+
+    def flush(self, tag: int) -> None:
+        self.live.flush_line(tag * 64)
+        for sim in self.sims():
+            sim.flush_line(tag)
+
+    def flush_core(self, core: int) -> None:
+        self.live.flush_core(core)
+        for sim in self.sims():
+            sim.flush_core(core)
+
+    def sample(self, core, lists, domain, vcore, row, flush_l1,
+               clflush) -> list:
+        live, threshold = self.live, self.live.hit_threshold
+
+        def victim(sim):
+            if flush_l1:
+                sim.flush_core(vcore)
+            for tag in row:
+                sim.walk(vcore, (tag,), "victim",
+                         excluded=not live._llc_allowed(tag * 64))
+            if flush_l1:
+                sim.flush_core(vcore)
+            for tag in clflush:
+                sim.flush_line(tag)
+
+        # The live hierarchy, the scalar attack's way.
+        for tags in lists:
+            for tag in tags:
+                live.access(core, tag * 64, domain=domain)
+        if flush_l1:
+            live.flush_core(vcore)
+        for tag in row:
+            live.access(vcore, tag * 64, domain="victim")
+        if flush_l1:
+            live.flush_core(vcore)
+        for tag in clflush:
+            live.flush_line(tag * 64)
+        slow = [sum(live.access(core, tag * 64, domain=domain).latency
+                    > threshold for tag in tags) for tags in lists]
+        # Access by access.
+        walked = self.walked
+        for tags in lists:
+            walked.walk(core, tags, domain)
+        victim(walked)
+        compare("walk", [walked.walk(core, tags, domain, threshold)
+                         for tags in lists], slow)
+        # Sweep by sweep, without the steady transition.
+        swept = self.swept
+        for tags in lists:
+            swept.sweep(core, tags, domain)
+        victim(swept)
+        compare("sweeps", [swept.sweep(core, tags, domain, threshold)
+                           for tags in lists], slow)
+        # The whole sample.
+        compare("sample", self.fast.sample(core, lists, domain, threshold,
+                                           lambda: victim(self.fast)), slow)
+        compare("live", _state(walked), _state(_SimHierarchy(live)))
+        compare("sweeps", _state(swept), _state(walked))
+        compare("sample", _state(self.fast), _state(walked))
+        return slow
+
+
+def _steady_shape(sim: _SimHierarchy, core: int, tags, domain) -> str:
+    """Which way the next steady transition of ``tags`` goes, by its
+    preconditions alone."""
+    l1, l2 = sim.l1s[core], sim.l2
+    s = tags[0] % l2.num_sets
+    rec1 = l1.steady.get(s % l1.num_sets)
+    rec2 = l2.steady.get(s)
+    if len(tags) < l2.ways or len(tags) <= l1.ways:
+        return "short-list"
+    if rec1 is None or rec1.src is not tags:
+        return "l1-not-steady"
+    if rec1.domain != domain:
+        return "other-domain"
+    if rec2 is None or rec2.src is not tags:
+        return "llc-not-steady"
+    return "hits" if rec2.foreign is None else "cascade"
+
+
+@pytest.fixture
+def shapes(monkeypatch) -> Counter:
+    """Counts every steady transition (by :func:`_steady_shape`, checked
+    against what was taken), every read that reached a steady LLC set,
+    and every closed sweep that left a full LLC set concrete."""
+    counts: Counter = Counter()
+    steady, miss = _SimHierarchy._sweep_steady, _SimLevel.miss_steady
+    closed = _SimHierarchy._sweep_closed
+
+    def spy_steady(sim, core, tags, domain):
+        shape = _steady_shape(sim, core, tags, domain)
+        latency = steady(sim, core, tags, domain)
+        assert (latency is not False) == (shape in ("hits", "cascade")), \
+            shape
+        counts[shape] += 1
+        return latency
+
+    def spy_miss(lv, idx, tag, domain, l1s):
+        rec = lv.steady.get(idx)
+        served = miss(lv, idx, tag, domain, l1s)
+        if rec is None:
+            counts["read:concrete"] += 1
+        elif served:
+            counts["read:absorbed"] += 1
+        elif rec.foreign is not None:
+            counts["read:second-foreign"] += 1
+        else:
+            counts["read:list-line"] += 1
+        return served
+
+    def spy_closed(sim, core, tags, domain):
+        latency = closed(sim, core, tags, domain)
+        s = tags[0] % sim.l2.num_sets
+        if (latency == sim.lat_l1_l2 and len(tags) == sim.l2.ways
+                and s not in sim.l2.steady):
+            counts["llc-hits-not-clean"] += 1
+        return latency
+
+    monkeypatch.setattr(_SimHierarchy, "_sweep_steady", spy_steady)
+    monkeypatch.setattr(_SimLevel, "miss_steady", spy_miss)
+    monkeypatch.setattr(_SimHierarchy, "_sweep_closed", spy_closed)
+    return counts
+
+
+def _run_samples(rng: random.Random, shapes: Counter) -> None:
+    hierarchy, core, vcore, lists, victim_tags, excluded = \
+        _sample_scenario(rng)
+    lanes = _Lanes(hierarchy)
+    list_tags = [tag for tags in lists for tag in tags]
+    for round_ in range(6):
+        if round_ and rng.random() < 0.3:
+            roll = rng.random()
+            if roll < 0.5:  # a list line touched by another core
+                lanes.read(rng.randrange(len(hierarchy.l1s)),
+                           rng.choice(list_tags), "victim")
+            elif roll < 0.8:
+                lanes.flush(rng.choice(list_tags + victim_tags))
+            else:
+                lanes.flush_core(rng.choice([core, vcore]))
+        row = rng.choices(victim_tags, k=rng.randrange(4))
+        if rng.random() < 0.1:
+            row.append(rng.choice(list_tags))
+        domain = DOMAIN if rng.random() < 0.9 else "attacker-2"
+        before = lanes.fast.samples_closed
+        clflush = rng.sample(row, 1) if row and rng.random() < 0.1 else []
+        lanes.sample(core, lists, domain, vcore, tuple(row),
+                     flush_l1=excluded and rng.random() < 0.8,
+                     clflush=clflush)
+        if lanes.fast.samples_closed > before:
+            shapes["sample-closed"] += 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_samples_match_the_walk_and_the_live_caches(seed, shapes):
+    rng = random.Random(0x5A3B1E + seed)
+    for _ in range(80):
+        _run_samples(rng, shapes)
+    # Both steady shapes, every reason to fall back to the per-sweep
+    # closed form, and every way a read meets a steady LLC set.
+    assert set(shapes) == {
+        "sample-closed", "hits", "cascade", "short-list", "l1-not-steady",
+        "other-domain", "llc-not-steady", "llc-hits-not-clean",
+        "read:concrete", "read:absorbed", "read:second-foreign",
+        "read:list-line"}, shapes
