@@ -21,12 +21,11 @@ kernels run the *same* experiments in array form:
   attack.  The victim's lookups and the Flush+Reload and Evict+Time
   reads go through one fused walk with the exact ``Cache.access`` /
   ``LRUPolicy`` / inclusive back-invalidation semantics, access by
-  access.  Each Prime+Probe prime or probe of one LLC set is applied
-  once, in closed form, when its walk would be uniform (every access
-  misses the attacker's L1 and the LLC serves all of them or none),
-  and walked otherwise.  A closed sweep leaves its sets in a symbolic
-  steady form, so from a run's second sample on each list's prime and
-  probe cost O(1) (:meth:`_SimHierarchy.sample`);
+  access.  A Prime+Probe prime or probe of one LLC set that refills
+  it with every access missing is applied once, in closed form, and
+  leaves its sets in a symbolic steady form; from a run's second
+  sample on each list's prime and probe is an O(1) transition on that
+  form (:meth:`_SimHierarchy.sample`), and any other sweep walks;
 * the Kocher measured/lookahead phases share one reduced product per
   modelled multiplication instead of recomputing it for the timing model
   and the value update separately.
@@ -265,11 +264,6 @@ class _SimLevel:
         if look is not None:
             return look
         return self.concrete(idx) if idx in self.steady else {}
-
-    def settle(self, idx: int, rec: _Steady) -> None:
-        """Leave set ``idx`` in steady form (its lists go stale)."""
-        self.lookup[idx] = None
-        self.steady[idx] = rec
 
     def miss_steady(self, idx: int, tag: int, domain, l1s) -> bool:
         """A walk's read of ``tag`` reaching set ``idx`` while the set's
@@ -636,17 +630,16 @@ class _SimHierarchy:
         """Apply the sweep in closed form and return its (uniform)
         per-access latency, or ``False`` (no observable change) to walk.
 
-        It applies when every access misses the core's L1, the LLC
-        serves all of them or none of them, and no line the LLC evicts
-        is still in the core's L1 at that moment.  The end state is
-        written directly: the L1 set's last fills, the LLC set's stamps
-        or fills, the stats, and the evicted lines' flushes from the
-        other cores' L1s.  The checks follow :meth:`_victim_order`, the
-        order in which the walk's misses fill ways.  A set whose every
-        way holds a line of the list afterwards is left steady."""
+        It applies when the list fills the LLC set and at least the
+        core's L1 set, every access misses both, and no line the LLC
+        evicts is still in the core's L1 at that moment.  The end state
+        is written directly: both sets left steady, the stats, and the
+        evicted lines' flushes from the other cores' L1s.  The checks
+        follow :meth:`_victim_order`, the order in which the walk's
+        misses fill ways."""
         n = len(tags)
         l1, l2 = self.l1s[core], self.l2
-        if not n or n > l2.ways:
+        if n != l2.ways or n < l1.ways:
             return False
         s = tags[0] % l2.num_sets
         i = s % l1.num_sets
@@ -657,33 +650,17 @@ class _SimHierarchy:
             return False
         # pos1[way]: the step whose fill first replaces ``way``.
         pos1 = sorted(range(l1.ways), key=order1.__getitem__)
-        # Every access misses the L1: a line of the list it already
-        # holds must be replaced by an earlier step of the sweep.
-        for tag, way in look1.items():
-            if tag in tags and pos1[way] >= tags.index(tag):
-                return False
-        resident = list(map(look2.get, tags))
-        if None not in resident:
-            self._write_fills(l1, i, order1, tags, domain)
-            lu = l2.last_use[s]
-            stamp = l2.stamps[s]
-            for stamp, way in enumerate(resident, stamp + 1):
-                lu[way] = stamp
-            l2.stamps[s] = stamp
-            l2.hits += n
-            lines = l2.lines[s]
-            clean = (lines[resident[0]][2], False)
-            if n == l2.ways and all(lines[w][2:] == clean for w in resident):
-                l2.settle(s, _steady(tags, tags, tuple(resident), clean[0],
-                                     l2.line_size))
-            return self.lat_l1_l2
         order2 = self._victim_order(l2, s)
         if order2 is None:
             return False
         pos2 = sorted(range(l2.ways), key=order2.__getitem__)
-        # Every access misses the LLC too: a resident line of the list
-        # must be evicted by an earlier step, before its turn.
-        for step, way in enumerate(resident):
+        # Every access misses the LLC: a resident line of the list must
+        # be evicted by an earlier step, before its turn.  The attacker's
+        # lines are never LLC-excluded, so one the L1 holds is resident
+        # here too, and the eviction check below then has the L1 replace
+        # it first: every access misses the L1 as well.
+        for step, tag in enumerate(tags):
+            way = look2.get(tag)
             if way is not None and pos2[way] >= step:
                 return False
         # A victim the core's L1 still holds would be flushed there
@@ -712,35 +689,21 @@ class _SimHierarchy:
     @staticmethod
     def _write_fills(lv: _SimLevel, idx: int, order: list[int], tags,
                      domain) -> None:
-        """The end state of ``len(tags)`` missing fills of set ``idx``:
-        fill ``k`` takes way ``order[k % ways]`` and stamp ``+k+1``, so
-        only the last ``ways`` fills remain, and every fill after the
-        free ways are used up evicts.  When those fills cover every way,
-        the set is left steady."""
+        """The end state of ``len(tags)`` (at least ``ways``) missing
+        fills of set ``idx``: fill ``k`` takes way ``order[k % ways]``
+        and stamp ``+k+1``, so the last ``ways`` fills remain, and every
+        fill after the free ways are used up evicts.  The set is left
+        steady."""
         n, ways = len(tags), lv.ways
         look = lv.concrete(idx)
-        stamp = lv.stamps[idx]
-        lv.stamps[idx] = stamp + n
+        lv.stamps[idx] += n
         lv.misses += n
-        lv.evictions += max(0, n - (ways - len(look)))
-        if n >= ways:
-            last = tags[n - ways:]
-            lv.settle(idx, _steady(
-                tags, last, tuple(order[k % ways] for k in range(n - ways, n)),
-                domain, lv.line_size))
-            return
-        set_tags, lines, lu = lv.tags[idx], lv.lines[idx], lv.last_use[idx]
-        size = lv.line_size
-        for way in order[:n]:
-            old = set_tags[way]
-            if old is not None:
-                del look[old]
-        for step, tag in enumerate(tags):
-            way = order[step]
-            set_tags[way] = tag
-            look[tag] = way
-            lines[way] = (tag, tag * size, domain, False)
-            lu[way] = stamp + step + 1
+        lv.evictions += n - (ways - len(look))
+        lv.lookup[idx] = None
+        lv.steady[idx] = _steady(
+            tags, tags[n - ways:],
+            tuple(order[k % ways] for k in range(n - ways, n)), domain,
+            lv.line_size)
 
     # -- maintenance ------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 :meth:`repro.attacks.batch._SimHierarchy.sweep` writes the end state of a
 Prime+Probe prime or probe of one LLC set directly, instead of walking it
-access by access, whenever the walk would be uniform: every access misses
-the sweeping core's L1, the LLC serves all of them or none of them, and
+access by access, whenever the list fills the LLC set and the walk would
+be uniform: every access misses the sweeping core's L1 and the LLC, and
 no line the LLC evicts is still in the sweeping core's L1.  These tests
 run random sweeps over random pre-states on small hierarchies and check,
 through :func:`repro.lockstep.compare`, that
@@ -12,11 +12,14 @@ through :func:`repro.lockstep.compare`, that
   exactly where the live :class:`~repro.cache.hierarchy.CacheHierarchy`
   does;
 * a sweep ends exactly where the walk does, with the same return value;
-* the closed form is taken exactly when the walk is uniform, and a
-  declined closed form changes nothing.
+* the per-sweep closed form is taken exactly when the walk is uniform,
+  and a declined closed form changes nothing;
+* a repeated sweep of a list over the steady sets its closed sweep left
+  takes the steady transition.
 
-Every decline branch fires in the sample: an L1 hit inside the sweep, a
-partly resident LLC, and an evicted line still in the sweeping core's L1.
+Every decline branch fires in the sample: a list shorter than the LLC
+set, an L1 hit inside the sweep, an LLC hit, and an evicted line still
+in the sweeping core's L1.
 
 Whole Prime+Probe samples (:meth:`~repro.attacks.batch._SimHierarchy.sample`:
 a prime of every eviction list, the victim's reads, a probe of every
@@ -105,20 +108,24 @@ def _scenario(rng: random.Random):
     if rng.random() < 0.3:
         _tie_stamps(hierarchy.l2, s, rng)
     candidates = [s + k * cfg.l2_sets for k in range(cfg.l2_ways + 3)]
-    tags = tuple(rng.sample(candidates, rng.randint(1, cfg.l2_ways)))
+    # Mostly a full eviction list, the only length the closed form takes.
+    n = cfg.l2_ways if rng.random() < 0.7 else rng.randint(1, cfg.l2_ways)
+    tags = tuple(rng.sample(candidates, n))
     return hierarchy, core, tags
 
 
-def _walk_shape(sim: _SimHierarchy, core: int, before: dict) -> str:
-    """How the walk just run on ``sim`` went: ``uniform``, or the first
-    reason the closed form must decline."""
+def _walk_shape(sim: _SimHierarchy, core: int, tags, before: dict) -> str:
+    """How the walk of ``tags`` just run on ``sim`` went: ``uniform``, or
+    the first reason the closed form must decline."""
     l1, l2 = sim.l1s[core], sim.l2
+    if len(tags) != l2.ways or len(tags) < l1.ways:
+        return "short-list"
     hits1, _, _, flushes1 = before[f"l1-core{core}"]["stats"]
-    hits2, misses2, _, _ = before["llc"]["stats"]
+    hits2 = before["llc"]["stats"][0]
     if l1.hits > hits1:
         return "l1-hit"
-    if l2.hits > hits2 and l2.misses > misses2:
-        return "llc-partly-resident"
+    if l2.hits > hits2:
+        return "llc-hit"
     if l1.flushes > flushes1:
         return "evicted-line-in-l1"
     return "uniform"
@@ -138,19 +145,31 @@ def _interfere(rng: random.Random, hierarchy, sims, pool) -> None:
             sim.flush_line(tag)
 
 
+class _PerSweep(_SimHierarchy):
+    """A twin without the steady transition: every sweep takes the
+    per-sweep closed form or the walk."""
+
+    __slots__ = ()
+
+    def _sweep_steady(self, core, tags, domain):
+        return False
+
+
 def _check(rng: random.Random, shapes: Counter) -> None:
     """Sweep a list a few times, with random interference and the odd
-    other list or core in between, on a sweeping and a walking
-    simulator and the live hierarchy."""
+    other list or core in between, on a twin without the steady
+    transition, one with it, a walking one and the live hierarchy."""
     hierarchy, main_core, main_tags = _scenario(rng)
     cfg = hierarchy.config
-    swept, walked = _SimHierarchy(hierarchy), _SimHierarchy(hierarchy)
+    swept, walked = _PerSweep(hierarchy), _SimHierarchy(hierarchy)
+    fast = _SimHierarchy(hierarchy)
     s = main_tags[0] % cfg.l2_sets
     pool = [s + k * cfg.l2_sets for k in range(cfg.l2_ways + 3)]
-    last = None  # (core, tags) of the previous sweep, if it closed
+    last = None  # (core, tags) of the previous sweep, if it left both sets
+    # steady
     for round_ in range(5):
         if round_ and rng.random() < 0.4:
-            _interfere(rng, hierarchy, (swept, walked), pool)
+            _interfere(rng, hierarchy, (swept, fast, walked), pool)
             last = None
         core, tags = main_core, main_tags
         if rng.random() < 0.15:
@@ -161,6 +180,7 @@ def _check(rng: random.Random, shapes: Counter) -> None:
         before = copy.deepcopy(_state(walked))
         probed = copy.deepcopy(swept)
         closed = swept.sweeps_closed
+        fast_closed, steady = fast.sweeps_closed, fast.sweeps_steady
 
         walk_out = walked.walk(core, tags, DOMAIN, threshold)
         for tag in tags:
@@ -170,8 +190,11 @@ def _check(rng: random.Random, shapes: Counter) -> None:
         sweep_out = swept.sweep(core, tags, DOMAIN, threshold)
         compare("soc", _state(swept), _state(walked))
         compare("sweep return", sweep_out, walk_out)
+        fast_out = fast.sweep(core, tags, DOMAIN, threshold)
+        compare("steady soc", _state(fast), _state(walked))
+        compare("steady return", fast_out, walk_out)
 
-        shape = _walk_shape(walked, core, before)
+        shape = _walk_shape(walked, core, tags, before)
         took_closed = swept.sweeps_closed > closed
         assert took_closed == (shape == "uniform"), (shape, round_, tags)
         if not took_closed:
@@ -180,14 +203,14 @@ def _check(rng: random.Random, shapes: Counter) -> None:
             assert probed._sweep_closed(core, tags, DOMAIN) is False
             compare("declined", _state(probed), before)
         shapes[shape] += 1
-        if last == (core, tags):
-            # Right after a closed sweep of the same, longer-than-L1
-            # list, nothing can hit: the sweep runs over the sets it
-            # left, from what it remembered of them.
-            assert took_closed, (shape, tags)
+        if last is not None and last[0] == core and last[1] is tags:
+            # Right after a closed sweep of the same list, longer than
+            # the L1 set, both its sets are steady records of the list:
+            # the sweep is a steady transition on them.
+            assert fast.sweeps_steady > steady, (shape, tags)
             shapes["repeat"] += 1
-        last = ((core, tags) if took_closed and len(tags) > cfg.l1_ways
-                else None)
+        last = ((core, tags) if fast.sweeps_closed > fast_closed
+                and len(tags) > cfg.l1_ways else None)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -197,21 +220,23 @@ def test_random_sweeps_match_the_walk(seed):
     for _ in range(60):
         _check(rng, shapes)
     # Each branch, taken or declined, shows up in every batch, and so
-    # do repeats over the sets the previous sweep of the list left.
-    assert set(shapes) == {"uniform", "l1-hit", "llc-partly-resident",
+    # do repeats over the steady sets the previous sweep of the list
+    # left.
+    assert set(shapes) == {"uniform", "short-list", "l1-hit", "llc-hit",
                            "evicted-line-in-l1", "repeat"}, shapes
 
 
 def test_closed_form_covers_prime_and_probe_cascade():
-    """The two shapes Prime+Probe produces: a prime that hits the LLC
-    everywhere, and a probe whose first miss cascades through the set
-    after the victim displaced one line."""
+    """The two shapes Prime+Probe produces once a cold prime has run in
+    the per-sweep closed form: a prime that hits the LLC everywhere, and
+    a probe whose first miss cascades through the set after the victim
+    displaced one line.  Both are steady transitions."""
     cfg = HierarchyConfig(num_cores=2, l1_sets=4, l1_ways=2, l2_sets=8,
                           l2_ways=4)
     hierarchy = CacheHierarchy(cfg)
     tags = tuple(3 + k * cfg.l2_sets for k in range(cfg.l2_ways))
     sim = _SimHierarchy(hierarchy)
-    sim.walk(1, tags, DOMAIN)  # cold fill
+    sim.sweep(1, tags, DOMAIN)  # cold fill: every access misses
     sim.sweep(1, tags, DOMAIN)  # prime: all LLC hits
     sim.walk(0, (3 + 9 * cfg.l2_sets,), "victim")  # victim displaces one
     reference = _SimHierarchy(hierarchy)
@@ -221,7 +246,8 @@ def test_closed_form_covers_prime_and_probe_cascade():
     displaced = sim.sweep(1, tags, DOMAIN, hierarchy.hit_threshold)
     assert displaced == reference.walk(1, tags, DOMAIN,
                                        hierarchy.hit_threshold) == 4
-    assert (sim.sweeps_closed, sim.sweeps_walked) == (2, 0)
+    assert (sim.sweeps_closed, sim.sweeps_steady, sim.sweeps_walked) == \
+        (3, 2, 0)
     compare("soc", _state(sim), _state(reference))
 
 
@@ -239,9 +265,10 @@ def _sweep_both(sims, core: int, tags) -> None:
 
 
 def test_a_remembered_l1_set_counts_its_flushes():
-    """Back-invalidations empty the sweeping core's L1 set without an
-    access to it: its stamp stands still, so only the L1's flush count
-    shows the set is no longer what the last sweep left."""
+    """Back-invalidations empty the sweeping core's steady L1 set
+    without an access to it: each counts one L1 flush and the first
+    expands the set, so the next sweep refills its free ways in index
+    order instead of rotating the steady record."""
     hierarchy = _one_set(l1_ways=2, l2_ways=3)
     sims = (_SimHierarchy(hierarchy), _SimHierarchy(hierarchy))
     tags = (0, 1, 2)
@@ -250,12 +277,15 @@ def test_a_remembered_l1_set_counts_its_flushes():
         for sim in sims:
             sim.walk(1, (other,), "victim")
     assert _state(sims[0])["l1-core0"]["lookup"][0] == {}
+    assert not sims[0].l1s[0].steady
+    assert sims[0].l1s[0].flushes == sims[1].l1s[0].flushes == 2
     _sweep_both(sims, 0, tags)  # refills way 0 first, not way 1
 
 
 def test_remembered_sets_are_per_core():
-    """Two cores' L1 sets may agree on stamp and flush count while
-    their LRU orders differ."""
+    """Steady records are per core: core 1's L1 set, filled by walks,
+    reaches the same counter as core 0's steady one with another LRU
+    order, and its sweep does not take core 0's record."""
     hierarchy = _one_set(l1_ways=2, l2_ways=6)
     sims = (_SimHierarchy(hierarchy), _SimHierarchy(hierarchy))
     tags = (0, 1, 2)
@@ -335,16 +365,6 @@ def _sample_scenario(rng: random.Random):
     vcore = core if rng.random() < 0.1 else rng.choice(
         [c for c in range(cfg.num_cores) if c != core])
     return hierarchy, core, vcore, lists, victim_tags, excluded
-
-
-class _PerSweep(_SimHierarchy):
-    """A twin without the steady transition: every sweep takes the
-    per-sweep closed form or the walk."""
-
-    __slots__ = ()
-
-    def _sweep_steady(self, core, tags, domain):
-        return False
 
 
 class _Lanes:
@@ -451,11 +471,10 @@ def _steady_shape(sim: _SimHierarchy, core: int, tags, domain) -> str:
 @pytest.fixture
 def shapes(monkeypatch) -> Counter:
     """Counts every steady transition (by :func:`_steady_shape`, checked
-    against what was taken), every read that reached a steady LLC set,
-    and every closed sweep that left a full LLC set concrete."""
+    against what was taken) and every read that reached a steady LLC
+    set."""
     counts: Counter = Counter()
     steady, miss = _SimHierarchy._sweep_steady, _SimLevel.miss_steady
-    closed = _SimHierarchy._sweep_closed
 
     def spy_steady(sim, core, tags, domain):
         shape = _steady_shape(sim, core, tags, domain)
@@ -478,17 +497,8 @@ def shapes(monkeypatch) -> Counter:
             counts["read:list-line"] += 1
         return served
 
-    def spy_closed(sim, core, tags, domain):
-        latency = closed(sim, core, tags, domain)
-        s = tags[0] % sim.l2.num_sets
-        if (latency == sim.lat_l1_l2 and len(tags) == sim.l2.ways
-                and s not in sim.l2.steady):
-            counts["llc-hits-not-clean"] += 1
-        return latency
-
     monkeypatch.setattr(_SimHierarchy, "_sweep_steady", spy_steady)
     monkeypatch.setattr(_SimLevel, "miss_steady", spy_miss)
-    monkeypatch.setattr(_SimHierarchy, "_sweep_closed", spy_closed)
     return counts
 
 
@@ -529,6 +539,6 @@ def test_random_samples_match_the_walk_and_the_live_caches(seed, shapes):
     # closed form, and every way a read meets a steady LLC set.
     assert set(shapes) == {
         "sample-closed", "hits", "cascade", "short-list", "l1-not-steady",
-        "other-domain", "llc-not-steady", "llc-hits-not-clean",
+        "other-domain", "llc-not-steady",
         "read:concrete", "read:absorbed", "read:second-foreign",
         "read:list-line"}, shapes
