@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 
 def _make_observer(args, run_seed: int):
@@ -262,17 +263,23 @@ def _worker(args) -> None:
 
 
 def _serve(args) -> None:
+    started = time.perf_counter()
+    from repro.runner.engine import _import_cell_modules
     from repro.service import HostChaosConfig, WorkerFleet
     queue, cache_root, _, coordinator = _service_parts(args)
+    jobs = [job for job in map(queue.load, queue.job_ids())
+            if job is not None]
+    if not jobs:
+        print("no jobs in queue; submit one first")
+        return
+    # Fleet members are forked from this process: import the cells'
+    # modules here once, not once per member.
+    _import_cell_modules(spec for job in jobs for spec in job.cells())
     chaos = (HostChaosConfig(kill_rate=args.chaos, kill_interval_s=2.0)
              if args.chaos > 0 else None)
     fleet = WorkerFleet(queue.root, cache_root, size=args.workers,
                         ttl_s=args.lease_ttl, poll_s=args.poll,
                         chaos=chaos)
-    job_ids = queue.job_ids()
-    if not job_ids:
-        print("no jobs in queue; submit one first")
-        return
 
     def on_poll(status):
         fleet.poll()
@@ -280,18 +287,27 @@ def _serve(args) -> None:
             coordinator.append_progress(args.progress, status)
 
     with fleet:
-        for job_id in job_ids:
-            job = queue.load(job_id)
-            if job is None:
-                continue
+        coordinator.record_fleet_phase("start_to_fork",
+                                       time.perf_counter() - started)
+        for job in jobs:
             status = coordinator.wait(job, timeout_s=args.wait_timeout,
-                                      poll_s=args.poll, on_poll=on_poll)
+                                      poll_s=args.poll, on_poll=on_poll,
+                                      wait_hook=fleet.wait)
+            completed = time.perf_counter()
             print(status.summary())
             if args.manifest:
                 path = coordinator.manifest(
                     job, command="repro serve").write(args.manifest)
                 print(f"wrote {path}")
         fleet.drain(timeout_s=30.0)
+    coordinator.record_fleet_phase("complete_to_exit",
+                                   time.perf_counter() - completed)
+    published = [coordinator.first_published_at(job, fleet.started_at)
+                 for job in jobs]
+    published = [t for t in published if t is not None]
+    if published:
+        coordinator.record_fleet_phase("fork_to_first_cell",
+                                       min(published) - fleet.started_at)
     if fleet.kills:
         print(f"chaos: {fleet.kills} worker(s) SIGKILLed, "
               f"{fleet.respawns} respawned")
@@ -400,7 +416,9 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: 30)")
     parser.add_argument("--poll", type=float, default=0.2,
                         metavar="SECONDS",
-                        help="worker/coordinator poll interval "
+                        help="worker/coordinator poll interval: the "
+                             "longest a wait lasts, since a fleet "
+                             "member's exit or SIGTERM ends it early "
                              "(default: 0.2)")
     parser.add_argument("--wait-timeout", type=float, default=600.0,
                         metavar="SECONDS",

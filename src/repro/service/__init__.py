@@ -25,15 +25,17 @@ Layers:
 * :mod:`repro.service.coordinator` — :class:`Coordinator`, the purely
   observational progress/status/manifest layer (Prometheus + JSONL via
   the PR-4 exporters; cold-resume manifests);
-* :mod:`repro.service.fleet` — :class:`WorkerFleet`, real subprocess
-  workers plus the host-kill chaos controller;
+* :mod:`repro.service.fleet` — :class:`WorkerFleet`, worker processes
+  forked from the caller, plus the host-kill chaos controller;
 * :mod:`repro.service.chaos` — host-level fault injection (worker
-  SIGKILL, stale/torn/skewed leases, torn job files).
+  SIGKILL, stale/torn/skewed leases, torn job files) and
+  :class:`MidJobKill`, a kill that always lands mid-job.
 """
 
 from repro.service.chaos import (
     HostChaosConfig,
     LEASE_FAULTS,
+    MidJobKill,
     chaos_report,
     plant_skewed_lease,
     plant_stale_lease,
@@ -71,6 +73,7 @@ __all__ = [
     "Lease",
     "LeaseInfo",
     "LeaseLostError",
+    "MidJobKill",
     "ServiceWorker",
     "WorkerFleet",
     "WorkerStats",

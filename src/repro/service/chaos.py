@@ -23,6 +23,9 @@ hosts and the shared directory protocol between them:
     tear a submitted job file; the queue must quarantine it without
     wedging job listings.
 
+:class:`MidJobKill` makes one ``kill-worker`` land mid-job on every
+run, however fast the fleet finishes the rest.
+
 Fault *selection* is deterministic (the repo's SHA-256 draw over the
 chaos seed and the cell key), so a chaos campaign is reproducible; the
 faults' interleaving with real workers is of course not, which is the
@@ -40,7 +43,12 @@ from dataclasses import dataclass
 from repro.runner.engine import cache_key_for
 from repro.runner.seeding import derive_seed
 from repro.service.jobs import JobSpec
-from repro.service.lease import LeaseInfo
+from repro.service.lease import (
+    LeaseInfo,
+    default_owner_id,
+    read_lease,
+    try_acquire,
+)
 from repro.service.queue import JobQueue
 
 #: Lease/job faults plantable in a queue directory, in draw order.
@@ -167,6 +175,65 @@ def kill_process(pid: int) -> bool:
         return True
     except (OSError, ProcessLookupError):
         return False
+
+
+class MidJobKill:
+    """A fleet member SIGKILLed mid-job, on every run.
+
+    A kill triggered by polled progress can miss: a fast fleet may
+    finish the job between two polls.  This holds the lease of the
+    job's last cell from construction on, so the job cannot complete
+    while it does.  Once ``after_done`` cells are finished,
+    :meth:`strike` SIGKILLs the first fleet member it sees holding a
+    lease, so that cell must be taken over after the lease expires.  If
+    the fleet finishes every other cell before a poll catches a holder,
+    it kills an idle member instead.  Then it releases the held cell to
+    the fleet.
+
+    Construct it (or enter it) *before* the fleet starts, or a member
+    may claim the cell first; call :meth:`strike` from the
+    coordinator's ``on_poll`` after ``fleet.poll()``.
+    """
+
+    def __init__(self, queue: JobQueue, job: JobSpec,
+                 after_done: int = 2, ttl_s: float = 3600.0) -> None:
+        self.queue = queue
+        self.after_done = after_done
+        self.killed = False
+        self.victim_held_lease = False
+        path = queue.lease_path(cache_key_for(job.cells()[-1]))
+        self._held = try_acquire(path, default_owner_id("chaos-gate"),
+                                 ttl_s=ttl_s)
+        if self._held is None:
+            raise RuntimeError(f"{path.name} is already leased")
+
+    def strike(self, fleet, status) -> None:
+        """Kill once ``status`` shows progress; then free the cell."""
+        if self._held is None or status.done < self.after_done:
+            return
+        holders = set()
+        for key in self.queue.held_leases():
+            info = read_lease(self.queue.lease_path(key))
+            if info is not None:
+                holders.add(info.pid)
+        slots = [slot for slot, pid in enumerate(fleet.pids)
+                 if pid in holders]
+        if not slots and status.pending > 1:
+            return
+        self.victim_held_lease = bool(slots)
+        self.killed = fleet.kill_one(slots[0] if slots else 0)
+        self.release()
+
+    def release(self) -> None:
+        held, self._held = self._held, None
+        if held is not None:
+            held.release()
+
+    def __enter__(self) -> "MidJobKill":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.release()
 
 
 def chaos_report(planted: dict[str, str], kills: int) -> str:

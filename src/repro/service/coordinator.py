@@ -94,6 +94,11 @@ class _Progress:
                             "Jobs visible in the queue")
         self.polls = m.counter("repro_service_polls_total",
                                "Coordinator status polls")
+        self.wakes = m.counter("repro_service_wakes_total",
+                               "Coordinator waits ended, by cause")
+        self.fleet = m.gauge("repro_service_fleet_seconds",
+                             "Where a serve run's fleet spent its time, "
+                             "by phase")
 
 
 class Coordinator:
@@ -166,13 +171,19 @@ class Coordinator:
 
     def wait(self, job: JobSpec, timeout_s: float = 600.0,
              poll_s: float = 0.25,
-             on_poll=None) -> JobStatus:
+             on_poll=None, wait_hook=None) -> JobStatus:
         """Poll until the job is complete or ``timeout_s`` elapses.
 
         Returns the final status either way — the caller decides
         whether an incomplete job is an error.  ``on_poll`` (if given)
         receives every intermediate :class:`JobStatus`, which is how
         the CLI streams progress and the fleet injects chaos ticks.
+        Between polls the coordinator calls ``wait_hook(poll_s)``,
+        which blocks until an event or for at most ``poll_s`` and
+        returns the wake's cause (``repro serve`` passes
+        :meth:`~repro.service.fleet.WorkerFleet.wait`, which wakes on a
+        member's exit); without one it sleeps ``poll_s``.  Wakes are
+        counted by cause in ``repro_service_wakes_total``.
         """
         deadline = time.monotonic() + timeout_s
         while True:
@@ -181,7 +192,35 @@ class Coordinator:
                 on_poll(status)
             if status.complete or time.monotonic() >= deadline:
                 return status
-            time.sleep(poll_s)
+            if wait_hook is None:
+                time.sleep(poll_s)
+                cause = "timeout"
+            else:
+                cause = wait_hook(poll_s)
+            self._progress.wakes.inc(cause=cause)
+
+    def record_fleet_phase(self, phase: str, seconds: float) -> None:
+        """Record how long one phase of a serve run's fleet took."""
+        self._progress.fleet.set(seconds, phase=phase)
+
+    def first_published_at(self, job: JobSpec,
+                           since: float) -> float | None:
+        """Wall-clock time the first of ``job``'s payloads written at or
+        after ``since`` was published, or ``None`` if none was.
+
+        A payload's publish time is its cache file's modification time:
+        the cache writes the whole entry, then renames it into place.
+        """
+        times = []
+        for spec in job.cells():
+            try:
+                mtime = self.cache.path_for(cache_key_for(spec)).stat(
+                ).st_mtime
+            except OSError:
+                continue
+            if mtime >= since:
+                times.append(mtime)
+        return min(times, default=None)
 
     # -- results -----------------------------------------------------------
 

@@ -37,6 +37,8 @@ started, which the drain test asserts.
 
 from __future__ import annotations
 
+import os
+import select
 import signal
 import time
 from dataclasses import dataclass
@@ -106,12 +108,41 @@ class ServiceWorker:
         self.stats = WorkerStats()
         self._draining = False
         self._current_lease: Lease | None = None
+        #: The idle wait's self-pipe (read end, write end), while open.
+        self._wake: tuple[int, int] | None = None
 
     # -- drain / signals ---------------------------------------------------
 
     def request_drain(self) -> None:
-        """Finish the in-flight cell, release leases, then stop."""
+        """Finish the in-flight cell, release leases, then stop.
+
+        Safe to call from a signal handler: it sets a flag and writes a
+        byte to the idle wait's pipe, so a worker waiting for work wakes
+        at once instead of after ``poll_s``.
+        """
         self._draining = True
+        wake = self._wake
+        if wake is not None:
+            try:
+                os.write(wake[1], b"\0")
+            except OSError:
+                pass
+
+    def idle(self, timeout_s: float) -> None:
+        """Wait up to ``timeout_s``; :meth:`request_drain` ends it early."""
+        if self._wake is None:
+            read_end, write_end = os.pipe()
+            os.set_blocking(write_end, False)
+            self._wake = (read_end, write_end)
+        if not self._draining:
+            select.select([self._wake[0]], [], [], timeout_s)
+
+    def close(self) -> None:
+        """Close the idle wait's pipe (a later :meth:`idle` reopens it)."""
+        wake, self._wake = self._wake, None
+        if wake is not None:
+            for fd in wake:
+                os.close(fd)
 
     @property
     def draining(self) -> bool:
@@ -150,20 +181,24 @@ class ServiceWorker:
         self.stats = WorkerStats()
         self.cache.sweep()
         idle = 0
-        while not self._draining:
-            self.stats.passes += 1
-            progressed, pending = self._pass(max_cells)
-            if pending == 0:
-                break
-            if max_cells is not None and self.stats.cells_computed >= max_cells:
-                break
-            if progressed:
-                idle = 0
-                continue
-            idle += 1
-            if max_idle_passes is not None and idle > max_idle_passes:
-                break
-            time.sleep(self.poll_s)
+        try:
+            while not self._draining:
+                self.stats.passes += 1
+                progressed, pending = self._pass(max_cells)
+                if pending == 0:
+                    break
+                if (max_cells is not None
+                        and self.stats.cells_computed >= max_cells):
+                    break
+                if progressed:
+                    idle = 0
+                    continue
+                idle += 1
+                if max_idle_passes is not None and idle > max_idle_passes:
+                    break
+                self.idle(self.poll_s)
+        finally:
+            self.close()
         self.stats.drained = self._draining
         self._release_current()
         return self.stats
@@ -295,10 +330,9 @@ def run_worker_process(queue_root: str, cache_root: str | None = None,
         if forever:
             while not worker.draining:
                 worker.run_until_drained()
-                if worker.draining:
-                    break
-                time.sleep(poll_s)
+                worker.idle(poll_s)
             return worker.stats
         return worker.run_until_drained()
     finally:
+        worker.close()
         restore()

@@ -3,8 +3,9 @@
 Everything here runs against real directories and real leases — the
 protocol *is* the filesystem, so there is nothing worth mocking — but
 on deliberately tiny jobs (one platform, two categories) so the suite
-stays fast enough for tier 1.  The expensive end: whole-host chaos,
-subprocess fleets, SIGKILL — lives in ``test_service_chaos.py``.
+stays fast enough for tier 1.  The expensive end: whole-host chaos and
+SIGKILL — lives in ``test_service_chaos.py``; the forked fleet's own
+contracts are in ``test_service_fleet.py``.
 
 Covered contracts:
 

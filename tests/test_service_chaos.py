@@ -12,7 +12,8 @@ The contract under test, end to end:
   lease faults, a worker reaps every one and finishes the job;
 * a fleet member SIGKILLed mid-job (a host death, nothing mocked) has
   its lease expire and its cell taken over by a survivor; the job
-  still completes byte-identically;
+  still completes byte-identically.  The kill is an event, not a race
+  against the fleet: :class:`MidJobKill` holds one cell until the kill;
 * a job killed mid-flight resumes *cold* — new queue, a manifest, the
   shared cache — without recomputing any completed cell;
 * torn job files are quarantined without wedging the fleet.
@@ -36,6 +37,7 @@ from repro.service import (
     HostChaosConfig,
     JobQueue,
     JobSpec,
+    MidJobKill,
     ServiceWorker,
     WorkerFleet,
     chaos_report,
@@ -123,18 +125,20 @@ def test_worker_sigkilled_mid_job_is_taken_over(
     queue.submit(job)
     coordinator = Coordinator(queue, ResultCache(cache_root))
 
-    def supervise(status) -> None:
-        fleet.poll()
-        if fleet.kills == 0 and status.done >= 2 and status.pending > 0:
-            assert fleet.kill_one(0)
+    with MidJobKill(queue, job) as mid_job, WorkerFleet(
+            queue.root, cache_root, size=2, ttl_s=1.0,
+            poll_s=0.05) as fleet:
+        def supervise(status) -> None:
+            fleet.poll()
+            mid_job.strike(fleet, status)
 
-    with WorkerFleet(queue.root, cache_root, size=2, ttl_s=1.0,
-                     poll_s=0.05) as fleet:
-        status = coordinator.wait(job, timeout_s=240.0, poll_s=0.1,
-                                  on_poll=supervise)
+        status = coordinator.wait(job, timeout_s=240.0, poll_s=0.02,
+                                  on_poll=supervise, wait_hook=fleet.wait)
         fleet.drain(timeout_s=30.0)
 
-    assert fleet.kills >= 1, "the kill never happened; nothing was proven"
+    print(f"mid-job kill of a lease holder: {mid_job.victim_held_lease}")
+    assert mid_job.killed, "the kill never happened; nothing was proven"
+    assert fleet.kills >= 1 and fleet.respawns >= 1
     assert status.complete, status.summary()
     assert status.succeeded
     assert_byte_identical(coordinator, job, clean_fingerprints)
@@ -160,7 +164,8 @@ def test_random_host_chaos_campaign_completes(
     with WorkerFleet(queue.root, cache_root, size=2, ttl_s=1.0,
                      poll_s=0.05, chaos=config) as fleet:
         status = coordinator.wait(job, timeout_s=240.0, poll_s=0.1,
-                                  on_poll=lambda _s: fleet.poll())
+                                  on_poll=lambda _s: fleet.poll(),
+                                  wait_hook=fleet.wait)
         fleet.drain(timeout_s=30.0)
 
     print(chaos_report(planted, kills=fleet.kills))

@@ -8,9 +8,13 @@ end with nothing mocked:
    oracle);
 2. submit the same campaign to a fresh queue directory and run a
    2-process worker fleet against it with the *host-kill* chaos
-   controller enabled — fleet members are SIGKILLed mid-job on
-   deterministic draws and respawned, so leases genuinely expire and
-   survivors reclaim the dead host's cells;
+   controller enabled — fleet members are SIGKILLed on deterministic
+   draws and respawned, so leases genuinely expire and survivors
+   reclaim the dead host's cells.  A
+   :class:`~repro.service.chaos.MidJobKill` holds one cell until the
+   fleet has finished two others, then SIGKILLs a member (a lease
+   holder when one exists) and lets the cell go, so at least one kill
+   lands mid-job however fast the fleet runs;
 3. gate on (a) the job completing inside an explicit timeout, (b) at
    least one worker actually having been killed (a chaos run where
    nothing died proves nothing), and (c) every payload fingerprint
@@ -65,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         HostChaosConfig,
         JobQueue,
         JobSpec,
+        MidJobKill,
         WorkerFleet,
     )
     from repro.runner import ResultCache
@@ -85,22 +90,23 @@ def main(argv: list[str] | None = None) -> int:
     fleet = WorkerFleet(queue.root, cache_root, size=args.workers,
                         ttl_s=args.lease_ttl, poll_s=0.1, chaos=chaos)
 
-    def supervise(status) -> None:
-        fleet.poll()
-        # The quick matrix can outrun the random controller's first
-        # tick, so once real progress exists mid-job, guarantee the
-        # host loss the gate is about: SIGKILL a member outright.
-        if fleet.kills == 0 and status.done >= 2 and status.pending > 0:
-            fleet.kill_one(0)
-
     start = time.monotonic()
-    with fleet:
-        status = coordinator.wait(job, timeout_s=args.timeout, poll_s=0.25,
-                                  on_poll=supervise)
+    # The quick matrix can outrun the random controller's first tick:
+    # the mid-job kill guarantees the host loss the gate is about.
+    with MidJobKill(queue, job) as mid_job, fleet:
+        def supervise(status) -> None:
+            fleet.poll()
+            mid_job.strike(fleet, status)
+
+        status = coordinator.wait(job, timeout_s=args.timeout, poll_s=0.05,
+                                  on_poll=supervise, wait_hook=fleet.wait)
         elapsed = time.monotonic() - start
         fleet.drain(timeout_s=30.0)
+    victim = ("a lease holder" if mid_job.victim_held_lease
+              else "an idle member")
     print(f"serve-smoke: {status.summary()} in {elapsed:.1f}s "
-          f"(kills={fleet.kills} respawns={fleet.respawns})")
+          f"(kills={fleet.kills} respawns={fleet.respawns}; "
+          f"mid-job kill of {victim})")
 
     failures: list[str] = []
     if not status.complete:
@@ -108,9 +114,9 @@ def main(argv: list[str] | None = None) -> int:
                         f"{status.pending} cells pending")
     if status.failed:
         failures.append(f"{status.failed} cells recorded terminal failures")
-    if fleet.kills == 0:
-        failures.append("chaos controller never killed a worker — "
-                        "the run proved nothing; raise --kill-rate")
+    if not mid_job.killed:
+        failures.append("the mid-job kill never happened — "
+                        "the run proved nothing")
     got = coordinator.fingerprints(job)
     for coords, fingerprint in sorted(oracle.items()):
         if got.get(coords) != fingerprint:
