@@ -29,7 +29,8 @@ Layers:
   forked from the caller, plus the host-kill chaos controller;
 * :mod:`repro.service.chaos` — host-level fault injection (worker
   SIGKILL, stale/torn/skewed leases, torn job files) and
-  :class:`MidJobKill`, a kill that always lands mid-job.
+  :class:`MidJobKill`, a kill that always lands on a lease holder
+  mid-job.
 """
 
 from repro.service.chaos import (

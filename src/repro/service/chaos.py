@@ -23,8 +23,8 @@ hosts and the shared directory protocol between them:
     tear a submitted job file; the queue must quarantine it without
     wedging job listings.
 
-:class:`MidJobKill` makes one ``kill-worker`` land mid-job on every
-run, however fast the fleet finishes the rest.
+:class:`MidJobKill` makes one ``kill-worker`` land on a lease holder
+mid-job on every run, however fast the fleet finishes the rest.
 
 Fault *selection* is deterministic (the repo's SHA-256 draw over the
 chaos seed and the cell key), so a chaos campaign is reproducible; the
@@ -40,6 +40,7 @@ import signal
 import time
 from dataclasses import dataclass
 
+from repro.runner.cache import ResultCache
 from repro.runner.engine import cache_key_for
 from repro.runner.seeding import derive_seed
 from repro.service.jobs import JobSpec
@@ -178,51 +179,65 @@ def kill_process(pid: int) -> bool:
 
 
 class MidJobKill:
-    """A fleet member SIGKILLed mid-job, on every run.
+    """A fleet member SIGKILLed mid-job while it holds a cell's lease.
 
     A kill triggered by polled progress can miss: a fast fleet may
-    finish the job between two polls.  This holds the lease of the
-    job's last cell from construction on, so the job cannot complete
-    while it does.  Once ``after_done`` cells are finished,
-    :meth:`strike` SIGKILLs the first fleet member it sees holding a
-    lease, so that cell must be taken over after the lease expires.  If
-    the fleet finishes every other cell before a poll catches a holder,
-    it kills an idle member instead.  Then it releases the held cell to
-    the fleet.
+    finish the job between two polls, or a member seen holding a lease
+    may publish and release it before the kill lands.  This holds the
+    lease of the job's last cell from construction on, so the job
+    cannot complete while it does.  Once every other cell is finished,
+    :meth:`strike` frees that cell, waits for a fleet member to claim
+    it and SIGKILLs the claimant.  The claimant's lease file survives
+    it, so the cell can only finish after that lease expires and a
+    survivor (or the replacement) takes it over.
 
-    Construct it (or enter it) *before* the fleet starts, or a member
-    may claim the cell first; call :meth:`strike` from the
+    :attr:`killed` is set only when that is proven: after the victim
+    has been reaped, its lease still names it and the cell is still
+    unpublished.  Construct it (or enter it) *before* the fleet starts,
+    or a member may claim the cell first; call :meth:`strike` from the
     coordinator's ``on_poll`` after ``fleet.poll()``.
     """
 
-    def __init__(self, queue: JobQueue, job: JobSpec,
-                 after_done: int = 2, ttl_s: float = 3600.0) -> None:
+    #: The held lease outlives any run; :meth:`release` frees it.
+    HOLD_TTL_S = 3600.0
+    #: How long one :meth:`strike` waits for a member to claim the cell.
+    CLAIM_WAIT_S = 5.0
+
+    def __init__(self, queue: JobQueue, job: JobSpec) -> None:
         self.queue = queue
-        self.after_done = after_done
         self.killed = False
-        self.victim_held_lease = False
-        path = queue.lease_path(cache_key_for(job.cells()[-1]))
+        self._key = cache_key_for(job.cells()[-1])
+        path = queue.lease_path(self._key)
         self._held = try_acquire(path, default_owner_id("chaos-gate"),
-                                 ttl_s=ttl_s)
+                                 ttl_s=self.HOLD_TTL_S)
         if self._held is None:
             raise RuntimeError(f"{path.name} is already leased")
 
     def strike(self, fleet, status) -> None:
-        """Kill once ``status`` shows progress; then free the cell."""
-        if self._held is None or status.done < self.after_done:
+        """Once only the held cell is pending, free it and kill the
+        member that claims it."""
+        if self.killed or status.pending != 1:
             return
-        holders = set()
-        for key in self.queue.held_leases():
-            info = read_lease(self.queue.lease_path(key))
-            if info is not None:
-                holders.add(info.pid)
-        slots = [slot for slot, pid in enumerate(fleet.pids)
-                 if pid in holders]
-        if not slots and status.pending > 1:
-            return
-        self.victim_held_lease = bool(slots)
-        self.killed = fleet.kill_one(slots[0] if slots else 0)
         self.release()
+        path = self.queue.lease_path(self._key)
+        published = ResultCache(fleet.cache_root).path_for(self._key)
+        deadline = time.monotonic() + self.CLAIM_WAIT_S
+        while time.monotonic() < deadline and not published.exists():
+            info = read_lease(path)
+            if info is not None and info.pid in fleet.pids:
+                slot = fleet.pids.index(info.pid)
+                if not fleet.kill_one(slot):
+                    return
+                # The claimant is reaped, so nothing can rewrite its
+                # lease: a takeover must follow if it still names it.
+                victim = fleet.members[slot]
+                info = read_lease(path)
+                self.killed = (victim.returncode == -signal.SIGKILL
+                               and info is not None
+                               and info.pid == victim.pid
+                               and not published.exists())
+                return
+            time.sleep(0.001)
 
     def release(self) -> None:
         held, self._held = self._held, None

@@ -210,6 +210,8 @@ class Coordinator:
 
         A payload's publish time is its cache file's modification time:
         the cache writes the whole entry, then renames it into place.
+        Take ``since`` from the same clock, as
+        :attr:`~repro.service.fleet.WorkerFleet.started_at` does.
         """
         times = []
         for spec in job.cells():

@@ -36,6 +36,7 @@ import os
 import select
 import signal
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable
@@ -96,6 +97,17 @@ def _fork_member(target: Callable[[], object]) -> _Member:
     return _Member(pid, exit_r)
 
 
+def _file_clock() -> float:
+    """Now, as a file's modification time would read it.
+
+    File timestamps come from the kernel's coarse clock, which can trail
+    :func:`time.time` by a tick, so a cell published right after a
+    :func:`time.time` reading could look older than it.
+    """
+    with tempfile.TemporaryFile() as stamp:
+        return os.fstat(stamp.fileno()).st_mtime
+
+
 class WorkerFleet:
     """Fork, kill, respawn and drain service workers."""
 
@@ -114,7 +126,8 @@ class WorkerFleet:
         self.members: list[_Member | None] = [None] * self.size
         self.kills = 0
         self.respawns = 0
-        #: Wall-clock time of the first fork (``None`` before start).
+        #: Time of the first fork on the clock file timestamps come
+        #: from (``None`` before start); see :func:`_file_clock`.
         self.started_at: float | None = None
         self._chaos_tick = 0
         self._next_chaos_at = 0.0
@@ -133,7 +146,7 @@ class WorkerFleet:
         return member
 
     def start(self) -> None:
-        self.started_at = time.time()
+        self.started_at = _file_clock()
         for slot in range(self.size):
             if self.members[slot] is None:
                 self._spawn(slot)

@@ -11,7 +11,8 @@ opt-in ``test_service_chaos.py``'s business; here the contracts are:
 * a forked member has its own lease identity;
 * members that finish normally are not respawned, and none outlives
   the fleet;
-* ``serve --metrics`` attributes the fleet's time.
+* ``serve --metrics`` attributes the fleet's time, and a cell published
+  right after the forks is not older than the fleet's start.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.service import (
     default_owner_id,
     try_acquire,
 )
-from repro.service.fleet import _fork_member
+from repro.service.fleet import _file_clock, _fork_member
 
 RETRY = RetryPolicy(max_retries=2, base_delay_s=0.01, max_delay_s=0.05)
 
@@ -194,6 +195,14 @@ def test_chaos_free_fleet_neither_kills_nor_respawns(queue, tmp_path):
         assert fleet.pids == [None, None]
     assert status.succeeded
     assert fleet.kills == 0 and fleet.respawns == 0
+
+
+def test_a_file_written_after_the_fleet_clock_is_not_older(tmp_path):
+    path = tmp_path / "cell.json"
+    for _ in range(200):
+        since = _file_clock()
+        path.write_text("{}")
+        assert path.stat().st_mtime >= since
 
 
 def test_serve_metrics_attribute_the_fleet_time(queue, tmp_path, capsys):

@@ -12,13 +12,15 @@ end with nothing mocked:
    draws and respawned, so leases genuinely expire and survivors
    reclaim the dead host's cells.  A
    :class:`~repro.service.chaos.MidJobKill` holds one cell until the
-   fleet has finished two others, then SIGKILLs a member (a lease
-   holder when one exists) and lets the cell go, so at least one kill
-   lands mid-job however fast the fleet runs;
-3. gate on (a) the job completing inside an explicit timeout, (b) at
-   least one worker actually having been killed (a chaos run where
-   nothing died proves nothing), and (c) every payload fingerprint
-   being byte-identical to the fault-free oracle.
+   fleet has finished every other, then lets it go and SIGKILLs the
+   member that claims it, so at least one kill lands on a lease holder
+   mid-job however fast the fleet runs;
+3. gate on (a) the job completing inside an explicit timeout, (b) that
+   kill having left the victim's lease on an unfinished cell, so the
+   cell was only finished by a takeover after the lease expired (a
+   chaos run where nothing had to be taken over proves nothing), and
+   (c) every payload fingerprint being byte-identical to the
+   fault-free oracle.
 
 Exit status is the gate: 0 green, 1 red.  Run via ``make serve-smoke``.
 """
@@ -102,11 +104,8 @@ def main(argv: list[str] | None = None) -> int:
                                   on_poll=supervise, wait_hook=fleet.wait)
         elapsed = time.monotonic() - start
         fleet.drain(timeout_s=30.0)
-    victim = ("a lease holder" if mid_job.victim_held_lease
-              else "an idle member")
     print(f"serve-smoke: {status.summary()} in {elapsed:.1f}s "
-          f"(kills={fleet.kills} respawns={fleet.respawns}; "
-          f"mid-job kill of {victim})")
+          f"(kills={fleet.kills} respawns={fleet.respawns})")
 
     failures: list[str] = []
     if not status.complete:
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     if status.failed:
         failures.append(f"{status.failed} cells recorded terminal failures")
     if not mid_job.killed:
-        failures.append("the mid-job kill never happened — "
+        failures.append("no lease holder was killed mid-job — "
                         "the run proved nothing")
     got = coordinator.fingerprints(job)
     for coords, fingerprint in sorted(oracle.items()):
