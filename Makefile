@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench diff matrix scan chaos serve-smoke lint determinism ci
+.PHONY: test bench artefacts diff matrix scan chaos serve-smoke lint determinism ci
 
 ## Tier-1 test suite (fast; micro-benchmarks excluded via the bench marker).
 ## PYTEST_ARGS lets CI bolt on reporting flags (--junitxml, --durations)
@@ -12,6 +12,13 @@ test:
 ## Run the simulator micro-benchmarks and record BENCH_<date>.json.
 bench:
 	$(PYTHON) benchmarks/record_baseline.py
+
+## Artefact shape checks: the table-level assertions of Figure 1, TAB-S3,
+## TAB-S41, TAB-S42, TAB-S5, ABL-1/2 and EXT (who wins, what gets
+## blocked) under benchmarks/.  The micro-benchmarks there skip without
+## --run-bench.
+artefacts:
+	$(PYTHON) -m pytest -q benchmarks
 
 ## Differential equivalence suites: every fast lane against its retained
 ## reference oracle (CPU engine, ensemble sweep, batched attacks, batched

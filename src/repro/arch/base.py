@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.attestation.report import AttestationReport
 from repro.common import PlatformClass, PrivilegeLevel
 from repro.cpu.soc import SoC
-from repro.crypto.aes import TTableAES
 from repro.errors import EnclaveError
 
 if TYPE_CHECKING:
@@ -231,6 +230,10 @@ class AESVictim:
                     int.from_bytes(key[8 * i:8 * i + 8], "little"))
         finally:
             arch.exit_enclave(handle)
+
+        # Imported here: only a deployed victim needs the AES tables,
+        # not every command that imports an architecture.
+        from repro.crypto.aes import TTableAES
 
         def on_lookup(table: int, index: int) -> None:
             # Word-aligned touch of the entry's cache line: the timing

@@ -13,16 +13,26 @@ from repro.memory.bus import BusMaster, BusTransaction
 __all__ = ["AttackCategory", "AttackResult", "AttackerProcess"]
 
 
-def _modulo_lines_by_set(pages: list[int], line_size: int,
-                         num_sets: int) -> dict[int, list[int]]:
-    """The scan of :meth:`AttackerProcess._lines_by_set` under plain
-    modulo indexing (``Cache.set_index`` without an ``index_fn``),
-    computed inline instead of through one method call per line."""
-    by_set: dict[int, list[int]] = {}
+def _modulo_set_lines(pages: list[int], line_size: int, num_sets: int,
+                      set_index: int, count: int) -> list[int]:
+    """The first ``count`` lines of ``pages`` in LLC set ``set_index``
+    under plain modulo indexing (``Cache.set_index`` without an
+    ``index_fn``), in the (page, line) order of a scan.
+
+    Line ``k`` of a page starting at ``page`` is number
+    ``page // line_size + k``, so the page's lines in the set are every
+    ``num_sets``-th from the first ``k`` that lands there.
+    """
+    lines: list[int] = []
+    if not 0 <= set_index < num_sets:
+        return lines
+    stride = num_sets * line_size
     for page in pages:
-        for addr in range(page, page + 4096, line_size):
-            by_set.setdefault(addr // line_size % num_sets, []).append(addr)
-    return by_set
+        if len(lines) >= count:
+            break
+        first = (set_index - page // line_size) % num_sets
+        lines.extend(range(page + first * line_size, page + 4096, stride))
+    return lines[:count]
 
 
 class AttackerProcess:
@@ -43,15 +53,11 @@ class AttackerProcess:
                                 kind="cpu")
         self.pages: list[int] = []
         self.domain = f"{name}-proc"
-        #: LLC set -> the attacker's line addresses in that set, in page
-        #: order; built on first use, dropped when the pages change.
-        self._set_lines: dict[int, list[int]] | None = None
 
     def alloc_pages(self, count: int) -> list[int]:
         """Obtain ``count`` physical pages from the architecture's OS."""
         new = [self.arch.alloc_attacker_page() for _ in range(count)]
         self.pages.extend(new)
-        self._set_lines = None
         return new
 
     # -- measurement primitives ------------------------------------------------
@@ -119,25 +125,21 @@ class AttackerProcess:
         the attacker's pages simply cannot reach that set (Sanctum's
         colouring makes exactly this happen).
         """
+        llc = self.soc.hierarchy.l2
+        if llc.index_fn is None:
+            return _modulo_set_lines(self.pages, llc.line_size,
+                                     llc.num_sets, set_index, count)
         return self._lines_by_set().get(set_index, [])[:count]
 
     def _lines_by_set(self) -> dict[int, list[int]]:
         """Every owned line address grouped by LLC set, in (page, line)
-        scan order, so a set's first ``count`` entries are exactly what a
-        scan of the pages returns.
+        scan order.
 
-        Plain modulo indexing depends on the pages alone, so that index
-        is computed arithmetically and kept until :meth:`alloc_pages`
-        adds some.  A custom ``index_fn`` may be re-keyed at any time
-        (:meth:`~repro.cache.randmap.RandomizedIndexing.rekey`), so its
-        index is rebuilt by scanning on every call.
+        A custom ``index_fn`` may be re-keyed at any time
+        (:meth:`~repro.cache.randmap.RandomizedIndexing.rekey`), so this
+        scan runs on every call and keeps nothing.
         """
         llc = self.soc.hierarchy.l2
-        if llc.index_fn is None:
-            if self._set_lines is None:
-                self._set_lines = _modulo_lines_by_set(
-                    self.pages, llc.line_size, llc.num_sets)
-            return self._set_lines
         by_set: dict[int, list[int]] = {}
         set_index = llc.set_index
         for page in self.pages:

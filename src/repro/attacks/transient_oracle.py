@@ -48,12 +48,17 @@ def design_point(label: str) -> dict:
         raise KeyError(f"unknown design point {label!r}") from None
 
 
-def design_soc_variant(name: str, **spec_kwargs) -> SoC:
-    """A 2-core server-class SoC with explicit speculation knobs."""
-    return SoC(SoCConfig(
+def design_soc_config(name: str, **spec_kwargs) -> SoCConfig:
+    """A 2-core server-class config with explicit speculation knobs."""
+    return SoCConfig(
         name=name, platform=PlatformClass.SERVER_DESKTOP, num_cores=2,
         speculative=spec_kwargs.pop("speculative", True),
-        spec=SpeculativeConfig(**spec_kwargs)))
+        spec=SpeculativeConfig(**spec_kwargs))
+
+
+def design_soc_variant(name: str, **spec_kwargs) -> SoC:
+    """A fresh SoC of :func:`design_soc_config`."""
+    return SoC(design_soc_config(name, **spec_kwargs))
 
 
 def design_soc(label: str) -> SoC:

@@ -7,22 +7,11 @@ and TrustZone models' attestation (with their own keys and measurement
 scopes).
 """
 
-from repro.attestation.measure import Measurement, measure_memory
-from repro.attestation.report import AttestationReport
-from repro.attestation.protocol import RemoteVerifier, VerificationResult
-from repro.attestation.cfa import (
-    ControlFlowAttestor,
-    expected_path_hash,
-    hash_cflow_trace,
-)
+from repro.common import lazy_exports
 
-__all__ = [
-    "AttestationReport",
-    "ControlFlowAttestor",
-    "Measurement",
-    "RemoteVerifier",
-    "VerificationResult",
-    "expected_path_hash",
-    "hash_cflow_trace",
-    "measure_memory",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "measure": ("Measurement", "measure_memory"),
+    "report": ("AttestationReport",),
+    "protocol": ("RemoteVerifier", "VerificationResult"),
+    "cfa": ("ControlFlowAttestor", "expected_path_hash", "hash_cflow_trace"),
+})

@@ -15,36 +15,15 @@ Evict+Time / Prime+Probe / Flush+Reload quantify.
   by the attacker and the victim can be exploited".
 """
 
-from repro.cache.policies import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    TreePLRUPolicy,
-)
-from repro.cache.cache import AccessResult, Cache, CacheStats
-from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, MemoryAccess
-from repro.cache.tlb import TLB
-from repro.cache.btb import BranchTargetBuffer
-from repro.cache.partition import WayPartition, color_of, frames_of_color
-from repro.cache.randmap import RandomizedIndexing
+from repro.common import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "BranchTargetBuffer",
-    "Cache",
-    "CacheHierarchy",
-    "CacheStats",
-    "FIFOPolicy",
-    "HierarchyConfig",
-    "LRUPolicy",
-    "MemoryAccess",
-    "RandomPolicy",
-    "RandomizedIndexing",
-    "ReplacementPolicy",
-    "TLB",
-    "TreePLRUPolicy",
-    "WayPartition",
-    "color_of",
-    "frames_of_color",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "policies": ("FIFOPolicy", "LRUPolicy", "RandomPolicy",
+                 "ReplacementPolicy", "TreePLRUPolicy"),
+    "cache": ("AccessResult", "Cache", "CacheStats"),
+    "hierarchy": ("CacheHierarchy", "HierarchyConfig", "MemoryAccess"),
+    "tlb": ("TLB",),
+    "btb": ("BranchTargetBuffer",),
+    "partition": ("WayPartition", "color_of", "frames_of_color"),
+    "randmap": ("RandomizedIndexing",),
+})

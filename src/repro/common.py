@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 import importlib
 import inspect
+import os
+import re
 import sys
 
 
@@ -31,6 +33,15 @@ def accepts_keyword(fn, name: str) -> bool:
         return param.kind is not inspect.Parameter.POSITIONAL_ONLY
     return any(p.kind is inspect.Parameter.VAR_KEYWORD
                for p in params.values())
+
+
+def hostname() -> str:
+    """This host's name, sanitised for embedding in file names.
+
+    ``os.uname().nodename`` is the value ``socket.gethostname()``
+    returns on POSIX, without importing :mod:`socket`.
+    """
+    return re.sub(r"[^A-Za-z0-9-]", "-", os.uname().nodename) or "host"
 
 
 def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):

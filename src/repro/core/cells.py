@@ -28,6 +28,11 @@ from repro.runner.engine import WORKLOAD_CATEGORY, CellSpec
 from repro.runner.seeding import derive_cell_seed
 from repro.runner.serialize import attack_result_to_dict, workload_to_dict
 
+#: The default lane's kernels, which the attack modules import on first
+#: use: a forked pool worker inherits them (see
+#: ``runner.engine._import_cell_modules``).
+FORK_PRELOAD = ("repro.attacks.batch", "repro.power.batch")
+
 
 def _instret(soc: SoC) -> int:
     return sum(core.instret for core in soc.cores)

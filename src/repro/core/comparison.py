@@ -47,6 +47,13 @@ from repro.runner import (
     derive_seed,
 )
 
+#: What TAB-S41's cell imports on first use, which a forked pool worker
+#: then inherits (see ``runner.engine._import_cell_modules``): the cache
+#: attacks, their batched kernels and the kernels' dispatch imports, and
+#: ``numpy.ma``, which ``np.unique`` imports on its first call.
+FORK_PRELOAD = ("repro.attacks.cache_sca", "repro.attacks.batch",
+                "repro.attacks.timing", "numpy.ma")
+
 #: (architecture class, SoC factory) in the paper's presentation order.
 ARCH_HOSTS = (
     (SGX, make_server_soc),

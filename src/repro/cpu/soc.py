@@ -70,6 +70,11 @@ class SoCConfig:
     dvfs_secure_world_gated: bool = False
     dvfs_hardware_limit_mhz: float | None = None
 
+    @property
+    def dram_base(self) -> int:
+        """Base address of DRAM in the layout a SoC of this config gets."""
+        return standard_layout(self.dram_size).get("dram").base
+
 
 class SoC:
     """A complete simulated system-on-chip."""
@@ -205,9 +210,9 @@ class SoC:
         return self.regions.get("dram").base
 
 
-def make_server_soc(num_cores: int = 4) -> SoC:
+def server_soc_config(num_cores: int = 4) -> SoCConfig:
     """Stationary high-performance platform (SGX/Sanctum host)."""
-    return SoC(SoCConfig(
+    return SoCConfig(
         name="server", platform=PlatformClass.SERVER_DESKTOP,
         num_cores=num_cores, speculative=True,
         spec=SpeculativeConfig(transient_window=128),
@@ -215,12 +220,12 @@ def make_server_soc(num_cores: int = 4) -> SoC:
                                   l2_sets=1024, l2_ways=16),
         has_mmu=True, shared_tlb=True, freq_mhz=3000.0,
         energy_per_instr_pj=40.0, energy_per_mem_pj=100.0,
-        dvfs_software_controllable=True))
+        dvfs_software_controllable=True)
 
 
-def make_mobile_soc(num_cores: int = 2) -> SoC:
+def mobile_soc_config(num_cores: int = 2) -> SoCConfig:
     """Mobile high-performance platform (TrustZone/Sanctuary host)."""
-    return SoC(SoCConfig(
+    return SoCConfig(
         name="mobile", platform=PlatformClass.MOBILE,
         num_cores=num_cores, speculative=True,
         spec=SpeculativeConfig(transient_window=32),
@@ -228,17 +233,17 @@ def make_mobile_soc(num_cores: int = 2) -> SoC:
                                   l2_sets=512, l2_ways=8),
         has_mmu=True, freq_mhz=2000.0,
         energy_per_instr_pj=8.0, energy_per_mem_pj=20.0,
-        dvfs_software_controllable=True, dvfs_secure_world_gated=False))
+        dvfs_software_controllable=True, dvfs_secure_world_gated=False)
 
 
-def make_embedded_soc() -> SoC:
+def embedded_soc_config() -> SoCConfig:
     """Low-energy embedded platform (SMART/TrustLite host).
 
     In-order, MMU-less, near-cacheless: microarchitectural attacks find no
     purchase here, but neither do MMU-based isolation architectures — the
     design tension Section 3.3 describes.
     """
-    return SoC(SoCConfig(
+    return SoCConfig(
         name="embedded", platform=PlatformClass.EMBEDDED,
         num_cores=1, speculative=False,
         hierarchy=HierarchyConfig(num_cores=1, l1_sets=4, l1_ways=1,
@@ -247,7 +252,22 @@ def make_embedded_soc() -> SoC:
                                   dram_latency=10),
         has_mmu=False, dram_size=1 << 24, freq_mhz=50.0,
         energy_per_instr_pj=1.0, energy_per_mem_pj=2.0,
-        dvfs_software_controllable=False))
+        dvfs_software_controllable=False)
+
+
+def make_server_soc(num_cores: int = 4) -> SoC:
+    """A fresh SoC of :func:`server_soc_config`."""
+    return SoC(server_soc_config(num_cores))
+
+
+def make_mobile_soc(num_cores: int = 2) -> SoC:
+    """A fresh SoC of :func:`mobile_soc_config`."""
+    return SoC(mobile_soc_config(num_cores))
+
+
+def make_embedded_soc() -> SoC:
+    """A fresh SoC of :func:`embedded_soc_config`."""
+    return SoC(embedded_soc_config())
 
 
 #: Standard factory per platform class.  Worker processes rebuild a

@@ -15,35 +15,19 @@ variants the countermeasure discussion (Section 5) requires:
 * :func:`sha256` / :func:`hmac_sha256` — the attestation MAC substrate.
 """
 
-from repro.crypto.sha256 import sha256
-from repro.crypto.hmacmod import hmac_sha256, hmac_verify
-from repro.crypto.rng import XorShiftRNG
-from repro.crypto.aes import (
-    AES128,
-    ConstantTimeAES,
-    MaskedAES,
-    TTableAES,
-)
-from repro.crypto.modexp import (
-    ModExpResult,
-    modexp_ladder,
-    modexp_square_multiply,
-)
-from repro.crypto.rsa import RSA, RSAKey, generate_rsa_key
+from repro.common import lazy_exports
 
-__all__ = [
-    "AES128",
-    "ConstantTimeAES",
-    "MaskedAES",
-    "ModExpResult",
-    "RSA",
-    "RSAKey",
-    "TTableAES",
-    "XorShiftRNG",
-    "generate_rsa_key",
-    "hmac_sha256",
-    "hmac_verify",
-    "modexp_ladder",
-    "modexp_square_multiply",
-    "sha256",
-]
+# ``sha256`` names both a submodule and the function it defines.  Once
+# that submodule is imported, the import system binds the *module* on
+# this package, so a lazy name would resolve to the module; binding the
+# function here, after the submodule has loaded, keeps it the function.
+from repro.crypto.sha256 import sha256
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "hmacmod": ("hmac_sha256", "hmac_verify"),
+    "rng": ("XorShiftRNG",),
+    "aes": ("AES128", "ConstantTimeAES", "MaskedAES", "TTableAES"),
+    "modexp": ("ModExpResult", "modexp_ladder", "modexp_square_multiply"),
+    "rsa": ("RSA", "RSAKey", "generate_rsa_key"),
+})
+__all__ = sorted([*__all__, "sha256"])

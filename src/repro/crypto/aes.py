@@ -17,7 +17,8 @@ model and ``fault_hook(round, state)`` for fault injection (the state may
 be mutated in place — that *is* the glitch).
 
 The S-box is derived, not transcribed: multiplicative inverse in GF(2^8)
-followed by the affine transform, per FIPS-197.
+(read off log/antilog tables of the generator 3) followed by the affine
+transform, per FIPS-197.
 """
 
 from __future__ import annotations
@@ -54,31 +55,27 @@ def gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        return 0
-    # a^(2^8 - 2) by square-and-multiply.
-    result = 1
-    power = a
-    exponent = 254
-    while exponent:
-        if exponent & 1:
-            result = gf_mul(result, power)
-        power = gf_mul(power, power)
-        exponent >>= 1
-    return result
+def _rotl8(b: int, n: int) -> int:
+    return ((b << n) | (b >> (8 - n))) & 0xFF
 
 
 def _build_sbox() -> tuple[list[int], list[int]]:
+    # 3 generates GF(2^8)*: walking its powers gives antilog and log
+    # tables, and the inverse of 3^i is 3^(255 - i).  Multiplying by 3
+    # is ``x ^ xtime(x)``, so the whole build is O(256).
+    antilog = [0] * 255
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        antilog[i] = x
+        log[x] = i
+        x ^= _xtime(x)
     sbox = [0] * 256
     inv = [0] * 256
     for x in range(256):
-        b = _gf_inv(x)
-        y = 0
-        for bit in range(8):
-            y |= (((b >> bit) ^ (b >> ((bit + 4) % 8)) ^ (b >> ((bit + 5) % 8))
-                   ^ (b >> ((bit + 6) % 8)) ^ (b >> ((bit + 7) % 8))) & 1) << bit
-        y ^= 0x63
+        b = antilog[-log[x] % 255] if x else 0
+        y = (b ^ _rotl8(b, 1) ^ _rotl8(b, 2) ^ _rotl8(b, 3) ^ _rotl8(b, 4)
+             ^ 0x63)
         sbox[x] = y
         inv[y] = x
     return sbox, inv
@@ -92,7 +89,8 @@ def _build_ttables() -> list[list[int]]:
     te = [[0] * 256 for _ in range(4)]
     for x in range(256):
         s = SBOX[x]
-        word = (gf_mul(s, 2) << 24) | (s << 16) | (s << 8) | gf_mul(s, 3)
+        s2 = _xtime(s)
+        word = (s2 << 24) | (s << 16) | (s << 8) | (s2 ^ s)
         for t in range(4):
             te[t][x] = ((word >> (8 * t)) | (word << (32 - 8 * t))) & 0xFFFFFFFF
     return te

@@ -9,22 +9,10 @@ CLKSCREW-style software-induced glitches use the same machinery as
 bench-top clock/voltage/EM/laser glitches.
 """
 
-from repro.fault.models import (
-    FaultKind,
-    FaultSpec,
-    GlitchChannel,
-    apply_fault,
-)
-from repro.fault.injector import CampaignResult, FaultCampaign, GlitchInjector
-from repro.fault.clkscrew import ClkscrewGlitcher
+from repro.common import lazy_exports
 
-__all__ = [
-    "CampaignResult",
-    "ClkscrewGlitcher",
-    "FaultCampaign",
-    "FaultKind",
-    "FaultSpec",
-    "GlitchChannel",
-    "GlitchInjector",
-    "apply_fault",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "models": ("FaultKind", "FaultSpec", "GlitchChannel", "apply_fault"),
+    "injector": ("CampaignResult", "FaultCampaign", "GlitchInjector"),
+    "clkscrew": ("ClkscrewGlitcher",),
+})

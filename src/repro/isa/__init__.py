@@ -10,71 +10,14 @@ through the full MMU/cache path, branches, a cache-line flush (the analogue
 of ``clflush``, required by Flush+Reload), fences, CSR access and traps.
 """
 
-from repro.isa.instructions import (
-    Instruction,
-    InstrKind,
-    Reg,
-    add,
-    addi,
-    and_,
-    beq,
-    bge,
-    blt,
-    bne,
-    csrr,
-    csrw,
-    ecall,
-    fence,
-    flush,
-    halt,
-    jal,
-    jmp,
-    li,
-    load,
-    mul,
-    nop,
-    or_,
-    ret,
-    shl,
-    shr,
-    store,
-    sub,
-    xor,
-)
-from repro.isa.program import Program
-from repro.isa.assembler import AssemblyError, assemble
+from repro.common import lazy_exports
 
-__all__ = [
-    "AssemblyError",
-    "InstrKind",
-    "Instruction",
-    "Program",
-    "Reg",
-    "add",
-    "addi",
-    "and_",
-    "assemble",
-    "beq",
-    "bge",
-    "blt",
-    "bne",
-    "csrr",
-    "csrw",
-    "ecall",
-    "fence",
-    "flush",
-    "halt",
-    "jal",
-    "jmp",
-    "li",
-    "load",
-    "mul",
-    "nop",
-    "or_",
-    "ret",
-    "shl",
-    "shr",
-    "store",
-    "sub",
-    "xor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "instructions": ("InstrKind", "Instruction", "Reg", "add", "addi", "and_",
+                     "beq", "bge", "blt", "bne", "csrr", "csrw", "ecall",
+                     "fence", "flush", "halt", "jal", "jmp", "li", "load",
+                     "mul", "nop", "or_", "ret", "shl", "shr", "store", "sub",
+                     "xor"),
+    "program": ("Program",),
+    "assembler": ("AssemblyError", "assemble"),
+})

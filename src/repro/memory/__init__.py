@@ -16,48 +16,19 @@ Everything a hardware-assisted security architecture hangs off lives here:
   protected physical range.
 """
 
-from repro.memory.phys import PhysicalMemory
-from repro.memory.regions import MemoryRegion, RegionMap, Permissions
-from repro.memory.bus import BusMaster, BusTransaction, SystemBus
-from repro.memory.paging import (
-    PAGE_SIZE,
-    PageFlags,
-    PageTable,
-    pte_pack,
-    pte_unpack,
-)
-from repro.memory.mmu import MMU, TranslationResult
-from repro.memory.mpu import ExecutionAwareMPU, MPU, MPURegion
-from repro.memory.tzasc import TrustZoneAddressSpaceController, WorldState
-from repro.memory.dma import DMAEngine
-from repro.memory.mee import MemoryEncryptionEngine
-from repro.memory.rom import KeyVault, ROMRegion
-from repro.memory.disturbance import DisturbanceModel, ROW_SIZE
+from repro.common import lazy_exports
 
-__all__ = [
-    "BusMaster",
-    "BusTransaction",
-    "DMAEngine",
-    "DisturbanceModel",
-    "ExecutionAwareMPU",
-    "KeyVault",
-    "MMU",
-    "MPU",
-    "MPURegion",
-    "MemoryEncryptionEngine",
-    "MemoryRegion",
-    "PAGE_SIZE",
-    "PageFlags",
-    "PageTable",
-    "Permissions",
-    "PhysicalMemory",
-    "ROMRegion",
-    "ROW_SIZE",
-    "RegionMap",
-    "SystemBus",
-    "TranslationResult",
-    "TrustZoneAddressSpaceController",
-    "WorldState",
-    "pte_pack",
-    "pte_unpack",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "phys": ("PhysicalMemory",),
+    "regions": ("MemoryRegion", "Permissions", "RegionMap"),
+    "bus": ("BusMaster", "BusTransaction", "SystemBus"),
+    "paging": ("PAGE_SIZE", "PageFlags", "PageTable", "pte_pack",
+               "pte_unpack"),
+    "mmu": ("MMU", "TranslationResult"),
+    "mpu": ("ExecutionAwareMPU", "MPU", "MPURegion"),
+    "tzasc": ("TrustZoneAddressSpaceController", "WorldState"),
+    "dma": ("DMAEngine",),
+    "mee": ("MemoryEncryptionEngine",),
+    "rom": ("KeyVault", "ROMRegion"),
+    "disturbance": ("DisturbanceModel", "ROW_SIZE"),
+})

@@ -28,30 +28,24 @@ for cell telemetry.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from typing import TYPE_CHECKING
 
-from repro.obs.export import (
-    metrics_to_prometheus,
-    records_to_chrome,
-    records_to_jsonl,
-    write_metrics,
-    write_trace,
-)
-from repro.obs.manifest import RunManifest, host_platform
-from repro.obs.metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.observer import (
-    CELL_METRICS_KEY,
-    NULL_OBSERVER,
-    SPANS_KEY,
-    Observability,
-    RunObserver,
-)
-from repro.obs.tracer import Tracer, derive_span_id
+from repro.common import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "export": ("metrics_to_prometheus", "records_to_chrome",
+               "records_to_jsonl", "write_metrics", "write_trace"),
+    "manifest": ("RunManifest", "host_platform"),
+    "metrics": ("Counter", "DEFAULT_TIME_BUCKETS", "Gauge", "Histogram",
+                "MetricsRegistry"),
+    "observer": ("CELL_METRICS_KEY", "NULL_OBSERVER", "Observability",
+                 "RunObserver", "SPANS_KEY"),
+    "tracer": ("Tracer", "derive_span_id"),
+})
+__all__ = sorted([*__all__, "activate", "current_tracer", "event", "span"])
 
 #: The process-global tracer consulted by :func:`span` / :func:`event`.
 _CURRENT: Tracer | None = None
@@ -91,30 +85,3 @@ def event(name: str, cat: str = "obs", **args: object) -> dict | None:
     if tracer is None:
         return None
     return tracer.event(name, cat=cat, **args)
-
-
-__all__ = [
-    "CELL_METRICS_KEY",
-    "Counter",
-    "DEFAULT_TIME_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_OBSERVER",
-    "Observability",
-    "RunManifest",
-    "RunObserver",
-    "SPANS_KEY",
-    "Tracer",
-    "activate",
-    "current_tracer",
-    "derive_span_id",
-    "event",
-    "host_platform",
-    "metrics_to_prometheus",
-    "records_to_chrome",
-    "records_to_jsonl",
-    "span",
-    "write_metrics",
-    "write_trace",
-]

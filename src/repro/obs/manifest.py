@@ -14,7 +14,6 @@ changed outcome or payload — in one list.
 from __future__ import annotations
 
 import json
-import platform as _platform
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -23,6 +22,8 @@ SCHEMA = "repro-run-manifest/1"
 
 def host_platform() -> dict[str, str]:
     """The measurement host, as recorded in every manifest."""
+    import platform as _platform
+
     return {
         "python": _platform.python_version(),
         "implementation": _platform.python_implementation(),

@@ -7,24 +7,12 @@ oscilloscope-measured traces; what the simulation removes is only the
 lab equipment, which is exactly the substitution DESIGN.md documents.
 """
 
-from repro.power.leakage import (
-    HammingDistanceModel,
-    HammingWeightModel,
-    IdentityModel,
-    hamming_weight,
-)
-from repro.power.trace import TraceSet
-from repro.power.instrument import PowerInstrument, capture_aes_traces
-from repro.power.batch import BatchPowerInstrument, batch_cipher_for
+from repro.common import lazy_exports
 
-__all__ = [
-    "BatchPowerInstrument",
-    "HammingDistanceModel",
-    "HammingWeightModel",
-    "IdentityModel",
-    "PowerInstrument",
-    "TraceSet",
-    "batch_cipher_for",
-    "capture_aes_traces",
-    "hamming_weight",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "leakage": ("HammingDistanceModel", "HammingWeightModel", "IdentityModel",
+                "hamming_weight"),
+    "trace": ("TraceSet",),
+    "instrument": ("PowerInstrument", "capture_aes_traces"),
+    "batch": ("BatchPowerInstrument", "batch_cipher_for"),
+})

@@ -30,51 +30,17 @@ package provides the layers that make it so:
   and worker utilisation.
 """
 
-from repro.runner.cache import ResultCache, default_cache_root
-from repro.runner.chaos import ChaosConfig, FAULT_MODES, chaos_execute_spec
-from repro.runner.engine import (
-    DEFAULT_TIMEOUT_S,
-    CACHE_DEFENCE_CATEGORY,
-    INTEGRITY_KEY,
-    SCAN_CATEGORY,
-    WORKLOAD_CATEGORY,
-    CellSpec,
-    CellTask,
-    ExperimentRunner,
-    cache_key_for,
-    execute_spec,
-    execute_task,
-    payload_fingerprint,
-    payload_intact,
-)
-from repro.runner.retry import NO_RETRY, RetryPolicy
-from repro.runner.seeding import derive_cell_seed, derive_seed
-from repro.runner.stats import CellOutcome, OUTCOME_STATUSES, RunnerStats
+from repro.common import lazy_exports
 
-__all__ = [
-    "CACHE_DEFENCE_CATEGORY",
-    "CellOutcome",
-    "CellSpec",
-    "CellTask",
-    "ChaosConfig",
-    "DEFAULT_TIMEOUT_S",
-    "ExperimentRunner",
-    "FAULT_MODES",
-    "INTEGRITY_KEY",
-    "NO_RETRY",
-    "OUTCOME_STATUSES",
-    "ResultCache",
-    "RetryPolicy",
-    "RunnerStats",
-    "SCAN_CATEGORY",
-    "WORKLOAD_CATEGORY",
-    "cache_key_for",
-    "chaos_execute_spec",
-    "default_cache_root",
-    "derive_cell_seed",
-    "derive_seed",
-    "execute_spec",
-    "execute_task",
-    "payload_fingerprint",
-    "payload_intact",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("ResultCache", "default_cache_root"),
+    "chaos": ("ChaosConfig", "FAULT_MODES", "chaos_execute_spec"),
+    "engine": ("CACHE_DEFENCE_CATEGORY", "CellSpec", "CellTask",
+               "DEFAULT_TIMEOUT_S", "ExperimentRunner", "INTEGRITY_KEY",
+               "SCAN_CATEGORY", "WORKLOAD_CATEGORY", "cache_key_for",
+               "execute_spec", "execute_task", "payload_fingerprint",
+               "payload_intact"),
+    "retry": ("NO_RETRY", "RetryPolicy"),
+    "seeding": ("derive_cell_seed", "derive_seed"),
+    "stats": ("CellOutcome", "OUTCOME_STATUSES", "RunnerStats"),
+})

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import os
-import re
-import socket
 import time
 from itertools import count
 from pathlib import Path
 from typing import Callable
+
+from repro.common import hostname
 
 #: Per-process counter making concurrent same-key writers collision-free.
 _TMP_COUNTER = count()
@@ -51,8 +51,7 @@ DEFAULT_TMP_GRACE_S = 120.0
 
 def writer_tag() -> str:
     """This process's globally distinguishable cache-writer identity."""
-    host = re.sub(r"[^A-Za-z0-9-]", "-", socket.gethostname()) or "host"
-    return f"{host}-{os.getpid()}-{_WRITER_NONCE}"
+    return f"{hostname()}-{os.getpid()}-{_WRITER_NONCE}"
 
 
 def default_cache_root() -> Path:

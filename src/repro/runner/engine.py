@@ -32,14 +32,12 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
-from pickle import PicklingError
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import repro.obs as obs
 from repro.errors import (
@@ -58,6 +56,9 @@ from repro.runner.chaos import ChaosConfig, chaos_execute_spec
 from repro.runner.retry import RetryPolicy
 from repro.runner.seeding import derive_cell_seed
 from repro.runner.stats import CellOutcome, RunnerStats
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Pseudo-category for the per-platform reference-workload measurement.
 WORKLOAD_CATEGORY = "workload"
@@ -221,17 +222,35 @@ def execute_spec(spec: CellSpec, collect: bool = False,
 
 def _import_cell_modules(specs: Iterable[CellSpec]) -> None:
     """Import the entry-point modules :func:`execute_spec` needs for
-    ``specs``.
+    ``specs``, and the modules each lists in ``FORK_PRELOAD``: those its
+    cells import on first use (the default lane's kernels).
 
     The supervised pool forks its workers: whatever the parent has
     imported by then, each worker inherits instead of importing (and
     holding) its own copy.  Package namespaces are lazy, so rendering
-    from cache loads none of these; the pool path calls this just
-    before it forks.
+    from cache loads none of these; the pool path and ``repro serve``
+    call this just before they fork.
     """
     categories = {spec.category for spec in specs} & _TABLE_CELLS.keys()
     for name in sorted({_TABLE_CELLS[c][0] for c in categories}):
-        importlib.import_module(name)
+        module = importlib.import_module(name)
+        for preload in getattr(module, "FORK_PRELOAD", ()):
+            importlib.import_module(preload)
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use (PEP 562).
+
+    Only :meth:`ExperimentRunner._run_supervised` builds a pool, so a
+    serial run or a cache render never loads ``concurrent.futures`` and
+    ``multiprocessing``.  The class stays a module attribute that tests
+    can patch; the supervisor reads that attribute on every rebuild.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -540,6 +559,10 @@ class ExperimentRunner:
           degrade to in-process serial execution (with process-lethal
           chaos modes disarmed) rather than looping forever.
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+        from pickle import PicklingError
+
         _import_cell_modules(pending)
         max_workers = min(self.jobs, len(pending))
         #: (spec, attempt, not_before): ready-to-submit work items.
@@ -603,7 +626,8 @@ class ExperimentRunner:
                         degrade_to_serial()
                         return
                     try:
-                        pool = ProcessPoolExecutor(max_workers=max_workers)
+                        pool = sys.modules[__name__].ProcessPoolExecutor(
+                            max_workers=max_workers)
                     except (OSError, ImportError):
                         degrade_to_serial()
                         return

@@ -33,62 +33,19 @@ Layers:
   mid-job.
 """
 
-from repro.service.chaos import (
-    HostChaosConfig,
-    LEASE_FAULTS,
-    MidJobKill,
-    chaos_report,
-    plant_skewed_lease,
-    plant_stale_lease,
-    plant_torn_cache_entry,
-    plant_torn_lease,
-    seed_lease_faults,
-    tear_job_file,
-)
-from repro.service.coordinator import Coordinator, JobStatus
-from repro.service.fleet import WorkerFleet
-from repro.service.jobs import JOB_SCHEMA, JobSpec
-from repro.service.lease import (
-    DEFAULT_TTL_S,
-    Lease,
-    LeaseInfo,
-    LeaseLostError,
-    default_owner_id,
-    lease_state,
-    read_lease,
-    reap_lease,
-    try_acquire,
-)
-from repro.service.queue import JobQueue
-from repro.service.worker import ServiceWorker, WorkerStats, run_worker_process
+from repro.common import lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "DEFAULT_TTL_S",
-    "HostChaosConfig",
-    "JOB_SCHEMA",
-    "JobQueue",
-    "JobSpec",
-    "JobStatus",
-    "LEASE_FAULTS",
-    "Lease",
-    "LeaseInfo",
-    "LeaseLostError",
-    "MidJobKill",
-    "ServiceWorker",
-    "WorkerFleet",
-    "WorkerStats",
-    "chaos_report",
-    "default_owner_id",
-    "lease_state",
-    "plant_skewed_lease",
-    "plant_stale_lease",
-    "plant_torn_cache_entry",
-    "plant_torn_lease",
-    "read_lease",
-    "reap_lease",
-    "run_worker_process",
-    "seed_lease_faults",
-    "tear_job_file",
-    "try_acquire",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "chaos": ("HostChaosConfig", "LEASE_FAULTS", "MidJobKill", "chaos_report",
+              "plant_skewed_lease", "plant_stale_lease",
+              "plant_torn_cache_entry", "plant_torn_lease",
+              "seed_lease_faults", "tear_job_file"),
+    "coordinator": ("Coordinator", "JobStatus"),
+    "fleet": ("WorkerFleet",),
+    "jobs": ("JOB_SCHEMA", "JobSpec"),
+    "lease": ("DEFAULT_TTL_S", "Lease", "LeaseInfo", "LeaseLostError",
+              "default_owner_id", "lease_state", "read_lease", "reap_lease",
+              "try_acquire"),
+    "queue": ("JobQueue",),
+    "worker": ("ServiceWorker", "WorkerStats", "run_worker_process"),
+})

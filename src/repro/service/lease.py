@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
-import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
 from itertools import count
 from pathlib import Path
 
+from repro.common import hostname
 from repro.errors import HarnessError
 
 #: Default seconds without a heartbeat before a lease may be reaped.
@@ -65,14 +64,9 @@ _PROCESS_NONCE = os.urandom(3).hex()
 _REAP_COUNTER = count()
 
 
-def _hostname() -> str:
-    """This host's name, sanitised for embedding in file names."""
-    return re.sub(r"[^A-Za-z0-9-]", "-", socket.gethostname()) or "host"
-
-
 def default_owner_id(role: str = "worker") -> str:
     """A globally distinguishable owner identity for this process."""
-    return f"{role}-{_hostname()}-{os.getpid()}-{_PROCESS_NONCE}"
+    return f"{role}-{hostname()}-{os.getpid()}-{_PROCESS_NONCE}"
 
 
 class LeaseLostError(HarnessError):
@@ -253,7 +247,7 @@ def reap_lease(path: str | Path, now: float | None = None) -> bool:
     now = time.time() if now is None else now
     slot = path.with_name(path.name + ".reaplock")
     _break_abandoned_reap_slot(slot)
-    token = (f"{_hostname()}.{os.getpid()}.{_PROCESS_NONCE}."
+    token = (f"{hostname()}.{os.getpid()}.{_PROCESS_NONCE}."
              f"{next(_REAP_COUNTER)}").encode("ascii")
     try:
         fd = os.open(slot, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
@@ -400,7 +394,7 @@ def try_acquire(path: str | Path, owner: str,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     now = time.time() if now is None else now
-    info = LeaseInfo(owner=owner, host=_hostname(), pid=os.getpid(),
+    info = LeaseInfo(owner=owner, host=hostname(), pid=os.getpid(),
                      acquired_at=now, heartbeat_at=now, ttl_s=ttl_s)
     if _write_lease_file(path, info, exclusive=True):
         return Lease(path, info)

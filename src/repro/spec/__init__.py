@@ -24,67 +24,19 @@ This package turns the simulator's transient-execution column from
 * :mod:`repro.spec.report` — the deterministic leak-report artifact.
 """
 
-from repro.spec.explorer import CHANNELS, LeakEvent, SpeculationExplorer
-from repro.spec.memo import (
-    MEMO_CAPACITY,
-    MEMO_WINDOW_FLOOR,
-    ExplorationMemo,
-    ExplorationRecord,
-    MemoizedSpeculationExplorer,
-    exploration_signature,
-    record_exploration,
-)
-from repro.spec.gadgets import (
-    CORPUS_REV,
-    GADGETS,
-    GADGETS_BY_NAME,
-    Gadget,
-    GadgetInstance,
-)
-from repro.spec.report import LeakReport, ScanRow
-from repro.spec.scanner import (
-    DEFAULT_SCAN_SEED,
-    SCAN_CATEGORY,
-    ScanConfig,
-    execute_scan_cell,
-    full_config_names,
-    quick_config_names,
-    run_scan,
-    scan_config_for,
-    scan_gadget,
-    scan_grid,
-    scan_specs,
-)
-from repro.spec.taint import TaintState
+from repro.common import lazy_exports
 
-__all__ = [
-    "CHANNELS",
-    "CORPUS_REV",
-    "DEFAULT_SCAN_SEED",
-    "GADGETS",
-    "GADGETS_BY_NAME",
-    "Gadget",
-    "GadgetInstance",
-    "LeakEvent",
-    "LeakReport",
-    "MEMO_CAPACITY",
-    "MEMO_WINDOW_FLOOR",
-    "ExplorationMemo",
-    "ExplorationRecord",
-    "MemoizedSpeculationExplorer",
-    "SCAN_CATEGORY",
-    "ScanConfig",
-    "ScanRow",
-    "SpeculationExplorer",
-    "TaintState",
-    "execute_scan_cell",
-    "exploration_signature",
-    "record_exploration",
-    "full_config_names",
-    "quick_config_names",
-    "run_scan",
-    "scan_config_for",
-    "scan_gadget",
-    "scan_grid",
-    "scan_specs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "explorer": ("CHANNELS", "LeakEvent", "SpeculationExplorer"),
+    "memo": ("ExplorationMemo", "ExplorationRecord", "MEMO_CAPACITY",
+             "MEMO_WINDOW_FLOOR", "MemoizedSpeculationExplorer",
+             "exploration_signature", "record_exploration"),
+    "gadgets": ("CORPUS_REV", "GADGETS", "GADGETS_BY_NAME", "Gadget",
+                "GadgetInstance"),
+    "report": ("LeakReport", "ScanRow"),
+    "scanner": ("DEFAULT_SCAN_SEED", "SCAN_CATEGORY", "ScanConfig",
+                "execute_scan_cell", "full_config_names",
+                "quick_config_names", "run_scan", "scan_config_for",
+                "scan_gadget", "scan_grid", "scan_specs"),
+    "taint": ("TaintState",),
+})

@@ -199,31 +199,17 @@ class ExplorationMemo:
             self.evictions += 1
 
 
-_DRAM_BASE: dict[str, int] = {}
-
-
-def _dram_base_for(config) -> int:
-    """DRAM base of a config's SoC (probed once per config name).
-
-    Gadget programs embed absolute addresses derived from the SoC's DRAM
-    base, so two configs share an exploration only if their address maps
-    agree — the base is part of every signature.
-    """
-    base = _DRAM_BASE.get(config.name)
-    if base is None:
-        base = _DRAM_BASE[config.name] = config.build().dram_base
-    return base
-
-
 def exploration_signature(config, gadget: Gadget) -> tuple:
     """The knob signature an exploration's outcome depends on.
 
     Non-speculative hosts have no fork sites at all, so every in-order
     config shares one class per gadget.  Speculative hosts share a class
     when the fork-relevant forwarding knobs agree; the window is *not*
-    part of the signature — it is the replay parameter.
+    part of the signature — it is the replay parameter.  Gadget
+    programs embed absolute addresses derived from the SoC's DRAM base,
+    so the base is part of every signature.
     """
-    base = _dram_base_for(config)
+    base = config.dram_base
     if not config.speculative:
         return ("arch", CORPUS_REV, gadget.name, base)
     return ("spec", CORPUS_REV, gadget.name, base,

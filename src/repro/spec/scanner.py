@@ -17,7 +17,7 @@ by the differential suite — analysis and reproduction must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.runner.engine import SCAN_CATEGORY, ExperimentRunner
 from repro.spec.explorer import SpeculationExplorer
@@ -29,6 +29,9 @@ from repro.spec.memo import (
 )
 from repro.spec.report import LeakReport, ScanRow
 
+if TYPE_CHECKING:
+    from repro.cpu.soc import SoCConfig
+
 #: Default master seed for scan sweeps (per-cell seeds derive from it).
 DEFAULT_SCAN_SEED = 0x5CA4
 
@@ -37,8 +40,9 @@ DEFAULT_SCAN_SEED = 0x5CA4
 class ScanConfig:
     """One column of the scan grid: a SoC recipe plus its knob summary.
 
-    The boolean knob summary is what expectation checking reads; it must
-    faithfully describe the SoC the builder returns.
+    The knob summary and ``dram_base`` are read from the ``SoCConfig``
+    the builder's SoC is made from (see :func:`_scan_config`), so they
+    describe that SoC without building one.
     """
 
     name: str
@@ -50,6 +54,7 @@ class ScanConfig:
     fault_at_retirement: bool
     l1tf_forwarding: bool
     btb_tagged: bool
+    dram_base: int
 
     def expects_leak(self, gadget: Gadget) -> bool:
         """Should ``gadget`` leak on this config, per its preconditions?"""
@@ -67,51 +72,75 @@ class ScanConfig:
         return True
 
 
-def _knob_config(name: str, description: str, label: str) -> ScanConfig:
-    """A scan config wrapping one TAB-S42 design point (by its label)."""
-    from repro.attacks.transient_oracle import design_point, design_soc
-
-    kwargs = design_point(label)
-    speculative = kwargs.get("speculative", True)
-    spec_probe = design_soc(label).config.spec
-
-    def build():
-        return design_soc(label)
-
+def _scan_config(name: str, kind: str, description: str, build: Callable,
+                 soc_config: SoCConfig) -> ScanConfig:
+    """A scan config whose knobs are read from ``soc_config``, the
+    ``SoCConfig`` that ``build`` makes its SoC from.  Installing an
+    architecture changes neither the speculation knobs nor DRAM."""
+    spec = soc_config.spec
+    speculative = soc_config.speculative
     return ScanConfig(
-        name=name, kind="knob", description=description, build=build,
-        speculative=speculative,
-        window=spec_probe.transient_window if speculative else 0,
-        fault_at_retirement=spec_probe.fault_at_retirement,
-        l1tf_forwarding=spec_probe.l1tf_forwarding,
-        btb_tagged=spec_probe.predictor.btb_tag_with_asid)
-
-
-def _arch_config(name: str, description: str, arch_name: str | None,
-                 factory_name: str) -> ScanConfig:
-    def build():
-        from repro import arch as arch_mod
-        from repro.cpu import soc as soc_mod
-        soc = getattr(soc_mod, factory_name)()
-        if arch_name is not None:
-            getattr(arch_mod, arch_name)(soc)
-        return soc
-
-    probe = build()
-    speculative = probe.config.speculative
-    spec = probe.config.spec
-    return ScanConfig(
-        name=name, kind="arch", description=description, build=build,
+        name=name, kind=kind, description=description, build=build,
         speculative=speculative,
         window=spec.transient_window if speculative else 0,
         fault_at_retirement=spec.fault_at_retirement,
         l1tf_forwarding=spec.l1tf_forwarding,
-        btb_tagged=spec.predictor.btb_tag_with_asid)
+        btb_tagged=spec.predictor.btb_tag_with_asid,
+        dram_base=soc_config.dram_base)
+
+
+def _knob_config(name: str, description: str, label: str) -> ScanConfig:
+    """A scan config wrapping one TAB-S42 design point (by its label)."""
+    from repro.attacks.transient_oracle import (
+        design_point,
+        design_soc,
+        design_soc_config,
+    )
+
+    def build():
+        return design_soc(label)
+
+    return _scan_config(name, "knob", description, build,
+                        design_soc_config(label, **design_point(label)))
+
+
+def _arch_config(name: str, description: str, arch_name: str | None,
+                 soc_config: Callable[[], SoCConfig]) -> ScanConfig:
+    """A scan config hosting ``arch_name`` (or nothing) on a SoC of
+    ``soc_config()``."""
+    def build():
+        from repro import arch as arch_mod
+        from repro.cpu.soc import SoC
+        soc = SoC(soc_config())
+        if arch_name is not None:
+            getattr(arch_mod, arch_name)(soc)
+        return soc
+
+    return _scan_config(name, "arch", description, build, soc_config())
+
+
+def _knob_narrow_window(name: str, window: int) -> ScanConfig:
+    from repro.attacks.transient_oracle import (
+        design_soc_config,
+        design_soc_variant,
+    )
+
+    def build():
+        return design_soc_variant(name, transient_window=window)
+
+    return _scan_config(name, "knob",
+                        f"speculative, {window}-instruction window", build,
+                        design_soc_config(name, transient_window=window))
 
 
 def _build_grid() -> dict[str, ScanConfig]:
     """The full grid, insertion-ordered (reports preserve this order)."""
     from repro.attacks.transient_oracle import TRANSIENT_DESIGN_POINTS
+    from repro.cpu.soc import (
+        embedded_soc_config,
+        mobile_soc_config,
+        server_soc_config,
+    )
 
     grid: dict[str, ScanConfig] = {}
     # Knob columns: one per TAB-S42 design point, under stable short
@@ -135,34 +164,21 @@ def _build_grid() -> dict[str, ScanConfig]:
     # change the transient-execution column).
     grid["sgx-server"] = _arch_config(
         "sgx-server", "SGX on the server-class speculative host",
-        "SGX", "make_server_soc")
+        "SGX", server_soc_config)
     grid["sanctum-server"] = _arch_config(
         "sanctum-server", "Sanctum on the server-class speculative host",
-        "Sanctum", "make_server_soc")
+        "Sanctum", server_soc_config)
     grid["trustzone-mobile"] = _arch_config(
         "trustzone-mobile", "TrustZone on the mobile speculative host",
-        "TrustZone", "make_mobile_soc")
+        "TrustZone", mobile_soc_config)
     grid["embedded-inorder"] = _arch_config(
         "embedded-inorder", "bare in-order embedded host (SMART-class)",
-        None, "make_embedded_soc")
+        None, embedded_soc_config)
     # Full-grid extras: a window too narrow for any corpus gadget to
     # reach its transmission point — the explorer must *derive* that the
     # leaks die, not just read the speculative bit.
     grid["narrow-window-4"] = _knob_narrow_window("narrow-window-4", 4)
     return grid
-
-
-def _knob_narrow_window(name: str, window: int) -> ScanConfig:
-    from repro.attacks.transient_oracle import design_soc_variant
-
-    def build():
-        return design_soc_variant(name, transient_window=window)
-
-    return ScanConfig(
-        name=name, kind="knob",
-        description=f"speculative, {window}-instruction window", build=build,
-        speculative=True, window=window, fault_at_retirement=True,
-        l1tf_forwarding=True, btb_tagged=False)
 
 
 _GRID: dict[str, ScanConfig] | None = None

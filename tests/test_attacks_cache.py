@@ -1,10 +1,12 @@
 """Cache side-channel attacks vs each architecture (TAB-S41 in miniature)."""
 
+import random
+
 import pytest
 
 from repro.arch import SGX, Sanctuary, Sanctum, TrustZone
 from repro.arch.null import NullArchitecture
-from repro.attacks.base import AttackerProcess
+from repro.attacks.base import AttackerProcess, _modulo_set_lines
 from repro.attacks.cache_sca import (
     EvictTimeAttack,
     FlushReloadAttack,
@@ -132,6 +134,15 @@ def _scan_eviction_addresses(attacker, set_index, count):
     return out
 
 
+def _scan_set_lines(pages, line_size, set_index, target, count):
+    """Brute force: every line of every page, kept when ``set_index``
+    maps it to ``target``, truncated to ``count``."""
+    lines = [page + line for page in pages
+             for line in range(0, 4096, line_size)
+             if set_index(page + line) == target]
+    return lines[:count]
+
+
 class TestEvictionSetIndex:
     def _assert_matches_scan(self, attacker, counts=(1, 4, 16, 10_000)):
         llc = attacker.soc.hierarchy.l2
@@ -182,18 +193,38 @@ class TestEvictionSetIndex:
         (8192, 16, [0x8000_0000, 0x8000_1000]),  # line wider than page
     ])
     def test_modulo_index_is_the_scan(self, line_size, num_sets, pages):
-        """The arithmetic index has the ``set_index`` scan's keys, key
-        order and per-set lists, whatever the geometry and alignment."""
-        from repro.attacks.base import _modulo_lines_by_set
+        """The arithmetic eviction set is the ``set_index`` scan's
+        prefix for every set and count, whatever the geometry and
+        alignment."""
         from repro.cache.cache import Cache
         set_index = Cache("llc", num_sets, 1, line_size).set_index
-        scan: dict[int, list[int]] = {}
-        for page in pages:
-            for line in range(0, 4096, line_size):
-                addr = page + line
-                scan.setdefault(set_index(addr), []).append(addr)
-        index = _modulo_lines_by_set(pages, line_size, num_sets)
-        assert list(index.items()) == list(scan.items())
+        for target in range(-1, num_sets + 1):
+            for count in (0, 1, 3, 16, 10_000):
+                assert _modulo_set_lines(
+                    pages, line_size, num_sets, target, count) == \
+                    _scan_set_lines(pages, line_size, set_index, target,
+                                    count)
+
+    def test_modulo_index_matches_scan_on_random_geometries(self):
+        """Random page lists (unaligned, repeated, out of order) and
+        power-of-two and odd geometries, against the brute-force scan."""
+        from repro.cache.cache import Cache
+        rng = random.Random(0xE51)
+        for _ in range(60):
+            line_size = 1 << (3 + rng.randint(0, 10))  # 8 B .. 8 KiB
+            num_sets = rng.randint(1, 1200)
+            pages = [0x8000_0000 + rng.randint(0, 1 << 20) * 8
+                     for _ in range(rng.randint(0, 12))]
+            if pages and rng.randint(0, 1):
+                pages.append(pages[0])
+            set_index = Cache("llc", num_sets, 1, line_size).set_index
+            for _ in range(12):
+                target = rng.randint(0, num_sets - 1)
+                count = rng.randint(0, 40)
+                assert _modulo_set_lines(
+                    pages, line_size, num_sets, target, count) == \
+                    _scan_set_lines(pages, line_size, set_index, target,
+                                    count), (line_size, num_sets, pages)
 
     def test_custom_index_fn_is_rebuilt_on_every_call(self):
         arch = NullArchitecture(make_mobile_soc())
@@ -211,4 +242,3 @@ class TestEvictionSetIndex:
         first = attacker._lines_by_set()
         assert attacker._lines_by_set() == first
         assert len(calls) == 2 * lines  # scanned twice, never cached
-        assert attacker._set_lines is None

@@ -1,5 +1,7 @@
 """AES-128 variants: correctness, hooks, and key-schedule inversion."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.aes import (
@@ -9,6 +11,7 @@ from repro.crypto.aes import (
     MaskedAES,
     NUM_ROUNDS,
     SBOX,
+    TE,
     TTABLE_LOOKUP_BYTE,
     TTableAES,
     expand_key,
@@ -35,6 +38,17 @@ class TestTables:
         assert gf_mul(0x57, 0x13) == 0xFE  # FIPS-197 example
         assert gf_mul(1, 0xAB) == 0xAB
         assert gf_mul(0, 0xAB) == 0
+
+    def test_table_digests(self):
+        """The derived tables, byte for byte: S-box, inverse S-box, and
+        Te0..Te3 as big-endian words."""
+        te = b"".join(word.to_bytes(4, "big") for table in TE for word in table)
+        assert hashlib.sha256(bytes(SBOX)).hexdigest() == (
+            "c2d8e5eed6cbebd8625fc18f81486a7733c04f9b0129ffbe974c68b90308b4f2")
+        assert hashlib.sha256(bytes(INV_SBOX)).hexdigest() == (
+            "93631b0726f6fe6629daa743ee51b49f4477ed07391b68eeea0672a4a90018aa")
+        assert hashlib.sha256(te).hexdigest() == (
+            "493402f3e4397b2945b16273e795816c0bdf80f76f42fcaa75f3df2e215abc1b")
 
     def test_lookup_byte_map_is_permutation(self):
         assert sorted(TTABLE_LOOKUP_BYTE) == list(range(16))

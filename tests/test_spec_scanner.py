@@ -7,6 +7,7 @@ fork-queue ordering bugfix — byte-identical reports from interpreters
 with different hash salts.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,7 @@ class TestGrid:
         for name in full_config_names():
             config = scan_config_for(name)
             soc = config.build()
+            assert config.dram_base == soc.dram_base, name
             assert config.speculative == soc.config.speculative, name
             if config.speculative:
                 spec = soc.config.spec
@@ -60,6 +62,36 @@ class TestGrid:
                 assert config.l1tf_forwarding == spec.l1tf_forwarding, name
                 assert config.btb_tagged \
                     == spec.predictor.btb_tag_with_asid, name
+
+    def test_grid_builds_no_soc(self, monkeypatch):
+        """Knobs and DRAM bases come from configs: building the grid
+        constructs no SoC."""
+        from repro.cpu.soc import SoC
+        from repro.spec.scanner import _build_grid
+
+        def no_soc(*_args, **_kwargs):
+            raise AssertionError("the scan grid built a SoC")
+
+        monkeypatch.setattr(SoC, "__init__", no_soc)
+        assert tuple(_build_grid()) == full_config_names()
+
+    def test_grid_and_memo_signatures_pinned(self):
+        """The knob summaries and every memo signature of the full grid,
+        as computed when each config was probed by building its SoC."""
+        from repro.spec.memo import exploration_signature
+        configs = [scan_config_for(name) for name in full_config_names()]
+        summaries = [(c.name, c.kind, c.description, c.speculative,
+                      c.window, c.fault_at_retirement, c.l1tf_forwarding,
+                      c.btb_tagged) for c in configs]
+        signatures = [exploration_signature(c, g)
+                      for c in configs for g in GADGETS]
+        assert len(signatures) == 143
+        assert signatures[0] == ("spec", CORPUS_REV, "v1-bounds-bypass",
+                                 0x8000_0000, True, True, False)
+        assert hashlib.sha256(repr(summaries).encode()).hexdigest() == (
+            "920454e6161100af291b32055ae977fc953dea3f2cbd0149f20f2a92b90b0504")
+        assert hashlib.sha256(repr(signatures).encode()).hexdigest() == (
+            "541e725a25234c09d2c271ece101b4febbe98083735abac2c7b143112f03d35e")
 
 
 class TestVerdicts:
