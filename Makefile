@@ -21,18 +21,19 @@ artefacts:
 	$(PYTHON) -m pytest -q benchmarks
 
 ## Differential equivalence suites: every fast lane against its retained
-## reference oracle (CPU engine, ensemble sweep, batched attacks, batched
-## power capture, memoized scanner).  The fast lanes are the default
-## product path, so these guard what users run.  All five compare through
-## one core (repro.lockstep); test_lockstep_core.py proves that core
-## catches a single changed observable in each harness, and
-## test_sim_sweeps.py checks the attack twin's closed-form set sweeps
+## reference oracle (CPU engine, the kernel sweep's lane replay, batched
+## attacks, batched power capture, memoized scanner).  The fast lanes are
+## the default product path, so these guard what users run.  All five
+## compare through one core (repro.lockstep); test_lockstep_core.py
+## proves that core catches a single changed observable in each harness,
+## and test_sim_sweeps.py checks the attack twin's closed-form set sweeps
 ## against its per-access walk and the live cache hierarchy.  --run-diff
 ## adds the checks too slow for tier 1 (TAB-S41 with scalar Evict+Time).
+## CI runs this target in the `differential` job.
 diff:
 	$(PYTHON) -m pytest -q --run-diff tests/test_lockstep_core.py \
 		tests/test_differential.py \
-		tests/test_ensemble_differential.py \
+		tests/test_sweep_replay.py \
 		tests/test_attack_differential.py tests/test_sim_sweeps.py \
 		tests/test_power_differential.py tests/test_spec_memo.py
 

@@ -16,9 +16,10 @@ Usage::
 Or simply ``make bench``.  ``--quick`` runs only the regression-gated
 benchmarks (see ``GATED_BENCHMARKS``: core load loop, cache hierarchy
 access, scalar/batched trace acquisition, batched CPA, scalar/block
-Gaussian noise draws, and the scalar/ensemble quick-matrix workload
-lane) with light rounds — the shape CI's bench-smoke job compares
-against the newest committed baseline via
+Gaussian noise draws, and the quick matrix on the reference lane and
+on the default lane, ``quick_matrix[scalar|ensemble]``) with light
+rounds — the shape CI's bench-smoke job compares against the newest
+committed baseline via
 ``benchmarks/check_regression.py``.  "Newest" means the baseline with
 the latest *recorded* date (the ``date`` field this script writes), not
 the lexicographically greatest filename — see the gate's module

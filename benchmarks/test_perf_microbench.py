@@ -299,11 +299,11 @@ def test_observation_overhead_is_bounded():
 def test_perf_quick_matrix(benchmark, mode):
     """The full 15-cell quick matrix through the runner: every
     (platform, category) attack cell plus the three workload cells.
-    ``ensemble`` is the default lane, with *both* vectorized engines —
-    the struct-of-arrays kernel-sweep ensemble and the batched attack
-    kernels; ``scalar`` is ``ExperimentRunner(reference=True)``, the
-    retained oracles.  The two modes produce bit-identical payloads (fingerprints
-    are asserted below); the wall-time gap is the combined vectorization
+    ``ensemble`` (a name kept so the committed baselines still match)
+    is the default lane: the kernel sweep's lane replay and the batched
+    attack kernels; ``scalar`` is ``ExperimentRunner(reference=True)``,
+    the retained oracles.  The two modes produce bit-identical payloads
+    (fingerprints are asserted below); the wall-time gap is the combined vectorization
     win, and ``check_regression.SPEEDUP_FLOORS`` gates the in-run ratio
     so the speedup cannot silently decay.
 

@@ -17,7 +17,7 @@ Every artefact command runs its cells through one executor
 (:func:`repro.runner.engine.execute_spec`) on the fast execution lanes:
 attack cells and TAB-S41 rows go through the batched attack kernels
 (:mod:`repro.attacks.batch`) and power capture, workload cells through
-the vectorized kernel sweep (:mod:`repro.cpu.ensemble`) and scan cells
+the kernel sweep's lane replay (:mod:`repro.core.sweep`) and scan cells
 through the memoized explorer (:mod:`repro.spec.memo`).  All are
 bit-identical to the retained oracles, which library callers select
 with ``ExperimentRunner(reference=True)`` (``repro scan --no-memo`` on

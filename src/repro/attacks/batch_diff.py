@@ -2,7 +2,7 @@
 
 The contract of :mod:`repro.attacks.batch` is **bit-identity**, the same
 bar the CPU fast path (:mod:`repro.cpu.diff`), the power instrument
-(:mod:`repro.power.diff`) and the ensemble engine are held to: for any
+(:mod:`repro.power.diff`) and the sweep's lane replay are held to: for any
 attack configuration the kernel accepts, the batched and scalar paths
 must produce
 

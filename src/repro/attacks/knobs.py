@@ -25,8 +25,8 @@ class MatrixKnobs:
     ``sweep_instances``/``sweep_iters`` size the workload cell's kernel
     calibration sweep (:mod:`repro.core.sweep`): N seed-varied instances
     running an ``iters``-iteration kernel.  Quick keeps them small so
-    tier-1 tests that execute real cells stay fast; the sweep is the
-    part of a cell the ensemble engine vectorizes, and its summary is
+    tier-1 tests that execute real cells stay fast; the default lane
+    replays the instances' data in numpy lanes, and its summary is
     bit-identical on the scalar reference lane — the knobs size the
     measurement, the lane never changes it.
     """

@@ -41,13 +41,13 @@ def _instret(soc: SoC) -> int:
 def execute_workload_cell(spec: CellSpec, reference: bool = False
                           ) -> tuple[dict, tuple[SoC, ...]]:
     """One platform's reference workload plus its kernel calibration
-    sweep (the ensemble engine, or the scalar loop when ``reference``)."""
+    sweep (the lane replay, or the scalar loop when ``reference``)."""
     platform = PlatformClass(spec.platform)
     soc = soc_factory_for(platform)()
     knobs = MatrixKnobs.from_key(spec.knobs)
     summary = sweep.run_kernel_sweep(
         platform, derive_cell_seed(spec.seed, spec.platform, spec.category),
-        knobs.sweep_instances, knobs.sweep_iters, ensemble=not reference)
+        knobs.sweep_instances, knobs.sweep_iters, reference=reference)
     payload = {"kind": WORKLOAD_CATEGORY,
                "workload": workload_to_dict(reference_workload(soc)),
                "sweep": summary,

@@ -1,23 +1,16 @@
-"""Lockstep differential harnesses for the CPU engines.
+"""Lockstep differential harness for the CPU engine.
 
-Two fast engines are held to *observation equivalence* with an oracle:
-the predecoded-dispatch core against the retained reference interpreter
-(:mod:`repro.cpu.reference`), and the struct-of-arrays ensemble engine
-(:mod:`repro.cpu.ensemble`) against the scalar ``Core``.  Both sides
-must agree on every architecturally visible quantity **and** every
-side-channel-visible one, as named by :func:`soc_observables`.
+The predecoded-dispatch core is held to *observation equivalence* with
+the retained reference interpreter (:mod:`repro.cpu.reference`): both
+sides must agree on every architecturally visible quantity **and**
+every side-channel-visible one, as named by :func:`soc_observables`.
 
 * :func:`reference_twin` — build the reference-interpreter twin of a SoC;
 * :func:`lockstep` — step two SoCs' first cores instruction by
   instruction, comparing the whole SoC after every step and raising
   :class:`~repro.lockstep.Divergence` at the first mismatch (the
   message names the step and the observable);
-* :func:`compare_socs` — whole-system comparison after both sides ran;
-* :func:`run_ensemble_vs_scalar` / :func:`lockstep_ensemble` — one
-  batched ensemble run, or single-instruction ensemble steps, against
-  identically prepared scalar SoCs.  A trap is a compared observable:
-  the ensemble records a peeled instance's trap in its report, the
-  scalar side raises, and both must agree on the frame at the same step.
+* :func:`compare_socs` — whole-system comparison after both sides ran.
 """
 
 from __future__ import annotations
@@ -26,14 +19,9 @@ from dataclasses import replace
 from itertools import chain
 from typing import Any
 
-from repro.cpu.ensemble import CoreEnsemble, EnsembleReport
 from repro.cpu.exceptions import Trap, TrapInfo
 from repro.cpu.soc import SoC
 from repro.lockstep import compare
-
-#: One ensemble differential unit: (ensemble-side SoC, scalar-side SoC),
-#: prepared identically (same program, same memory image, same knobs).
-Pair = tuple[SoC, SoC]
 
 
 def _trap_key(info: TrapInfo | None) -> tuple | None:
@@ -127,64 +115,5 @@ def lockstep(fast: SoC, ref: SoC, max_steps: int = 4096) -> int:
         compare_socs(fast, ref, f"step {step}: soc")
         compare(f"step {step}: step() continue flag", fast_more, ref_more)
         if fast_trap is not None or not fast_more:
-            return step + 1
-    return max_steps
-
-
-def _scalar_step(soc: SoC, budget: int) -> TrapInfo | None:
-    """Advance the scalar side by ``budget`` retired instructions."""
-    try:
-        soc.cores[0].run(max_steps=budget)
-    except Trap as trap:
-        return trap.info
-    return None
-
-
-def run_ensemble_vs_scalar(pairs: list[Pair], max_steps: int = 4096,
-                           window: tuple[int, int] | None = None
-                           ) -> EnsembleReport:
-    """Batched differential: one ensemble run vs one scalar run per pair.
-
-    Returns the ensemble report so callers can additionally assert *how*
-    instances executed (peeled or vectorized) — equality of observables
-    must hold either way.
-    """
-    report = CoreEnsemble(
-        [pair[0].cores[0] for pair in pairs], window=window
-    ).run(max_steps=max_steps)
-    for i, (ensemble_soc, scalar_soc) in enumerate(pairs):
-        scalar_trap = _scalar_step(scalar_soc, max_steps)
-        compare(f"instance {i}: trap", _trap_key(report.traps[i]),
-                _trap_key(scalar_trap))
-        compare_socs(ensemble_soc, scalar_soc, f"instance {i}: soc")
-    return report
-
-
-def lockstep_ensemble(pairs: list[Pair], max_steps: int = 4096,
-                      window: tuple[int, int] | None = None) -> int:
-    """Step-by-step differential; returns the number of steps compared.
-
-    After every ``run(max_steps=1)`` the ensemble's :meth:`sync` makes
-    its scalar objects authoritative, so whole-SoC comparison is exact
-    at every instruction boundary.  Terminates once every pair is halted
-    or pinned on a (matching) trap — a trapped core re-raises the same
-    frame each step on both sides, which the comparison confirms once
-    and need not iterate further.
-    """
-    ensemble = CoreEnsemble([pair[0].cores[0] for pair in pairs],
-                            window=window)
-    for step in range(max_steps):
-        ensemble.run(max_steps=1)
-        done = True
-        for i, (ensemble_soc, scalar_soc) in enumerate(pairs):
-            scalar_trap = None
-            if not scalar_soc.cores[0].halted:
-                scalar_trap = _scalar_step(scalar_soc, 1)
-            compare(f"step {step}: instance {i} trap",
-                    _trap_key(ensemble.traps[i]), _trap_key(scalar_trap))
-            compare_socs(ensemble_soc, scalar_soc,
-                         f"step {step}: instance {i} soc")
-            done &= scalar_soc.cores[0].halted or scalar_trap is not None
-        if done:
             return step + 1
     return max_steps

@@ -186,8 +186,8 @@ def execute_spec(spec: CellSpec, collect: bool = False,
 
     ``reference`` selects the retained oracle lane instead of the fast
     one: the workload cell's kernel calibration sweep runs the scalar
-    per-core loop instead of the struct-of-arrays
-    :class:`~repro.cpu.ensemble.CoreEnsemble`, attack suites and TAB-S41
+    per-core loop instead of instance 0 plus the lane replay
+    (:func:`~repro.core.sweep.replay_lanes`), attack suites and TAB-S41
     rows run the scalar attacks and power capture instead of the
     batched kernels of :mod:`repro.attacks.batch`, and scan cells run
     the reference explorer instead of the memoized engine

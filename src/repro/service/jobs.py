@@ -11,7 +11,7 @@ same job) and two clients asking for overlapping grids share cells
 through the content-addressed result cache rather than recomputing.
 
 A job carries no execution-lane choice: workers run every cell on the
-fast lanes (batched attacks, ensemble sweep, memoized scanner), whose
+fast lanes (batched attacks, sweep lane replay, memoized scanner), whose
 payloads are bit-identical to the reference oracles'.  Job files
 written when jobs still carried ``ensemble``/``batch`` flags load with
 those keys ignored and keep their job id.

@@ -4,8 +4,8 @@ The batched kernels' contract is bit-identity (same
 :class:`AttackResult` including recovered keys, same RNG stream
 consumption, same SoC end state down to LRU stamps and energy counters),
 not approximate equality — mirroring ``tests/test_power_differential.py``
-for the power instrument and ``tests/test_ensemble_differential.py`` for
-the sweep engine.  Hypothesis drives :mod:`repro.attacks.batch_diff`
+for the power instrument and ``tests/test_sweep_replay.py`` for the
+kernel sweep's lane replay.  Hypothesis drives :mod:`repro.attacks.batch_diff`
 across platforms, victim shapes and configurations; targeted tests pin
 the edges (N=0, N=1, blocked victims, tie-breaks), the TEE hosts'
 machinery (SGX's MEE and paged MMU, TrustZone's world switch,
@@ -417,7 +417,7 @@ class _Fingerprints(RunObserver):
 
 def test_quick_figure1_identical_on_both_runner_lanes():
     """The whole quick matrix, every cell kind at once: the default
-    runner (batched attacks, ensemble sweep) and
+    runner (batched attacks, sweep lane replay) and
     ``ExperimentRunner(reference=True)`` (the scalar oracles) produce the
     same 15 payload fingerprints and the same rendered Figure 1."""
     lanes = {}

@@ -1,5 +1,6 @@
 """Classical physical attacks: timing, DPA/CPA, faults, CLKSCREW."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -234,3 +235,80 @@ class TestClkscrew:
                             dvfs_software_controllable=False))
         result = ClkscrewAttack(soc, AES_KEY2, rng=XorShiftRNG(3)).run()
         assert not result.success
+
+
+class _RecordingAcquire:
+    """Callable acquire stub that records how it was invoked."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, n, batch=None):
+        self.calls.append({"n": n, "batch": batch})
+        return capture_aes_traces(
+            lambda leak: AES128(bytes(16), leak_hook=leak), n,
+            HammingWeightModel(noise_std=1.0, rng=XorShiftRNG(3)),
+            rng=XorShiftRNG(4), batch=True)
+
+
+def _analyse_nothing(traces):
+    return bytes(16)
+
+
+class TestBatchRouting:
+    """Regression tests for the ``batch=`` forwarding bugfix: the old
+    ``"batch" in inspect.signature(acquire).parameters`` check dropped
+    ``**kwargs`` forwarders (and partials over them) onto the scalar
+    path silently."""
+
+    def test_direct_acquire_gets_batch(self):
+        acquire = _RecordingAcquire()
+        traces_to_success(acquire, _analyse_nothing, bytes(16), [8])
+        assert acquire.calls == [{"n": 8, "batch": True}]
+
+    def test_kwargs_forwarder_gets_batch(self):
+        acquire = _RecordingAcquire()
+
+        def forwarder(n, **kwargs):
+            return acquire(n, **kwargs)
+
+        traces_to_success(forwarder, _analyse_nothing, bytes(16), [8],
+                          batch=False)
+        assert acquire.calls == [{"n": 8, "batch": False}]
+
+    def test_partial_wrapped_forwarder_gets_batch(self):
+        acquire = _RecordingAcquire()
+
+        def forwarder(tag, n, **kwargs):
+            assert tag == "sweep"
+            return acquire(n, **kwargs)
+
+        wrapped = functools.partial(forwarder, "sweep")
+        traces_to_success(wrapped, _analyse_nothing, bytes(16), [8])
+        assert acquire.calls == [{"n": 8, "batch": True}]
+
+    def test_decorated_acquire_gets_batch(self):
+        acquire = _RecordingAcquire()
+
+        def with_logging(fn):
+            @functools.wraps(fn)
+            def inner(*args, **kwargs):
+                return fn(*args, **kwargs)
+            return inner
+
+        def base(n, batch=None):
+            return acquire(n, batch=batch)
+
+        traces_to_success(with_logging(base), _analyse_nothing,
+                          bytes(16), [8], batch=False)
+        assert acquire.calls == [{"n": 8, "batch": False}]
+
+    def test_batchless_acquire_invoked_unchanged(self):
+        calls = []
+
+        def plain(n):
+            calls.append(n)
+            return _RecordingAcquire()(n)
+
+        traces_to_success(plain, _analyse_nothing, bytes(16), [8])
+        assert calls == [8]

@@ -29,13 +29,6 @@ from repro.cache.policies import (
     TreePLRUPolicy,
 )
 from repro.cache.randmap import RandomizedIndexing
-from repro.common import PlatformClass
-from repro.core.sweep import (
-    build_sweep_instances,
-    sweep_max_steps,
-    sweep_window,
-)
-from repro.cpu.ensemble import CoreEnsemble
 from repro.cpu.soc import make_server_soc
 
 POLICIES = [LRUPolicy, FIFOPolicy, RandomPolicy, TreePLRUPolicy]
@@ -181,20 +174,3 @@ def test_batched_attack_allocates_the_sets_the_scalar_one_touches(
     scalar._run_scalar()
     assert twin == [_touched(scalar_soc)]
     assert _touched(fast_soc) == _touched(scalar_soc)
-
-
-@pytest.mark.parametrize("platform", [PlatformClass.MOBILE,
-                                      PlatformClass.SERVER_DESKTOP])
-def test_ensemble_sweep_allocates_the_sets_the_scalar_sweep_touches(
-        platform):
-    """The ensemble's scatter skips the sets no instance reached."""
-    fast = build_sweep_instances(platform, 5, 3, 40)
-    scalar = build_sweep_instances(platform, 5, 3, 40)
-    steps = sweep_max_steps(40)
-    CoreEnsemble([soc.cores[0] for soc in fast],
-                 window=sweep_window(fast[0])).run(max_steps=steps)
-    for soc in scalar:
-        soc.cores[0].run(max_steps=steps)
-    for a, b in zip(fast, scalar):
-        assert _touched(a) == _touched(b)
-        assert len(_touched(a)[-1]) < a.hierarchy.l2.num_sets

@@ -71,8 +71,7 @@ NUMPY_KERNELS = {
     "repro/attacks/batch.py",
     "repro/attacks/cache_sca.py",
     "repro/attacks/dpa.py",
-    "repro/cache/ensemble.py",
-    "repro/cpu/ensemble.py",
+    "repro/core/sweep.py",
     "repro/crypto/aes_batch.py",
     "repro/lockstep.py",
     "repro/power/batch.py",

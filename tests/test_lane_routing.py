@@ -2,8 +2,8 @@
 
 The tests count how often cells reach the batched attack kernels
 (:func:`repro.attacks.batch.try_run_batched`), the batched power capture
-(:meth:`repro.power.batch.BatchPowerInstrument.capture`), the ensemble
-engine (:meth:`repro.cpu.ensemble.CoreEnsemble.run`) and the memoized
+(:meth:`repro.power.batch.BatchPowerInstrument.capture`), the kernel
+sweep's lane replay (:func:`repro.core.sweep.replay_lanes`) and the memoized
 scan explorer (:func:`repro.spec.scanner._scan_gadget_memo`, once per
 corpus gadget).  A default run must reach all four.  ``reference=True``
 must reach none of them, on every path a cell can take: the serial runner,
@@ -23,13 +23,13 @@ import json
 import pytest
 
 import repro.attacks.batch as batch
+import repro.core.sweep as sweep
 import repro.obs as obs
 import repro.spec.scanner as scanner
 from repro.attacks.dpa import traces_to_success
 from repro.attacks.suites import SUITES, MatrixKnobs
 from repro.core.comparison import cache_defence_table
 from repro.core.matrix import EvaluationMatrix
-from repro.cpu.ensemble import CoreEnsemble
 from repro.power.batch import BatchPowerInstrument
 from repro.runner import (
     SCAN_CATEGORY,
@@ -65,8 +65,8 @@ SPECS = [ATTACK, PHYSICAL, WORKLOAD, SCAN]
 
 #: Flush+Reload and Kocher reach the attack kernels; the physical cell's
 #: CPA traces are the one power capture.
-FAST = {"batched": 2, "power": 1, "ensemble": 1, "memo": len(GADGETS)}
-NONE = {"batched": 0, "power": 0, "ensemble": 0, "memo": 0}
+FAST = {"batched": 2, "power": 1, "replay": 1, "memo": len(GADGETS)}
+NONE = {"batched": 0, "power": 0, "replay": 0, "memo": 0}
 NO_CHAOS = ChaosConfig(rate=0.0)
 
 
@@ -76,7 +76,7 @@ def lanes(monkeypatch) -> dict[str, int]:
     counts = dict(NONE)
     real_try = batch.try_run_batched
     real_capture = BatchPowerInstrument.capture
-    real_run = CoreEnsemble.run
+    real_replay = sweep.replay_lanes
     real_memo = scanner._scan_gadget_memo
 
     def counting_try(attack):
@@ -87,9 +87,9 @@ def lanes(monkeypatch) -> dict[str, int]:
         counts["power"] += 1
         return real_capture(self, *args, **kwargs)
 
-    def counting_run(self, *args, **kwargs):
-        counts["ensemble"] += 1
-        return real_run(self, *args, **kwargs)
+    def counting_replay(*args, **kwargs):
+        counts["replay"] += 1
+        return real_replay(*args, **kwargs)
 
     def counting_memo(*args, **kwargs):
         counts["memo"] += 1
@@ -97,7 +97,7 @@ def lanes(monkeypatch) -> dict[str, int]:
 
     monkeypatch.setattr(batch, "try_run_batched", counting_try)
     monkeypatch.setattr(BatchPowerInstrument, "capture", counting_capture)
-    monkeypatch.setattr(CoreEnsemble, "run", counting_run)
+    monkeypatch.setattr(sweep, "replay_lanes", counting_replay)
     monkeypatch.setattr(scanner, "_scan_gadget_memo", counting_memo)
     return counts
 
@@ -248,7 +248,7 @@ def test_service_job_without_strategy_keys_runs_fast_lane(tmp_path, lanes):
     assert JobSpec.from_dict(legacy) == job
     assert JobSpec.from_dict(legacy).job_id == legacy["job_id"]
     assert _drain(tmp_path, legacy).stats.cells_computed == 2
-    assert lanes == {"batched": 1, "power": 0, "ensemble": 1, "memo": 0}
+    assert lanes == {"batched": 1, "power": 0, "replay": 1, "memo": 0}
 
 
 def test_service_scan_job_runs_memoized_lane(tmp_path, lanes):
@@ -256,5 +256,5 @@ def test_service_scan_job_runs_memoized_lane(tmp_path, lanes):
                   knobs=SCAN_KNOBS)
     assert job.cells() == [SCAN]
     assert _drain(tmp_path, job.to_dict()).stats.cells_computed == 1
-    assert lanes == {"batched": 0, "power": 0, "ensemble": 0,
+    assert lanes == {"batched": 0, "power": 0, "replay": 0,
                      "memo": len(GADGETS)}
