@@ -22,7 +22,8 @@ artefacts:
 
 ## Differential equivalence suites: every fast lane against its retained
 ## reference oracle (CPU engine, the kernel sweep's lane replay, batched
-## attacks, batched power capture, memoized scanner).  The fast lanes are
+## attacks, batched power capture, memoized scanner, SGX's page-batched
+## enclave load).  The fast lanes are
 ## the default product path, so these guard what users run.  All five
 ## compare through one core (repro.lockstep); test_lockstep_core.py
 ## proves that core catches a single changed observable in each harness,
@@ -35,7 +36,8 @@ diff:
 		tests/test_differential.py \
 		tests/test_sweep_replay.py \
 		tests/test_attack_differential.py tests/test_sim_sweeps.py \
-		tests/test_power_differential.py tests/test_spec_memo.py
+		tests/test_power_differential.py tests/test_spec_memo.py \
+		tests/test_enclave_load.py
 
 ## Quick evaluation matrix (Figure 1) from the CLI.
 matrix:

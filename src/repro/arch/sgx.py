@@ -18,6 +18,8 @@ exploits — are reproduced mechanistically:
 
 from __future__ import annotations
 
+import sys
+
 from repro.arch.base import (
     AES_TABLES_SIZE,
     ArchFeatures,
@@ -27,12 +29,17 @@ from repro.arch.base import (
 )
 from repro.attestation.measure import Measurement
 from repro.attestation.report import AttestationReport
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.tlb import TLB
 from repro.common import PlatformClass, PrivilegeLevel
+from repro.cpu.core import Core
 from repro.crypto.rng import XorShiftRNG
 from repro.errors import AccessFault, EnclaveError
-from repro.memory.bus import BusTransaction
+from repro.memory.bus import BusTransaction, SystemBus
 from repro.memory.mee import MemoryEncryptionEngine
-from repro.memory.paging import FrameAllocator, PAGE_SIZE, PageFlags
+from repro.memory.mmu import MMU
+from repro.memory.paging import FrameAllocator, PAGE_MASK, PAGE_SIZE, PageFlags
+from repro.memory.phys import WORD_MASK, WORD_SIZE
 
 #: Enclave virtual base; each enclave gets a 1 MiB VA window.
 ENCLAVE_VA_BASE = 0x1000_0000
@@ -137,29 +144,164 @@ class SGX(SecurityArchitecture):
         measurement = Measurement()
         self.enter_enclave(handle)
         try:
-            # EADD: every enclave byte is written through the CPU (and
-            # therefore through the MEE, which tags it — from now on any
-            # DRAM-side tamper is caught on the next enclave read).  The
-            # first words carry the enclave's code image (distinct per
-            # app), so distinct enclaves get distinct measurements.
-            core = self.soc.cores[core_id]
-            image = name.encode().ljust(32, b"\x00")[:32]
-            for off in range(0, handle.size, 8):
-                if off < len(image):
-                    word = int.from_bytes(image[off:off + 8], "little")
-                else:
-                    word = 0
-                core.write_mem(handle.base + off, word)
-            # EINIT: measure the pages as loaded.
-            evidence = bytes(
-                self._read_word_as_enclave(handle, off) & 0xFF
-                for off in range(0, min(handle.size, 4096), 8))
+            evidence = self._load_pages(handle)
         finally:
             self.exit_enclave(handle)
         measurement.extend(evidence, label=f"enclave:{name}")
         handle.measurement = measurement.value
         handle.initialized = True
         return handle
+
+    # -- page-batched enclave loads (EADD / EINIT) ------------------------------
+
+    def _load_pages(self, handle: EnclaveHandle) -> bytes:
+        """EADD every page of ``handle`` through its core, then EINIT:
+        returns the measured evidence, the low byte of each word of the
+        first page as loaded.
+
+        EADD writes every enclave byte through the CPU (and therefore
+        through the MEE, which tags it — from now on any DRAM-side tamper
+        is caught on the next enclave read).  The first words carry the
+        enclave's code image (distinct per app), so distinct enclaves get
+        distinct measurements."""
+        core = self.soc.cores[handle.core_id]
+        image = handle.name.encode().ljust(32, b"\x00")[:32]
+        for off in range(0, handle.size, PAGE_SIZE):
+            words = [0] * (PAGE_SIZE // WORD_SIZE)
+            if off == 0:
+                words[:4] = [int.from_bytes(image[i:i + WORD_SIZE], "little")
+                             for i in range(0, 32, WORD_SIZE)]
+            self._move_page(core, handle.base + off, len(words), words)
+        return bytes(word & 0xFF for word in self._move_page(
+            core, handle.base, min(handle.size, PAGE_SIZE) // WORD_SIZE))
+
+    def _move_page(self, core: Core, va: int, count: int,
+                   words: list[int] | None = None) -> list[int]:
+        """``count`` consecutive word stores of ``words`` (or loads, when
+        ``words`` is None) from ``va``, all in one page: exactly what as
+        many ``core.write_mem``/``core.read_mem`` calls do.  Returns the
+        loaded words.
+
+        The first word takes that per-word path: it translates (walking
+        and filling the TLB on a miss), meets the bus's verdict for the
+        page and faults where the loop would.  When :meth:`_page_region`
+        holds, the rest move at once: their TLB hits, bus transactions
+        and charges are counted, the MEE seals or opens them as one
+        vector, memory is copied once and the caches advance line by
+        line (:meth:`CacheHierarchy.access_words`).  Otherwise, or when
+        an MEE tag fails, the per-word loop moves them.
+        """
+        if (va & PAGE_MASK) + count * WORD_SIZE > PAGE_SIZE:
+            raise ValueError("a page move must stay within one page")
+        if words is None:
+            values = [core.read_mem(va)]
+        else:
+            values = []
+            core.write_mem(va, words[0])
+        rest = count - 1
+        mmu = core.mmu
+        entry = (mmu.tlb.peek(mmu.asid, va & ~PAGE_MASK)
+                 if rest and type(mmu.tlb) is TLB else None)
+        region = entry and self._page_region(core, entry.paddr)
+        if region:
+            moved = self._move_words(
+                core, entry, region,
+                entry.paddr | (va + WORD_SIZE) & PAGE_MASK, rest,
+                None if words is None else words[1:])
+            if moved is not None:
+                return values + moved
+        for i in range(1, count):
+            if words is None:
+                values.append(core.read_mem(va + i * WORD_SIZE))
+            else:
+                core.write_mem(va + i * WORD_SIZE, words[i])
+        return values
+
+    def _page_region(self, core: Core, paddr: int):
+        """The memory region holding the page at ``paddr`` when its words
+        may move as one batch, else None: every step of the per-word path
+        gives them all one outcome.  The core's memory path, MMU, TLB, bus
+        and hierarchy are the stock ones and the MMU is paged; no walk hook
+        or bus snooper watches and no cache is way-partitioned (so no fill
+        can fail); every bus controller is the MEE or the EPC check and
+        every transform the MEE, and each of their ranges holds the page
+        wholly or not at all; one non-device region holds it.  The MEE's
+        word vectors run on numpy, so a process that has not loaded it
+        (TAB-S3, one small enclave) keeps the per-word loop.
+        """
+        mmu, bus, hierarchy = core.mmu, self.soc.bus, self.soc.hierarchy
+        if ("numpy" not in sys.modules
+                or type(core)._translate is not Core._translate
+                or type(core).read_mem is not Core.read_mem
+                or type(core).write_mem is not Core.write_mem
+                or type(mmu) is not MMU or mmu.root is None or mmu.walk_hooks
+                or type(bus) is not SystemBus or bus._snoopers
+                or type(hierarchy) is not CacheHierarchy
+                or any(cache.partition is not None
+                       for cache in (*hierarchy.l1s, hierarchy.l2))):
+            return None
+        ranges = []
+        for _, unit in bus._controllers:
+            if type(unit) is _EPCAccessControl:
+                base = unit.sgx.epc_base
+                ranges.append((base, base + EPC_SIZE))
+            elif type(unit) is MemoryEncryptionEngine:
+                ranges.append((unit.base, unit.end))
+            else:
+                return None
+        for _, unit in bus._transforms:
+            if type(unit) is not MemoryEncryptionEngine:
+                return None
+            ranges.append((unit.base, unit.end))
+        end = paddr + PAGE_SIZE
+        if any(paddr < hi and lo < end and not (lo <= paddr and end <= hi)
+               for lo, hi in ranges):
+            return None
+        region = bus.regions.find(paddr)
+        if region is None or region.device or end > region.end:
+            return None
+        return region
+
+    def _move_words(self, core: Core, entry, region, paddr: int, count: int,
+                    words: list[int] | None) -> list[int] | None:
+        """The batch half of :meth:`_move_page`: ``count`` words at
+        ``paddr`` whose page is resident in the TLB as ``entry``.  Returns
+        the loaded words, or None (with nothing changed) when an MEE tag
+        fails."""
+        import numpy as np
+        soc = self.soc
+        bus, memory, tlb = soc.bus, soc.memory, core.mmu.tlb
+        addrs = np.arange(paddr, paddr + count * WORD_SIZE, WORD_SIZE,
+                          dtype=np.uint64)
+        mees = [t for _, t in bus._transforms if t.base <= paddr < t.end]
+        if words is None:
+            data = np.frombuffer(memory.read_bytes(paddr, count * WORD_SIZE),
+                                 dtype="<u8").astype(np.uint64)
+            for mee in reversed(mees):
+                data = mee.open_words(addrs, data)
+                if data is None:
+                    return None
+            for mee in mees:
+                mee.decrypted_reads += count
+            values = data.tolist()
+        else:
+            values = [word & WORD_MASK for word in words]
+            data = np.array(values, dtype=np.uint64)
+            for mee in mees:
+                data = mee.seal_words(addrs, data)
+            memory.write_bytes(paddr, data.astype("<u8").tobytes())
+        tlb.hit_again(entry, count)
+        bus.transaction_count += count
+        core.cycles += count * tlb.access_latency(True) + \
+            soc.hierarchy.access_words(core.config.core_id, paddr, count,
+                                       words is not None, core.domain,
+                                       region.cacheable)
+        energy = core.config.energy_per_mem_pj
+        for addr, value in zip(range(paddr, paddr + count * WORD_SIZE,
+                                     WORD_SIZE), values):
+            core.energy_pj += energy
+            core._note_l1_fill(addr, value)
+        return values if words is None else []
 
     def destroy_enclave(self, handle: EnclaveHandle) -> None:
         for page in [p for p, owner in self.epc_owner.items()

@@ -42,8 +42,8 @@ encryption whose pages are all TLB-resident advances the TLB's stamps
 and hit counter arithmetically, and any other runs the real
 ``mmu.translate``, so TLB stamps, walks and walker bus reads match) and
 the MEE, which integrity-checks and decrypts every word the victim may
-read once, through its real ``on_read``, before the run mutates
-anything.
+read once, as one vector (``MemoryEncryptionEngine.open_words``, the
+word-vector form of its ``on_read``), before the run mutates anything.
 
 **Bit-identical or bust**: every kernel either reproduces the retained
 scalar attack exactly — recovered keys, scores, RNG end states, cache
@@ -103,7 +103,7 @@ from repro.crypto.aes_batch import (
 from repro.crypto.modexp import EXTRA_REDUCTION_COST
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA
-from repro.errors import AccessFault, PageFault, SecurityViolation
+from repro.errors import AccessFault, PageFault
 from repro.memory.bus import BusTransaction
 from repro.memory.mee import MemoryEncryptionEngine
 from repro.memory.mmu import MMU
@@ -848,18 +848,6 @@ def _enclave_active(arch, core, handle):
             active[name] = saved
 
 
-def _peek_tlb(tlb, asid: int, page_va: int):
-    """The entry ``TLB.lookup`` would hit, without touching its state."""
-    vpn = page_va >> PAGE_SHIFT
-    for entry in tlb._sets[tlb._set_index(page_va)]:
-        if entry is None or entry.vpn != vpn:
-            continue
-        if entry.asid != asid and not entry.flags & PageFlags.GLOBAL:
-            continue
-        return entry
-    return None
-
-
 def _peek_translation(mmu, memory, page_va: int, privilege):
     """``(frame, pte addresses)`` a paged ``mmu.translate`` resolves for
     ``page_va``, without touching TLB, walker or bus state; ``None`` when
@@ -877,7 +865,7 @@ def _peek_translation(mmu, memory, page_va: int, privilege):
         return None
     frame, flags = pte_unpack(pte0)
     if mmu.tlb is not None:
-        entry = _peek_tlb(mmu.tlb, mmu.asid, page_va)
+        entry = mmu.tlb.peek(mmu.asid, page_va)
         if entry is not None and (entry.paddr, entry.flags) != (frame,
                                                                 flags):
             return None
@@ -1078,31 +1066,27 @@ class _VictimModel:
         self.tlb_lat = tlb.access_latency(True) if tlb is not None else 0
 
     def load_words(self) -> str | None:
-        """Read every word the victim may load through the bus's real
-        transform chain, once: each MEE word is integrity-checked and
-        decrypted by ``on_read`` before any state is mutated.  The
-        engines' counters are put back (the run replays the scalar
-        per-access increments); a failed tag declines, and the scalar
-        path then raises the same :class:`SecurityViolation`."""
-        bus, memory, core = self.soc.bus, self.soc.memory, self.core
-        transforms = [t for _, t in reversed(bus._transforms)]
-        counters = [(t.decrypted_reads, t.integrity_failures)
-                    for t in transforms]
-        try:
-            for off, paddr in self.words.items():
-                data = memory.read_bytes(paddr, WORD_SIZE)
-                txn = BusTransaction(core.master, paddr, "read", WORD_SIZE,
-                                     secure=self.secure, pc=core.pc)
-                for transform in transforms:
-                    data = transform.on_read(txn, data)
-                self.values[off] = int.from_bytes(data, "little")
-        except SecurityViolation:
-            return "mee-integrity"
-        finally:
-            for t, (reads, failures) in zip(transforms, counters):
-                t.decrypted_reads, t.integrity_failures = reads, failures
-        self.mees = [t for t in transforms
-                     if t.base <= self.words[0] < t.end]
+        """Read every word the victim may load through the bus's MEEs,
+        once: the words are integrity-checked and decrypted as one vector
+        (:meth:`MemoryEncryptionEngine.open_words`) before any state is
+        mutated, and no engine counts them (the run replays the scalar
+        per-access increments).  A failed tag declines, and the scalar
+        path then raises the same :class:`SecurityViolation`.  The gates
+        put every word inside an engine's range or every word outside
+        it, so only the engines holding the first word apply."""
+        memory = self.soc.memory
+        paddrs = list(self.words.values())
+        first = paddrs[0]
+        self.mees = [t for _, t in reversed(self.soc.bus._transforms)
+                     if t.base <= first < t.end]
+        data = np.array([memory.read_word(paddr) for paddr in paddrs],
+                        dtype=np.uint64)
+        addrs = np.array(paddrs, dtype=np.uint64)
+        for mee in self.mees:
+            data = mee.open_words(addrs, data)
+            if data is None:
+                return "mee-integrity"
+        self.values = dict(zip(self.words, data.tolist()))
         return None
 
     def attach(self, sim: _SimHierarchy) -> None:
@@ -1136,6 +1120,7 @@ class _VictimModel:
                                 dtype=np.int64) * AES_TABLE_STRIDE
         final_tables = np.full(16, 4 * AES_TABLE_STRIDE, dtype=np.int64)
         state = plaintexts ^ rk[0]
+        reads = []
         for rnd in range(1, 11):
             idx = state[:, _SHIFT_ROWS].astype(np.int64)
             offs = round_tables if rnd < 10 else final_tables
@@ -1147,12 +1132,16 @@ class _VictimModel:
             if self.is_enclave:
                 addrs = (self.frames[(addrs >> PAGE_SHIFT) - self.first_vpn]
                          | (addrs & PAGE_MASK))
-                if n:
-                    self.word_offsets.update(np.unique(aligned).tolist())
+                reads.append(aligned)
             tags[:, (rnd - 1) * 16:rnd * 16] = addrs >> shift
             if rnd < 10:
                 sub = SBOX_TABLE[state]
                 state = _mix_columns(sub[:, _SHIFT_ROWS]) ^ rk[rnd]
+        if reads and n:
+            # The table words this call read, counted per offset (a
+            # bincount, not np.unique, which imports numpy.ma).
+            counts = np.bincount(np.concatenate(reads, axis=None))
+            self.word_offsets.update(np.flatnonzero(counts).tolist())
         return tags.tolist()
 
     def encrypt(self, tag_row: list[int]) -> int:
@@ -1221,7 +1210,7 @@ class _VictimModel:
         """Record the TLB entry a lookup of ``page`` hits, after the
         leaf check and region lookup a hit's translation makes."""
         mmu = self.mmu
-        entry = _peek_tlb(mmu.tlb, mmu.asid, page)
+        entry = mmu.tlb.peek(mmu.asid, page)
         if entry is None:
             return False
         mmu._check_leaf(page, entry.paddr, entry.flags, "read",

@@ -243,6 +243,22 @@ class Cache:
         self.stats.evictions += 1
         return AccessResult(False, idx, self.hit_latency, evicted=evicted)
 
+    def hit_again(self, addr: int, count: int, is_write: bool = False) -> None:
+        """Record ``count`` more hits on the resident line holding ``addr``:
+        the state that many :meth:`access` calls leave when each hits."""
+        tag = addr // self.line_size
+        if self.index_fn is None:
+            idx = tag % self.num_sets
+        else:
+            idx = self.index_fn(addr) % self.num_sets
+        way = self._tags[idx].index(tag)
+        policy = self._policies[idx]
+        for _ in range(count):
+            policy.on_hit(way)
+        self.stats.hits += count
+        if is_write:
+            self._lines[idx][way].dirty = True
+
     def probe(self, addr: int) -> bool:
         """Presence check without touching replacement state."""
         return self._tag(addr) in self.set_state(self.set_index(addr)).tags

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.cache.cache import Cache
 from repro.cache.policies import LRUPolicy
+from repro.memory.phys import WORD_SIZE
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,32 @@ class CacheHierarchy:
             return self._dram_result
         return MemoryAccess("dram", self._lat_full,
                             l1_evicted=l1_evicted, l2_evicted=l2_evicted)
+
+    def access_words(self, core: int, paddr: int, count: int,
+                     is_write: bool = False, domain: str | None = None,
+                     cacheable: bool = True) -> int:
+        """Total latency of ``count`` word accesses at ``paddr``, ``paddr +
+        WORD_SIZE``, ...: the outcome of that many :meth:`access` calls.
+
+        Each line's first word is one :meth:`access`, which leaves the
+        line in ``core``'s L1 (it hit there, or missed and filled it), so
+        the line's other words are L1 hits."""
+        if not cacheable:
+            return count * self._uncached_result.latency
+        l1 = self.l1s[core]
+        line_size = self.config.line_size
+        total = 0
+        done = 0
+        while done < count:
+            addr = paddr + done * WORD_SIZE
+            total += self.access(core, addr, is_write, domain).latency
+            in_line = min(count - done,
+                          -(-(line_size - addr % line_size) // WORD_SIZE))
+            if in_line > 1:
+                l1.hit_again(addr, in_line - 1, is_write)
+                total += (in_line - 1) * self.config.l1_latency
+            done += in_line
+        return total
 
     # -- timing probe (the attacker's measurement primitive) --------------------
 

@@ -100,15 +100,27 @@ class TLB:
                 count += 1
         return count
 
-    def contains(self, asid: int, va_page: int) -> bool:
-        """Presence probe without updating LRU state."""
+    def peek(self, asid: int, va_page: int) -> _TLBEntry | None:
+        """The entry :meth:`lookup` would hit, without touching any state."""
         vpn = va_page >> PAGE_SHIFT
         for entry in self._sets[self._set_index(va_page)]:
             if entry is None or entry.vpn != vpn:
                 continue
             if entry.asid == asid or entry.flags & PageFlags.GLOBAL:
-                return True
-        return False
+                return entry
+        return None
+
+    def hit_again(self, entry: _TLBEntry, count: int) -> None:
+        """Record ``count`` more lookups that hit ``entry`` (as returned by
+        :meth:`peek`): the stamp and hit counter advance as that many
+        :meth:`lookup` calls advance them."""
+        self._stamp += count
+        entry.stamp = self._stamp
+        self.hits += count
+
+    def contains(self, asid: int, va_page: int) -> bool:
+        """Presence probe without updating LRU state."""
+        return self.peek(asid, va_page) is not None
 
     def set_occupancy(self, va_page: int) -> int:
         """Valid entries in the set ``va_page`` maps to (contention probe)."""

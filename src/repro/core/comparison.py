@@ -17,54 +17,62 @@ corresponding attack:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
-from repro.arch import (
-    SGX,
-    SMART,
-    Sanctuary,
-    Sanctum,
-    Sancus,
-    TrustLite,
-    TrustZone,
-    TyTAN,
-)
-from repro.attacks.software import DMAAttack
-from repro.attacks.transient_oracle import (
-    ORACLE_ATTACKS,
-    TRANSIENT_DESIGN_POINTS,
-    design_soc_variant,
-    scripted_transient_scores,
-)
-from repro.cpu.soc import (
-    make_embedded_soc,
-    make_mobile_soc,
-    make_server_soc,
-)
-from repro.runner import (
-    CACHE_DEFENCE_CATEGORY,
-    CellSpec,
-    ExperimentRunner,
-    derive_seed,
-)
+if TYPE_CHECKING:
+    from repro.runner import CellSpec, ExperimentRunner
+
+# Each table imports what it runs when it runs (TAB-S3 the eight
+# architectures and the DMA attack, TAB-S41 its five hosts and the
+# runner, TAB-S42 the transient oracle), so importing this module loads
+# no architecture, SoC model or attack.
 
 #: What TAB-S41's cell imports on first use, which a forked pool worker
-#: then inherits (see ``runner.engine._import_cell_modules``): the cache
-#: attacks, their batched kernels and the kernels' dispatch imports, and
-#: ``numpy.ma``, which ``np.unique`` imports on its first call.
-FORK_PRELOAD = ("repro.attacks.cache_sca", "repro.attacks.batch",
-                "repro.attacks.timing", "numpy.ma")
+#: then inherits (see ``runner.engine._import_cell_modules``): the row
+#: hosts and their SoC factories, the cache attacks, their batched
+#: kernels and the kernels' dispatch imports.
+FORK_PRELOAD = ("repro.arch.null", "repro.arch.sgx", "repro.arch.sanctum",
+                "repro.arch.trustzone", "repro.arch.sanctuary",
+                "repro.cpu.soc", "repro.attacks.cache_sca",
+                "repro.attacks.batch", "repro.attacks.timing")
 
-#: (architecture class, SoC factory) in the paper's presentation order.
-ARCH_HOSTS = (
-    (SGX, make_server_soc),
-    (Sanctum, make_server_soc),
-    (TrustZone, make_mobile_soc),
-    (Sanctuary, make_mobile_soc),
-    (SMART, make_embedded_soc),
-    (Sancus, make_embedded_soc),
-    (TrustLite, make_embedded_soc),
-    (TyTAN, make_embedded_soc),
-)
+
+@cache
+def _arch_hosts() -> tuple:
+    from repro.arch import (
+        SGX,
+        SMART,
+        Sanctuary,
+        Sanctum,
+        Sancus,
+        TrustLite,
+        TrustZone,
+        TyTAN,
+    )
+    from repro.cpu.soc import (
+        make_embedded_soc,
+        make_mobile_soc,
+        make_server_soc,
+    )
+    return (
+        (SGX, make_server_soc),
+        (Sanctum, make_server_soc),
+        (TrustZone, make_mobile_soc),
+        (Sanctuary, make_mobile_soc),
+        (SMART, make_embedded_soc),
+        (Sancus, make_embedded_soc),
+        (TrustLite, make_embedded_soc),
+        (TyTAN, make_embedded_soc),
+    )
+
+
+def __getattr__(name: str):
+    """``ARCH_HOSTS``: (architecture class, SoC factory) in the paper's
+    presentation order, imported on first access (PEP 562)."""
+    if name != "ARCH_HOSTS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _arch_hosts()
 
 
 def render_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -88,6 +96,8 @@ _SECRET_WORD = 0x5EC2E7C0DE5EC2E7
 
 def _verify_dma_claim(arch) -> str:
     """Aim a malicious DMA engine at the architecture's protected asset."""
+    from repro.arch import SMART, Sancus
+    from repro.attacks.software import DMAAttack
     if isinstance(arch, (SMART, Sancus)):
         if isinstance(arch, Sancus):
             return "n/a (key never addressable)"
@@ -122,7 +132,7 @@ def architecture_feature_table() -> tuple[list[str], list[list[str]]]:
                "mem. encryption", "cache defence", "DMA protection",
                "DMA verified", "attestation", "new HW"]
     rows: list[list[str]] = []
-    for arch_cls, make_soc in ARCH_HOSTS:
+    for arch_cls, make_soc in _arch_hosts():
         arch = arch_cls(make_soc())
         f = arch.features()
         if f.llc_partitioning:
@@ -187,6 +197,10 @@ def execute_cache_defence_cell(spec: CellSpec, reference: bool = False
     probe the host refuses.
     """
     from repro.arch.null import NullArchitecture
+    from repro.arch.sanctuary import Sanctuary
+    from repro.arch.sanctum import Sanctum
+    from repro.arch.sgx import SGX
+    from repro.arch.trustzone import TrustZone
     from repro.attacks.base import AttackerProcess
     from repro.attacks.cache_sca import (
         EvictTimeAttack,
@@ -194,11 +208,16 @@ def execute_cache_defence_cell(spec: CellSpec, reference: bool = False
         PrimeProbeAttack,
         _CacheAttackConfig,
     )
+    from repro.cpu.soc import make_mobile_soc, make_server_soc
     from repro.crypto.rng import XorShiftRNG
+    from repro.runner.engine import CACHE_DEFENCE_CATEGORY
+    from repro.runner.seeding import derive_seed
 
     knobs = dict(spec.knobs)
     hosts = {arch_cls.NAME: (arch_cls, make_soc) for arch_cls, make_soc
-             in ((NullArchitecture, make_server_soc), *ARCH_HOSTS)}
+             in ((NullArchitecture, make_server_soc),
+                 (SGX, make_server_soc), (Sanctum, make_server_soc),
+                 (TrustZone, make_mobile_soc), (Sanctuary, make_mobile_soc))}
     arch_cls, make_soc = hosts[spec.platform]
     key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     config = _CacheAttackConfig(
@@ -231,6 +250,11 @@ def cache_defence_table(quick: bool = True, include_evict_time: bool = False,
     Each row is one cell of ``runner`` (default: a private serial,
     uncached :class:`~repro.runner.ExperimentRunner`).
     """
+    from repro.runner import (
+        CACHE_DEFENCE_CATEGORY,
+        CellSpec,
+        ExperimentRunner,
+    )
     knobs = (("evict_time", int(include_evict_time)), ("quick", int(quick)))
     specs = [CellSpec(seed=seed, platform=name,
                       category=CACHE_DEFENCE_CATEGORY, knobs=knobs)
@@ -258,13 +282,6 @@ def render_cache_defence_table(rows: list[CacheDefenceRow]) -> str:
 
 # -- TAB-S42 -----------------------------------------------------------------------
 
-# The design points and scripted-attack runs live in
-# repro.attacks.transient_oracle so the Spectre scanner can sweep the
-# same grid and the differential suite can compare against the same
-# measurements; _soc_variant stays as the historical alias.
-_soc_variant = design_soc_variant
-
-
 def transient_applicability_table(secret: bytes = b"TRNS",
                                   seed: int = 0x42
                                   ) -> tuple[list[str], list[list[str]]]:
@@ -274,7 +291,15 @@ def transient_applicability_table(secret: bytes = b"TRNS",
     The paper's qualitative claims appear as the pattern: everything works
     on the commodity speculative design, each mitigation kills exactly its
     attack, and the in-order (embedded) design is immune across the board.
+    The design points and scripted-attack runs live in
+    :mod:`repro.attacks.transient_oracle`, so the Spectre scanner sweeps
+    the same grid.
     """
+    from repro.attacks.transient_oracle import (
+        ORACLE_ATTACKS,
+        TRANSIENT_DESIGN_POINTS,
+        scripted_transient_scores,
+    )
     headers = ["design point", *ORACLE_ATTACKS]
     rows: list[list[str]] = []
     for label, _ in TRANSIENT_DESIGN_POINTS:

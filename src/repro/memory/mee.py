@@ -46,6 +46,17 @@ def _keystream(key: int, line_addr: int, length: int) -> bytes:
     return bytes(out[:length])
 
 
+def _splitmix64_words(x):
+    """:func:`_splitmix64` of every element of a uint64 array (numpy's
+    uint64 arithmetic wraps modulo 2**64, as the scalar masks)."""
+    import numpy as np
+    u64 = np.uint64
+    z = x + u64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    return z ^ (z >> u64(31))
+
+
 def _tag(key: int, line_addr: int, data: bytes) -> int:
     """64-bit integrity tag over one line's ciphertext."""
     acc = _splitmix64(key ^ ~line_addr & _MASK64)
@@ -110,6 +121,50 @@ class MemoryEncryptionEngine:
             out += mixed.to_bytes(take, "little")
             offset += take
         return bytes(out)
+
+    # -- word-vector path ----------------------------------------------------------
+    #
+    # What ``on_write``/``on_read`` do to many word-aligned words inside
+    # the protected range at once, over uint64 arrays of addresses and
+    # words: the same keystream word and tag per word as the scalar path.
+
+    def _keystream_words(self, addrs):
+        """Each word's keystream: word ``(addr % 64) // 8`` of its line's
+        :func:`_keystream`."""
+        import numpy as np
+        lines = addrs & np.uint64(_MASK64 & ~(_LINE - 1))
+        counters = (addrs - lines) >> np.uint64(3)
+        return _splitmix64_words(np.uint64(self._key)
+                                 ^ _splitmix64_words(lines ^ counters))
+
+    def _tags_words(self, addrs, ciphertext):
+        """Each word's :func:`_tag` over its ciphertext."""
+        import numpy as np
+        first = _splitmix64_words(np.uint64(self._key) ^ ~addrs)
+        return _splitmix64_words(first ^ ciphertext)
+
+    def seal_words(self, addrs, plaintext):
+        """``on_write`` of one word at each of ``addrs``: returns the
+        ciphertext, stores the words' tags in ``addrs`` order and counts
+        one encrypted write per word."""
+        ciphertext = plaintext ^ self._keystream_words(addrs)
+        self._tags.update(zip(addrs.tolist(),
+                              self._tags_words(addrs, ciphertext).tolist()))
+        self.encrypted_writes += len(addrs)
+        return ciphertext
+
+    def open_words(self, addrs, ciphertext):
+        """``on_read`` of one word at each of ``addrs``, uncounted: the
+        plaintext, or ``None`` when a stored tag does not match (nothing
+        changes; the scalar path then fails on the first such word)."""
+        tags = self._tags
+        expected = [tags.get(addr) for addr in addrs.tolist()]
+        if any(tag is not None for tag in expected):
+            actual = self._tags_words(addrs, ciphertext).tolist()
+            if any(want is not None and want != got
+                   for want, got in zip(expected, actual)):
+                return None
+        return ciphertext ^ self._keystream_words(addrs)
 
     # -- access controller hook ------------------------------------------------
 

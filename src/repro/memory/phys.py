@@ -65,8 +65,7 @@ class PhysicalMemory:
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Write raw bytes starting at ``addr``."""
         self._check(addr, len(data), "write")
-        for i, b in enumerate(data):
-            self._bytes[addr + i] = b
+        self._bytes.update(zip(range(addr, addr + len(data)), data))
 
     def clear_range(self, addr: int, length: int) -> None:
         """Zero a range (used by SMART's attestation-trace cleanup)."""

@@ -1,5 +1,7 @@
 """CLI entry point and table rendering."""
 
+import hashlib
+
 import pytest
 
 from repro.__main__ import main
@@ -20,6 +22,27 @@ class TestRenderTable:
     def test_empty_rows(self):
         text = render_table(["only", "headers"], [])
         assert "only" in text
+
+
+#: sha256 of each deterministic table command's whole stdout.  TAB-S41's
+#: is ``tab_s41`` in ``bench/golden.json``; these pin the others, which
+#: no benchmark workload runs.
+TABLE_STDOUT_SHA256 = {
+    "architectures":
+        "44c9e1774360d310f596ff5c915bb34a3da8017f00b96a61bfcbbb653bc7b6c3",
+    "transient":
+        "d69fc23648aee17a35401aa4a9ada730780cbcbd50d9444966724412a23ceb53",
+    "advisor":
+        "8f8555ff942e11813787853e401fcd704f55651e03ca357ac435104b7ad5176f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_STDOUT_SHA256))
+def test_table_command_stdout_pinned(capsys, command):
+    assert main([command]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == TABLE_STDOUT_SHA256[command], out
 
 
 class TestCLI:

@@ -155,6 +155,37 @@ class TestCommandModuleSets:
         assert result["code"] == 0
         _assert_no_pool_or_host_modules(result["modules"])
 
+    def test_cache_table_loads_what_it_runs(self, tmp_path):
+        """A cold TAB-S41 runs the cache attacks but never ``np.unique``,
+        which imports ``numpy.ma``; a warm one renders the five cached
+        rows and loads no architecture, attack or numpy."""
+        cold = _probe(tmp_path, "cache")
+        assert cold["code"] == 0
+        assert "repro.attacks.cache_sca" in cold["modules"]
+        assert "numpy.ma" not in cold["modules"]
+        warm = _probe(tmp_path, "cache")
+        assert warm["stdout"] == cold["stdout"]
+        loaded = warm["modules"]
+        assert "numpy" not in loaded
+        assert "repro.attacks.cache_sca" not in loaded
+        assert not [m for m in loaded if m.startswith("repro.arch")]
+        _assert_no_pool_or_host_modules(loaded)
+
+    def test_comparison_module_imports_no_table(self, tmp_path):
+        """``import repro.core.comparison`` (the ``tab-s41`` benchmark's
+        set-up import) loads no architecture, SoC model, attack or numpy:
+        each table imports what it runs when it runs."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys, repro.core.comparison\n"
+             "print(json.dumps(sorted(sys.modules)))"],
+            env=_env(tmp_path), capture_output=True, text=True, check=True)
+        loaded = set(json.loads(proc.stdout))
+        assert "numpy" not in loaded
+        assert not [m for m in loaded if m.startswith(
+            ("repro.arch", "repro.cpu", "repro.attacks"))]
+        _assert_no_pool_or_host_modules(loaded)
+
     @pytest.mark.parametrize("command",
                              ["architectures", "transient", "advisor"])
     def test_table_commands_load_no_numpy(self, tmp_path, command):
