@@ -22,10 +22,10 @@ artefacts:
 
 ## Differential equivalence suites: every fast lane against its retained
 ## reference oracle (CPU engine, the kernel sweep's lane replay, batched
-## attacks, batched power capture, memoized scanner, SGX's page-batched
-## enclave load).  The fast lanes are
-## the default product path, so these guard what users run.  All five
-## compare through one core (repro.lockstep); test_lockstep_core.py
+## attacks, batched power capture, memoized scanner, and SGX's page mover
+## for enclave loads and page swaps, the enclave-load harness).  The fast
+## lanes are the default product path, so these guard what users run.
+## All six compare through one core (repro.lockstep); test_lockstep_core.py
 ## proves that core catches a single changed observable in each harness,
 ## and test_sim_sweeps.py checks the attack twin's closed-form set sweeps
 ## against its per-access walk and the live cache hierarchy.  --run-diff

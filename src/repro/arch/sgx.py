@@ -18,7 +18,7 @@ exploits — are reproduced mechanistically:
 
 from __future__ import annotations
 
-import sys
+import struct
 
 from repro.arch.base import (
     AES_TABLES_SIZE,
@@ -34,7 +34,7 @@ from repro.cache.tlb import TLB
 from repro.common import PlatformClass, PrivilegeLevel
 from repro.cpu.core import Core
 from repro.crypto.rng import XorShiftRNG
-from repro.errors import AccessFault, EnclaveError
+from repro.errors import AccessFault, EnclaveError, SecurityViolation
 from repro.memory.bus import BusTransaction, SystemBus
 from repro.memory.mee import MemoryEncryptionEngine
 from repro.memory.mmu import MMU
@@ -98,8 +98,8 @@ class SGX(SecurityArchitecture):
         #: The untrusted OS's page table — SGX trusts it for *management*
         #: only; confidentiality is supposed to come from the EPC + MEE.
         self.os_page_table = soc.make_page_table(asid=1)
-        #: Swapped-out page blobs: va -> (ciphertext, mac-ish tag).
-        self._swapped: dict[int, bytes] = {}
+        #: Swapped-out page blobs: va -> (ciphertext, MAC over va and it).
+        self._swapped: dict[int, tuple[bytes, bytes]] = {}
 
     def features(self) -> ArchFeatures:
         return ArchFeatures(
@@ -176,28 +176,32 @@ class SGX(SecurityArchitecture):
             core, handle.base, min(handle.size, PAGE_SIZE) // WORD_SIZE))
 
     def _move_page(self, core: Core, va: int, count: int,
-                   words: list[int] | None = None) -> list[int]:
-        """``count`` consecutive word stores of ``words`` (or loads, when
-        ``words`` is None) from ``va``, all in one page: exactly what as
-        many ``core.write_mem``/``core.read_mem`` calls do.  Returns the
-        loaded words.
+                   words: list[int] | None = None,
+                   reload: bool = False) -> list[int]:
+        """``count`` consecutive word loads from ``va`` (``words`` None) or
+        stores of ``words`` there, each store followed by a load of the
+        word it stored with ``reload`` (ELDU's decrypt-to-L1), all in one
+        page: exactly what as many ``core.write_mem``/``core.read_mem``
+        calls do.  Returns the loaded words.
 
         The first word takes that per-word path: it translates (walking
         and filling the TLB on a miss), meets the bus's verdict for the
         page and faults where the loop would.  When :meth:`_page_region`
-        holds, the rest move at once: their TLB hits, bus transactions
-        and charges are counted, the MEE seals or opens them as one
-        vector, memory is copied once and the caches advance line by
-        line (:meth:`CacheHierarchy.access_words`).  Otherwise, or when
-        an MEE tag fails, the per-word loop moves them.
+        holds, the rest move at once (:meth:`_move_words`).  Otherwise,
+        or when an MEE tag fails, the per-word loop moves them.
         """
         if (va & PAGE_MASK) + count * WORD_SIZE > PAGE_SIZE:
             raise ValueError("a page move must stay within one page")
-        if words is None:
-            values = [core.read_mem(va)]
-        else:
-            values = []
-            core.write_mem(va, words[0])
+        values: list[int] = []
+
+        def move(i: int) -> None:
+            addr = va + i * WORD_SIZE
+            if words is not None:
+                core.write_mem(addr, words[i])
+            if words is None or reload:
+                values.append(core.read_mem(addr))
+
+        move(0)
         rest = count - 1
         mmu = core.mmu
         entry = (mmu.tlb.peek(mmu.asid, va & ~PAGE_MASK)
@@ -207,14 +211,11 @@ class SGX(SecurityArchitecture):
             moved = self._move_words(
                 core, entry, region,
                 entry.paddr | (va + WORD_SIZE) & PAGE_MASK, rest,
-                None if words is None else words[1:])
+                None if words is None else words[1:], reload)
             if moved is not None:
                 return values + moved
         for i in range(1, count):
-            if words is None:
-                values.append(core.read_mem(va + i * WORD_SIZE))
-            else:
-                core.write_mem(va + i * WORD_SIZE, words[i])
+            move(i)
         return values
 
     def _page_region(self, core: Core, paddr: int):
@@ -225,13 +226,11 @@ class SGX(SecurityArchitecture):
         or bus snooper watches and no cache is way-partitioned (so no fill
         can fail); every bus controller is the MEE or the EPC check and
         every transform the MEE, and each of their ranges holds the page
-        wholly or not at all; one non-device region holds it.  The MEE's
-        word vectors run on numpy, so a process that has not loaded it
-        (TAB-S3, one small enclave) keeps the per-word loop.
+        wholly or not at all; one non-device region holds it.  These
+        preconditions alone decide.
         """
         mmu, bus, hierarchy = core.mmu, self.soc.bus, self.soc.hierarchy
-        if ("numpy" not in sys.modules
-                or type(core)._translate is not Core._translate
+        if (type(core)._translate is not Core._translate
                 or type(core).read_mem is not Core.read_mem
                 or type(core).write_mem is not Core.write_mem
                 or type(mmu) is not MMU or mmu.root is None or mmu.walk_hooks
@@ -263,45 +262,50 @@ class SGX(SecurityArchitecture):
         return region
 
     def _move_words(self, core: Core, entry, region, paddr: int, count: int,
-                    words: list[int] | None) -> list[int] | None:
+                    words: list[int] | None,
+                    reload: bool = False) -> list[int] | None:
         """The batch half of :meth:`_move_page`: ``count`` words at
-        ``paddr`` whose page is resident in the TLB as ``entry``.  Returns
-        the loaded words, or None (with nothing changed) when an MEE tag
-        fails."""
-        import numpy as np
+        ``paddr`` whose page is resident in the TLB as ``entry``.  Their
+        TLB hits, bus transactions and charges are counted, the MEE seals
+        or opens them as one list, memory is copied once and the caches
+        advance line by line (:meth:`CacheHierarchy.access_words`).
+        Returns the loaded words, or None (with nothing changed) when an
+        MEE tag fails.  A reload reads back what its store just sealed,
+        so it verifies and decrypts to the stored word."""
         soc = self.soc
         bus, memory, tlb = soc.bus, soc.memory, core.mmu.tlb
-        addrs = np.arange(paddr, paddr + count * WORD_SIZE, WORD_SIZE,
-                          dtype=np.uint64)
+        addrs = range(paddr, paddr + count * WORD_SIZE, WORD_SIZE)
         mees = [t for _, t in bus._transforms if t.base <= paddr < t.end]
         if words is None:
-            data = np.frombuffer(memory.read_bytes(paddr, count * WORD_SIZE),
-                                 dtype="<u8").astype(np.uint64)
+            values = list(struct.unpack(
+                f"<{count}Q", memory.read_bytes(paddr, count * WORD_SIZE)))
             for mee in reversed(mees):
-                data = mee.open_words(addrs, data)
-                if data is None:
+                values = mee.open_words(addrs, values)
+                if values is None:
                     return None
-            for mee in mees:
-                mee.decrypted_reads += count
-            values = data.tolist()
         else:
-            values = [word & WORD_MASK for word in words]
-            data = np.array(values, dtype=np.uint64)
+            values = data = [word & WORD_MASK for word in words]
             for mee in mees:
                 data = mee.seal_words(addrs, data)
-            memory.write_bytes(paddr, data.astype("<u8").tobytes())
-        tlb.hit_again(entry, count)
-        bus.transaction_count += count
-        core.cycles += count * tlb.access_latency(True) + \
+            memory.write_bytes(paddr, struct.pack(f"<{count}Q", *data))
+        stores = words is not None
+        loads = not stores or reload
+        for mee in mees:
+            mee.encrypted_writes += stores * count
+            mee.decrypted_reads += loads * count
+        accesses = (stores + loads) * count
+        tlb.hit_again(entry, accesses)
+        bus.transaction_count += accesses
+        core.cycles += accesses * tlb.access_latency(True) + \
             soc.hierarchy.access_words(core.config.core_id, paddr, count,
-                                       words is not None, core.domain,
-                                       region.cacheable)
+                                       stores, core.domain, region.cacheable,
+                                       reload)
         energy = core.config.energy_per_mem_pj
-        for addr, value in zip(range(paddr, paddr + count * WORD_SIZE,
-                                     WORD_SIZE), values):
-            core.energy_pj += energy
-            core._note_l1_fill(addr, value)
-        return values if words is None else []
+        for addr, value in zip(addrs, values):
+            for _ in range(stores + loads):
+                core.energy_pj += energy
+                core._note_l1_fill(addr, value)
+        return values if loads else []
 
     def destroy_enclave(self, handle: EnclaveHandle) -> None:
         for page in [p for p, owner in self.epc_owner.items()
@@ -400,6 +404,22 @@ class SGX(SecurityArchitecture):
 
     # -- secure page swapping (EWB / ELDU) -------------------------------------
 
+    def _swap_crypt(self, va: int, data: bytes) -> bytes:
+        """``data`` XORed with the swap keystream of the page at ``va``:
+        EWB's encryption and ELDU's decryption."""
+        keystream = XorShiftRNG(
+            int.from_bytes(self._swap_key[:8], "little") ^ va)
+        mixed = int.from_bytes(data, "little") ^ int.from_bytes(
+            keystream.bytes(len(data)), "little")
+        return mixed.to_bytes(len(data), "little")
+
+    def _swap_mac(self, va: int, blob: bytes) -> bytes:
+        """The MAC binding an EWB blob to its page's virtual address,
+        under a key derived from the CPU-fused swap key."""
+        from repro.crypto.hmacmod import hmac_sha256
+        key = hmac_sha256(self._swap_key, b"ewb-mac")
+        return hmac_sha256(key, va.to_bytes(8, "little") + blob)
+
     def swap_out(self, handle: EnclaveHandle, page_offset: int) -> None:
         """EWB: encrypt an enclave page out to regular memory, unmap it."""
         va = handle.base + page_offset
@@ -410,19 +430,15 @@ class SGX(SecurityArchitecture):
             raise EnclaveError("page not mapped")
         paddr, _ = entry
         # Hardware path: read the page as the enclave (decrypting), then
-        # re-encrypt under the swap key into a software blob.
+        # re-encrypt under the swap key into a MAC'd software blob.
         self.enter_enclave(handle)
         try:
-            plain = bytearray()
-            for off in range(0, PAGE_SIZE, 8):
-                word = self.soc.cores[handle.core_id].read_mem(va + off)
-                plain.extend(word.to_bytes(8, "little"))
+            words = self._move_page(self.soc.cores[handle.core_id], va,
+                                    PAGE_SIZE // WORD_SIZE)
         finally:
             self.exit_enclave(handle)
-        keystream = XorShiftRNG(
-            int.from_bytes(self._swap_key[:8], "little") ^ va)
-        blob = bytes(b ^ k for b, k in zip(plain, keystream.bytes(PAGE_SIZE)))
-        self._swapped[va] = blob
+        blob = self._swap_crypt(va, struct.pack(f"<{len(words)}Q", *words))
+        self._swapped[va] = (blob, self._swap_mac(va, blob))
         self.os_page_table.update_flags(va, clear_flags=PageFlags.PRESENT)
         del self.epc_owner[paddr]
         self.soc.mmus[handle.core_id].flush_tlb()
@@ -433,25 +449,29 @@ class SGX(SecurityArchitecture):
         The OS may invoke this at will.  The decrypted words transit the
         core's load/store path inside the enclave context, so the page's
         plaintext ends up L1-resident — the state Foreshadow harvests.
+        A blob altered while swapped out fails its MAC: ELDU then raises
+        :class:`SecurityViolation`, allocates nothing and keeps the blob.
         """
         va = handle.base + page_offset
-        blob = self._swapped.pop(va, None)
-        if blob is None:
+        swapped = self._swapped.get(va)
+        if swapped is None:
             raise EnclaveError(f"page {va:#x} is not swapped out")
+        blob, mac = swapped
+        if self._swap_mac(va, blob) != mac:
+            raise SecurityViolation(f"ELDU: page {va:#x} fails its MAC")
+        del self._swapped[va]
         frame = self.epc_allocator.alloc()
         self.epc_owner[frame] = handle.enclave_id
         self.os_page_table.remap(va, frame)
         self.os_page_table.update_flags(va, set_flags=PageFlags.PRESENT)
         self.soc.mmus[handle.core_id].flush_tlb()
-        keystream = XorShiftRNG(
-            int.from_bytes(self._swap_key[:8], "little") ^ va)
-        plain = bytes(b ^ k for b, k in zip(blob, keystream.bytes(PAGE_SIZE)))
+        plain = self._swap_crypt(va, blob)
         self.enter_enclave(handle)
         try:
-            core = self.soc.cores[handle.core_id]
-            for off in range(0, PAGE_SIZE, 8):
-                word = int.from_bytes(plain[off:off + 8], "little")
-                core.write_mem(va + off, word)
-                core.read_mem(va + off)  # decrypted-to-L1 behaviour
+            self._move_page(self.soc.cores[handle.core_id], va,
+                            PAGE_SIZE // WORD_SIZE,
+                            list(struct.unpack(f"<{len(plain) // WORD_SIZE}Q",
+                                               plain)),
+                            reload=True)
         finally:
             self.exit_enclave(handle)

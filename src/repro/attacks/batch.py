@@ -42,8 +42,8 @@ encryption whose pages are all TLB-resident advances the TLB's stamps
 and hit counter arithmetically, and any other runs the real
 ``mmu.translate``, so TLB stamps, walks and walker bus reads match) and
 the MEE, which integrity-checks and decrypts every word the victim may
-read once, as one vector (``MemoryEncryptionEngine.open_words``, the
-word-vector form of its ``on_read``), before the run mutates anything.
+read once, as one list (``MemoryEncryptionEngine.open_words``, the
+many-word form of its ``on_read``), before the run mutates anything.
 
 **Bit-identical or bust**: every kernel either reproduces the retained
 scalar attack exactly — recovered keys, scores, RNG end states, cache
@@ -1067,7 +1067,7 @@ class _VictimModel:
 
     def load_words(self) -> str | None:
         """Read every word the victim may load through the bus's MEEs,
-        once: the words are integrity-checked and decrypted as one vector
+        once: the words are integrity-checked and decrypted as one list
         (:meth:`MemoryEncryptionEngine.open_words`) before any state is
         mutated, and no engine counts them (the run replays the scalar
         per-access increments).  A failed tag declines, and the scalar
@@ -1079,14 +1079,12 @@ class _VictimModel:
         first = paddrs[0]
         self.mees = [t for _, t in reversed(self.soc.bus._transforms)
                      if t.base <= first < t.end]
-        data = np.array([memory.read_word(paddr) for paddr in paddrs],
-                        dtype=np.uint64)
-        addrs = np.array(paddrs, dtype=np.uint64)
+        data = [memory.read_word(paddr) for paddr in paddrs]
         for mee in self.mees:
-            data = mee.open_words(addrs, data)
+            data = mee.open_words(paddrs, data)
             if data is None:
                 return "mee-integrity"
-        self.values = dict(zip(self.words, data.tolist()))
+        self.values = dict(zip(self.words, data))
         return None
 
     def attach(self, sim: _SimHierarchy) -> None:

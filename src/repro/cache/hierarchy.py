@@ -139,15 +139,17 @@ class CacheHierarchy:
 
     def access_words(self, core: int, paddr: int, count: int,
                      is_write: bool = False, domain: str | None = None,
-                     cacheable: bool = True) -> int:
+                     cacheable: bool = True, reload: bool = False) -> int:
         """Total latency of ``count`` word accesses at ``paddr``, ``paddr +
-        WORD_SIZE``, ...: the outcome of that many :meth:`access` calls.
+        WORD_SIZE``, ...: the outcome of that many :meth:`access` calls,
+        or, with ``reload``, of each followed by a read of the same word.
 
-        Each line's first word is one :meth:`access`, which leaves the
+        Each line's first access is one :meth:`access`, which leaves the
         line in ``core``'s L1 (it hit there, or missed and filled it), so
-        the line's other words are L1 hits."""
+        the line's other accesses are L1 hits."""
+        touches = 2 if reload else 1
         if not cacheable:
-            return count * self._uncached_result.latency
+            return touches * count * self._uncached_result.latency
         l1 = self.l1s[core]
         line_size = self.config.line_size
         total = 0
@@ -157,9 +159,10 @@ class CacheHierarchy:
             total += self.access(core, addr, is_write, domain).latency
             in_line = min(count - done,
                           -(-(line_size - addr % line_size) // WORD_SIZE))
-            if in_line > 1:
-                l1.hit_again(addr, in_line - 1, is_write)
-                total += (in_line - 1) * self.config.l1_latency
+            hits = touches * in_line - 1
+            if hits:
+                l1.hit_again(addr, hits, is_write)
+                total += hits * self.config.l1_latency
             done += in_line
         return total
 

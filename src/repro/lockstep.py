@@ -1,11 +1,13 @@
 """The lockstep core every fast-lane-vs-oracle harness is built on.
 
 Each fast lane — the predecoded CPU dispatch, the kernel sweep's lane
-replay, the batched attack kernels, the batched power capture and the
-memoized explorer — must be bit-identical to a retained reference.  The
-four harnesses (:mod:`repro.cpu.diff`, :mod:`repro.attacks.batch_diff`,
-:mod:`repro.power.diff` and :mod:`repro.spec.explore_diff`) and the
-replay's differential tests share this module: one
+replay, the batched attack kernels, the batched power capture, the
+memoized explorer and SGX's page mover — must be bit-identical to a
+retained reference.  The four harnesses (:mod:`repro.cpu.diff`,
+:mod:`repro.attacks.batch_diff`, :mod:`repro.power.diff` and
+:mod:`repro.spec.explore_diff`), the replay's differential tests and the
+enclave-load harness (``tests/test_enclave_load.py``: EADD, EINIT, EWB
+and ELDU against their per-word loops) share this module: one
 :class:`Divergence`, one comparator that names the path of the first
 mismatch, and one :func:`run_pair`.  Only tests import the harnesses.
 

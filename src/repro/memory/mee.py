@@ -16,14 +16,14 @@ ciphertext is detected on the next read (drop-and-lock integrity).
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import AccessFault, SecurityViolation
 from repro.memory.bus import BusTransaction
 from repro.memory.regions import MemoryRegion
 
 _LINE = 64
 _MASK64 = (1 << 64) - 1
-#: Bound on the per-engine line-keystream memo (64 bytes a line).
-_STREAM_MEMO_LINES = 4096
 
 
 def _splitmix64(x: int) -> int:
@@ -35,35 +35,18 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _keystream(key: int, line_addr: int, length: int) -> bytes:
-    """Deterministic per-(key, line) keystream of ``length`` bytes."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        word = _splitmix64(key ^ _splitmix64(line_addr ^ counter))
-        out.extend(word.to_bytes(8, "little"))
-        counter += 1
-    return bytes(out[:length])
+def _keystream(key: int, addr: int) -> int:
+    """The keystream word at word-aligned ``addr``: word ``i`` of the
+    stream of its 64-byte line ``line`` is
+    ``splitmix64(key ^ splitmix64(line ^ i))``."""
+    return _splitmix64(key ^ _splitmix64(
+        addr & ~(_LINE - 1) | (addr & (_LINE - 1)) >> 3))
 
 
-def _splitmix64_words(x):
-    """:func:`_splitmix64` of every element of a uint64 array (numpy's
-    uint64 arithmetic wraps modulo 2**64, as the scalar masks)."""
-    import numpy as np
-    u64 = np.uint64
-    z = x + u64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
-    return z ^ (z >> u64(31))
-
-
-def _tag(key: int, line_addr: int, data: bytes) -> int:
-    """64-bit integrity tag over one line's ciphertext."""
-    acc = _splitmix64(key ^ ~line_addr & _MASK64)
-    for i in range(0, len(data), 8):
-        chunk = int.from_bytes(data[i:i + 8], "little")
-        acc = _splitmix64(acc ^ chunk)
-    return acc
+def _tag(key: int, addr: int, word: int) -> int:
+    """The integrity tag of ciphertext ``word`` at ``addr``:
+    ``splitmix64(splitmix64(key ^ ~addr) ^ word)``."""
+    return _splitmix64(_splitmix64(key ^ addr ^ _MASK64) ^ word)
 
 
 class MemoryEncryptionEngine:
@@ -73,6 +56,11 @@ class MemoryEncryptionEngine:
     access controller (``add_controller``): the transform handles the
     CPU-side encrypt/decrypt, the controller aborts non-CPU masters the way
     SGX aborts DMA into the EPC.
+
+    The cipher is word-granular: each word is XORed with its address's
+    :func:`_keystream` word and tagged with :func:`_tag`.  The bus hooks
+    and the page mover (:meth:`seal_words`, :meth:`open_words`) share
+    the helpers below.
     """
 
     def __init__(self, base: int, size: int, key: int) -> None:
@@ -80,9 +68,6 @@ class MemoryEncryptionEngine:
         self.size = size
         self._key = key & _MASK64
         self._tags: dict[int, int] = {}
-        #: line address -> that line's keystream; the key never changes,
-        #: so a line's keystream is computed once, not per word access.
-        self._streams: dict[int, bytes] = {}
         self.encrypted_writes = 0
         self.decrypted_reads = 0
         self.integrity_failures = 0
@@ -98,73 +83,42 @@ class MemoryEncryptionEngine:
         return txn.addr < self.end and self.base < txn.end \
             and not self._protected(txn)
 
-    def _line_stream(self, line_addr: int) -> bytes:
-        stream = self._streams.get(line_addr)
-        if stream is None:
-            if len(self._streams) >= _STREAM_MEMO_LINES:
-                self._streams.clear()
-            stream = _keystream(self._key, line_addr, _LINE)
-            self._streams[line_addr] = stream
-        return stream
+    # -- the word cipher -----------------------------------------------------------
 
-    def _apply_keystream(self, addr: int, data: bytes) -> bytes:
-        """XOR ``data`` with the line-relative keystream at ``addr``."""
-        out = bytearray()
-        offset = 0
-        while offset < len(data):
-            line_addr = (addr + offset) & ~(_LINE - 1)
-            in_line = (addr + offset) - line_addr
-            take = min(_LINE - in_line, len(data) - offset)
-            stream = self._line_stream(line_addr)[in_line:in_line + take]
-            mixed = (int.from_bytes(data[offset:offset + take], "little")
-                     ^ int.from_bytes(stream, "little"))
-            out += mixed.to_bytes(take, "little")
-            offset += take
-        return bytes(out)
+    def _xor_keystream(self, addrs, words) -> list[int]:
+        """Each of ``words`` XORed with the keystream word of its
+        word-aligned address in ``addrs``."""
+        key = self._key
+        return [word ^ _keystream(key, addr)
+                for addr, word in zip(addrs, words)]
 
-    # -- word-vector path ----------------------------------------------------------
-    #
-    # What ``on_write``/``on_read`` do to many word-aligned words inside
-    # the protected range at once, over uint64 arrays of addresses and
-    # words: the same keystream word and tag per word as the scalar path.
+    def _first_forgery(self, addrs, ciphertext) -> int | None:
+        """Index of the first word whose stored tag its ciphertext does
+        not match; words never written through the engine carry no tag."""
+        key, tags = self._key, self._tags
+        for index, (addr, word) in enumerate(zip(addrs, ciphertext)):
+            expected = tags.get(addr)
+            if expected is not None and _tag(key, addr, word) != expected:
+                return index
+        return None
 
-    def _keystream_words(self, addrs):
-        """Each word's keystream: word ``(addr % 64) // 8`` of its line's
-        :func:`_keystream`."""
-        import numpy as np
-        lines = addrs & np.uint64(_MASK64 & ~(_LINE - 1))
-        counters = (addrs - lines) >> np.uint64(3)
-        return _splitmix64_words(np.uint64(self._key)
-                                 ^ _splitmix64_words(lines ^ counters))
-
-    def _tags_words(self, addrs, ciphertext):
-        """Each word's :func:`_tag` over its ciphertext."""
-        import numpy as np
-        first = _splitmix64_words(np.uint64(self._key) ^ ~addrs)
-        return _splitmix64_words(first ^ ciphertext)
-
-    def seal_words(self, addrs, plaintext):
-        """``on_write`` of one word at each of ``addrs``: returns the
-        ciphertext, stores the words' tags in ``addrs`` order and counts
-        one encrypted write per word."""
-        ciphertext = plaintext ^ self._keystream_words(addrs)
-        self._tags.update(zip(addrs.tolist(),
-                              self._tags_words(addrs, ciphertext).tolist()))
-        self.encrypted_writes += len(addrs)
+    def seal_words(self, addrs, plaintext: list[int]) -> list[int]:
+        """Encrypt one word at each of the word-aligned ``addrs`` and store
+        the words' tags in ``addrs`` order; returns the ciphertext.
+        Counts nothing: the caller counts its bus writes."""
+        key = self._key
+        ciphertext = self._xor_keystream(addrs, plaintext)
+        self._tags.update((addr, _tag(key, addr, word))
+                          for addr, word in zip(addrs, ciphertext))
         return ciphertext
 
-    def open_words(self, addrs, ciphertext):
-        """``on_read`` of one word at each of ``addrs``, uncounted: the
-        plaintext, or ``None`` when a stored tag does not match (nothing
-        changes; the scalar path then fails on the first such word)."""
-        tags = self._tags
-        expected = [tags.get(addr) for addr in addrs.tolist()]
-        if any(tag is not None for tag in expected):
-            actual = self._tags_words(addrs, ciphertext).tolist()
-            if any(want is not None and want != got
-                   for want, got in zip(expected, actual)):
-                return None
-        return ciphertext ^ self._keystream_words(addrs)
+    def open_words(self, addrs, ciphertext: list[int]) -> list[int] | None:
+        """Verify and decrypt one word at each of the word-aligned
+        ``addrs``: the plaintext, or ``None`` when a stored tag does not
+        match (nothing changes).  Counts nothing."""
+        if self._first_forgery(addrs, ciphertext) is not None:
+            return None
+        return self._xor_keystream(addrs, ciphertext)
 
     # -- access controller hook ------------------------------------------------
 
@@ -193,28 +147,32 @@ class MemoryEncryptionEngine:
         if not self._protected(txn):
             return data
         self._check_alignment(txn)
-        ciphertext = self._apply_keystream(txn.addr, data)
-        for offset in range(0, len(ciphertext), 8):
-            word_addr = txn.addr + offset
-            span = ciphertext[offset:offset + 8]
-            self._tags[word_addr] = _tag(self._key, word_addr, span)
+        ciphertext = self.seal_words(range(txn.addr, txn.end, 8),
+                                     _words(data))
         self.encrypted_writes += 1
-        return ciphertext
+        return _bytes(ciphertext)
 
     def on_read(self, txn: BusTransaction, data: bytes) -> bytes:
         """Decrypt CPU reads from the protected range; verify word tags."""
         if not self._protected(txn):
             return data
         self._check_alignment(txn)
-        for offset in range(0, len(data), 8):
-            word_addr = txn.addr + offset
-            expected = self._tags.get(word_addr)
-            if expected is None:
-                continue  # never written through the MEE; nothing to verify
-            span = data[offset:offset + 8]
-            if _tag(self._key, word_addr, span) != expected:
-                self.integrity_failures += 1
-                raise SecurityViolation(
-                    f"MEE integrity failure on word {word_addr:#x}")
+        addrs = range(txn.addr, txn.end, 8)
+        ciphertext = _words(data)
+        bad = self._first_forgery(addrs, ciphertext)
+        if bad is not None:
+            self.integrity_failures += 1
+            raise SecurityViolation(
+                f"MEE integrity failure on word {addrs[bad]:#x}")
         self.decrypted_reads += 1
-        return self._apply_keystream(txn.addr, data)
+        return _bytes(self._xor_keystream(addrs, ciphertext))
+
+
+def _words(data: bytes) -> list[int]:
+    """``data`` as little-endian 64-bit words."""
+    return list(struct.unpack(f"<{len(data) // 8}Q", data))
+
+
+def _bytes(words: list[int]) -> bytes:
+    """Little-endian 64-bit ``words`` as bytes."""
+    return struct.pack(f"<{len(words)}Q", *words)

@@ -6,7 +6,7 @@ from repro.crypto.rng import XorShiftRNG
 from repro.errors import AccessFault, SecurityViolation
 from repro.memory.bus import BusMaster, BusTransaction, SystemBus
 from repro.memory.dma import DMAEngine, DMAFilter
-from repro.memory.mee import MemoryEncryptionEngine, _keystream
+from repro.memory.mee import MemoryEncryptionEngine, _splitmix64
 from repro.memory.phys import PhysicalMemory
 from repro.memory.regions import standard_layout
 
@@ -129,10 +129,16 @@ class TestMEE:
         assert mee.encrypted_writes == 1
         assert mee.decrypted_reads == 1
 
-    def test_memoised_keystream_matches_per_access_formula(self, mee_bus):
-        # The engine memoises one keystream per line; it must XOR exactly
-        # like recomputing the line's stream for every access did.
-        _, _, mee = mee_bus
+    def test_word_cipher_matches_per_line_keystream_formula(self, mee_bus):
+        # One cipher serves the bus hooks and the page mover; it must XOR
+        # exactly like the per-line byte keystream it models: counter
+        # word i of line L is splitmix64(key ^ splitmix64(L ^ i)).
+        bus, memory, mee = mee_bus
+
+        def keystream(line_addr):
+            return b"".join(
+                _splitmix64(mee._key ^ _splitmix64(line_addr ^ counter))
+                .to_bytes(8, "little") for counter in range(8))
 
         def reference(addr, data):
             out = bytearray()
@@ -141,7 +147,7 @@ class TestMEE:
                 line_addr = (addr + offset) & ~63
                 in_line = (addr + offset) - line_addr
                 take = min(64 - in_line, len(data) - offset)
-                stream = _keystream(mee._key, line_addr, 64)
+                stream = keystream(line_addr)
                 out.extend(b ^ s for b, s in zip(
                     data[offset:offset + take],
                     stream[in_line:in_line + take]))
@@ -150,8 +156,18 @@ class TestMEE:
 
         rng = XorShiftRNG(0x3E3)
         for _ in range(300):
-            addr = mee.base + rng.next_below(mee.size - 256)
-            data = rng.bytes(1 + rng.next_below(200))  # spans 1-5 lines
-            assert mee._apply_keystream(addr, data) == reference(addr, data)
-            # A second pass hits the memo and must agree as well.
-            assert mee._apply_keystream(addr, data) == reference(addr, data)
+            addr = mee.base + 8 * rng.next_below(mee.size // 8 - 32)
+            count = 1 + rng.next_below(25)  # spans 1-5 lines
+            data = rng.bytes(8 * count)
+            addrs = range(addr, addr + 8 * count, 8)
+            words = [int.from_bytes(data[i:i + 8], "little")
+                     for i in range(0, len(data), 8)]
+            sealed = mee.seal_words(addrs, words)
+            assert b"".join(word.to_bytes(8, "little")
+                            for word in sealed) == reference(addr, data)
+            assert mee.open_words(addrs, sealed) == words
+            # The bus hooks use the same cipher.
+            bus.write(BusTransaction(CPU, addr, "write", len(data)), data)
+            assert memory.read_bytes(addr, len(data)) == reference(addr, data)
+            assert bus.read(BusTransaction(CPU, addr, "read",
+                                           len(data))) == data

@@ -1,6 +1,9 @@
 """The shared lockstep core catches a divergence in every harness.
 
-All five differential suites compare through :func:`repro.lockstep.compare`,
+All six differential suites (the CPU engine, the sweep's lane replay,
+the batched attacks, the batched power capture, the memoized scanner
+and SGX's page mover for enclave loads and page swaps) compare through
+:func:`repro.lockstep.compare`,
 so a comparator that missed a mismatch would hide it everywhere.  Each
 test here runs one harness with exactly one observable changed on the
 fast side only, and requires a :class:`Divergence` that names it.
@@ -11,12 +14,14 @@ from functools import partial
 
 import pytest
 
+from repro.arch.sgx import SGX
 from repro.attacks import batch
 from repro.attacks.batch_diff import CacheScenario, batched_run, scalar_run
 from repro.cpu.diff import lockstep, reference_twin
 from repro.cpu.soc import make_embedded_soc
 from repro.isa import assemble
-from repro.lockstep import Divergence, run_pair
+from repro.lockstep import Divergence, compare, run_pair
+from repro.memory.paging import PAGE_SIZE
 from repro.power.diff import SCAConfig, batched_capture, scalar_capture
 from repro.spec import (
     GADGETS_BY_NAME,
@@ -26,6 +31,7 @@ from repro.spec import (
 from repro.spec.explore_diff import explore_with
 from repro.spec.scanner import scan_config_for
 from tests.conftest import AES_KEY
+from tests.test_enclave_load import _build, _outcome
 
 
 def test_attack_harness_names_one_llc_lru_stamp(monkeypatch):
@@ -164,3 +170,32 @@ def test_explorer_harness_names_one_leak_event_field():
     with pytest.raises(Divergence, match=r"^leaks\[0\]\.depth diverged"):
         run_pair(GADGETS_BY_NAME["v1-bounds-bypass"], deeper,
                  partial(explore_with, SpeculationExplorer, config))
+
+
+def test_enclave_harness_names_one_l1_view_word(monkeypatch):
+    """ELDU's batch with one word of the speculative L1 view changed."""
+    real = SGX._move_words
+    skewed = []
+
+    def skew(self, core, entry, region, paddr, count, words, reload=False):
+        moved = real(self, core, entry, region, paddr, count, words, reload)
+        if reload:
+            core._l1_view[paddr] ^= 1
+            skewed.append(paddr)
+        return moved
+
+    def swap(patch, per_word):
+        sgx, handles = _build((PAGE_SIZE,), patch, per_word=per_word)
+        sgx.swap_out(handles[0], 0)
+        sgx.swap_in(handles[0], 0)
+        return _outcome(sgx, handles)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SGX, "_move_words", skew)
+        fast = swap(patch, False)
+    with monkeypatch.context() as patch:
+        ref = swap(patch, True)
+    assert len(skewed) == 1
+    with pytest.raises(Divergence, match=(
+            rf"^swap\.soc\.core0\.l1_view\[{skewed[0]}\] diverged")):
+        compare("swap", fast, ref)
