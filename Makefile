@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench artefacts diff matrix scan chaos serve-smoke lint determinism ci
+.PHONY: test bench artefacts diff matrix scan chaos serve-smoke lint determinism reach ci
 
 ## Tier-1 test suite (fast; micro-benchmarks excluded via the bench marker).
 ## PYTEST_ARGS lets CI bolt on reporting flags (--junitxml, --durations)
@@ -80,6 +80,14 @@ lint:
 determinism:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -q tests/test_runner.py -k HashSeed
 	PYTHONHASHSEED=12345 $(PYTHON) -m pytest -q tests/test_runner.py -k HashSeed
+
+## Reachability gate: run every entry point above (artefact commands,
+## artefact checks, the diff, chaos and serve-smoke targets) under a
+## profiling hook; fail on any src/repro module none of them reaches
+## unless tools/reach.py allowlists it.  Prints reached/total function
+## counts.  Takes a few minutes (the hook slows every call).
+reach:
+	$(PYTHON) tools/reach.py
 
 ## Everything CI gates on, runnable locally before pushing.
 ci: lint test determinism

@@ -21,7 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                  "KernelMemoryProbeAttack"),
     "cache_sca": ("EvictTimeAttack", "FlushReloadAttack",
                   "PrimeProbeAttack"),
-    "tlb_btb": ("BranchShadowingAttack", "TLBContentionAttack"),
     "spectre": ("SpectreBTBAttack", "SpectreV1Attack"),
     "meltdown": ("MeltdownAttack",),
     "foreshadow": ("ForeshadowAttack",),

@@ -54,10 +54,10 @@ context accounting — or refuses to run (``None`` from
 scalar oracle.  The gates are type-exact and side-effect-free, and each
 refusal names the first gate that failed in an
 ``attack.batch_declined`` trace event.  Declined, among others:
-custom policies, partitions and index functions; a victim whose lines
-are only partly LLC-excluded; bus snoopers, and any controller or
-transform other than the MEE, SGX's EPC check and the TZASC (Sanctum's
-DMA filter, so Sanctum's rows stay scalar); reads those controllers
+partitions and index functions; a victim whose lines are only partly
+LLC-excluded; bus snoopers, and any controller or transform other than
+the MEE, SGX's EPC check and the TZASC (Sanctum's DMA filter, so
+Sanctum's rows stay scalar); reads those controllers
 would deny; an MEE tag failure; MMU walk hooks or a TLB entry that
 disagrees with the page table; hooked ciphers and subclassed RNGs.
 The bus controllers are pre-run once for every distinct (master, word,
@@ -89,7 +89,6 @@ from repro.arch.trustzone import TrustZone
 from repro.attacks.base import AttackerProcess
 from repro.cache.cache import Cache, _Line
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.policies import LRUPolicy
 from repro.cache.tlb import TLB
 from repro.cpu.core import Core
 from repro.cpu.speculative import SpeculativeCore
@@ -762,8 +761,6 @@ def _hierarchy_gate(hierarchy) -> str | None:
             return "cache-partition"
         if cache.index_fn is not None:
             return "cache-index-fn"
-        if cache.policy_types() != {LRUPolicy}:
-            return "cache-policy"
         if cache.line_size != hierarchy.config.line_size:
             return "cache-line-size"
     return None

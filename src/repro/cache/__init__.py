@@ -5,8 +5,8 @@ structures.  The models are behavioural but cycle-attributed: an access
 returns which level hit and a latency, which is exactly the signal
 Evict+Time / Prime+Probe / Flush+Reload quantify.
 
-* :class:`Cache` — physically-indexed set-associative cache with pluggable
-  replacement and index functions.
+* :class:`Cache` — physically-indexed set-associative LRU cache with
+  pluggable index functions.
 * :class:`CacheHierarchy` — per-core L1s over a shared last-level cache,
   with the defences the paper contrasts: way partitioning [39], randomised
   index mapping [40], page colouring (Sanctum), and cache exclusion
@@ -18,8 +18,7 @@ Evict+Time / Prime+Probe / Flush+Reload quantify.
 from repro.common import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "policies": ("FIFOPolicy", "LRUPolicy", "RandomPolicy",
-                 "ReplacementPolicy", "TreePLRUPolicy"),
+    "policies": ("LRUPolicy",),
     "cache": ("AccessResult", "Cache", "CacheStats"),
     "hierarchy": ("CacheHierarchy", "HierarchyConfig", "MemoryAccess"),
     "tlb": ("TLB",),

@@ -1,6 +1,6 @@
 """Branch Target Buffer.
 
-Two properties drive the attacks built on this structure:
+Two properties make this structure a channel:
 
 * **Virtual-address indexing, no domain tag** (the commodity-CPU default
   the paper cites via [21]): entries are matched purely on branch PC bits,
@@ -94,15 +94,6 @@ class BranchTargetBuffer:
         victim = min(range(self.ways), key=lambda w: entries[w].stamp)
         entries[victim] = _BTBEntry(self._partial_tag(pc), asid, target,
                                     self._stamp)
-
-    def evict(self, pc: int, asid: int = 0) -> bool:
-        """Drop the entry matching ``pc`` (branch-shadowing reset step)."""
-        entries = self._sets[self._index(pc)]
-        for way, entry in enumerate(entries):
-            if entry is not None and self._matches(entry, pc, asid):
-                entries[way] = None
-                return True
-        return False
 
     def flush(self) -> int:
         """Drop all entries; returns the count (context-switch mitigation)."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from repro.cache.policies import LRUPolicy, ReplacementPolicy
+from repro.cache.policies import LRUPolicy
 
 #: Signature for custom set-index functions (randomised mapping).
 IndexFn = Callable[[int], int]
@@ -55,7 +55,7 @@ class SetState(NamedTuple):
     #: ``None`` = invalid way.  The hot lookup scans this flat int list
     #: (``in``, then ``list.index`` on a hit) instead of walking lines.
     tags: Sequence[int | None]
-    policy: ReplacementPolicy
+    policy: LRUPolicy
 
 
 class Cache:
@@ -71,15 +71,12 @@ class Cache:
     Sets are sparse, like :class:`~repro.memory.phys.PhysicalMemory`: a
     set's lines, tags and policy are created by :meth:`materialise` the
     first time an access reaches it.  An untouched set is
-    all-invalid with a fresh policy, which is what :attr:`pristine`
+    all-invalid with a fresh LRU policy, which is what :attr:`pristine`
     holds, so it reads exactly as an eagerly built one would.
-    ``policy_factory`` is called once for :attr:`pristine` and then once
-    per set, on first touch.
     """
 
     def __init__(self, name: str, num_sets: int, ways: int,
                  line_size: int = 64, hit_latency: int = 4,
-                 policy_factory: Callable[[int], ReplacementPolicy] = LRUPolicy,
                  index_fn: IndexFn | None = None) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
@@ -93,17 +90,16 @@ class Cache:
         self.index_fn = index_fn
         self.partition = None  # WayPartition | None
         self.stats = CacheStats()
-        self._policy_factory = policy_factory
         #: The state every untouched set reads as.  Shared by all of them,
         #: so readers must not mutate it (its sequences are tuples).
         self.pristine = SetState((None,) * ways, (None,) * ways,
-                                 policy_factory(ways))
+                                 LRUPolicy(ways))
         # Per-set state, ``None`` until materialise() creates it.  Three
         # parallel lists, not one of SetStates, so the hot path reads a
         # set's tags and policy without unpacking a tuple.
         self._lines: list[list[_Line | None] | None] = [None] * num_sets
         self._tags: list[list[int | None] | None] = [None] * num_sets
-        self._policies: list[ReplacementPolicy | None] = [None] * num_sets
+        self._policies: list[LRUPolicy | None] = [None] * num_sets
         #: Indices of touched sets, in the order they were first touched.
         self._touched: list[int] = []
         # Hot-path allocation avoidance: per-set-index AccessResult
@@ -125,7 +121,7 @@ class Cache:
             ways = self.ways
             self._lines[idx] = [None] * ways
             self._tags[idx] = [None] * ways
-            self._policies[idx] = self._policy_factory(ways)
+            self._policies[idx] = LRUPolicy(ways)
             self._touched.append(idx)
         return SetState(self._lines[idx], self._tags[idx],
                         self._policies[idx])
@@ -149,13 +145,6 @@ class Cache:
     def touched_sets(self) -> list[int]:
         """Indices of the sets allocated so far, in set order."""
         return sorted(self._touched)
-
-    def policy_types(self) -> set[type]:
-        """The type of every set's replacement policy."""
-        types = {type(self._policies[idx]) for idx in self._touched}
-        if len(self._touched) < self.num_sets:
-            types.add(type(self.pristine.policy))
-        return types
 
     # -- geometry ------------------------------------------------------------
 
@@ -210,8 +199,8 @@ class Cache:
 
         ways = self._lines[idx]
         if self.partition is None:
-            # Unpartitioned fast path: every policy prefers the first free
-            # way (victim() returns _first_free when one exists), and with
+            # Unpartitioned fast path: LRU prefers the first free way
+            # (victim() returns _first_free when one exists), and with
             # all ways allowed that is exactly ``tags.index(None)``.
             if None in tags:
                 way = tags.index(None)
@@ -244,8 +233,11 @@ class Cache:
         return AccessResult(False, idx, self.hit_latency, evicted=evicted)
 
     def hit_again(self, addr: int, count: int, is_write: bool = False) -> None:
-        """Record ``count`` more hits on the resident line holding ``addr``:
-        the state that many :meth:`access` calls leave when each hits."""
+        """Record ``count`` (at least one) more hits on the resident line
+        holding ``addr``: the state that many :meth:`access` calls leave
+        when each hits.  Each LRU hit advances the set's stamp by one and
+        gives it to the way, so the stamp advances by ``count`` at once,
+        as in :meth:`TLB.hit_again <repro.cache.tlb.TLB.hit_again>`."""
         tag = addr // self.line_size
         if self.index_fn is None:
             idx = tag % self.num_sets
@@ -253,8 +245,8 @@ class Cache:
             idx = self.index_fn(addr) % self.num_sets
         way = self._tags[idx].index(tag)
         policy = self._policies[idx]
-        for _ in range(count):
-            policy.on_hit(way)
+        policy._stamp += count
+        policy._last_use[way] = policy._stamp
         self.stats.hits += count
         if is_write:
             self._lines[idx][way].dirty = True

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.cache import Cache
-from repro.cache.policies import LRUPolicy
 from repro.memory.phys import WORD_SIZE
 
 
@@ -69,11 +68,11 @@ class CacheHierarchy:
         cfg = self.config
         self.l1s = [
             Cache(f"l1-core{i}", cfg.l1_sets, cfg.l1_ways, cfg.line_size,
-                  hit_latency=cfg.l1_latency, policy_factory=LRUPolicy)
+                  hit_latency=cfg.l1_latency)
             for i in range(cfg.num_cores)
         ]
         self.l2 = Cache("llc", cfg.l2_sets, cfg.l2_ways, cfg.line_size,
-                        hit_latency=cfg.l2_latency, policy_factory=LRUPolicy)
+                        hit_latency=cfg.l2_latency)
         #: Physical ranges served by core-private caches only (Sanctuary's
         #: "exclude enclave memory from the shared caches").
         self._llc_excluded: list[tuple[int, int]] = []

@@ -1,40 +1,12 @@
-"""Replacement policies for set-associative caches.
+"""LRU replacement for set-associative caches.
 
 A policy instance manages one cache *set* of ``ways`` slots, identified by
-way index.  The cache calls :meth:`on_hit`/:meth:`on_fill` to record usage
-and :meth:`victim` to choose an eviction way.  Policies are deliberately
-deterministic (RandomPolicy is seeded) so side-channel experiments are
-reproducible.
+way index.  The cache calls :meth:`LRUPolicy.on_hit`/:meth:`LRUPolicy.on_fill`
+to record usage and :meth:`LRUPolicy.victim` to choose an eviction way.
+LRU is deterministic, so side-channel experiments are reproducible.
 """
 
 from __future__ import annotations
-
-import random
-from typing import Protocol
-
-
-class ReplacementPolicy(Protocol):
-    """Per-set replacement state."""
-
-    def on_hit(self, way: int) -> None:
-        """Record a hit in ``way``."""
-
-    def on_fill(self, way: int) -> None:
-        """Record a fill into ``way``."""
-
-    def victim(self, occupied: list[bool], allowed: list[bool]) -> int:
-        """Pick a way to evict/fill.
-
-        ``occupied[w]`` tells whether way ``w`` holds a valid line;
-        ``allowed[w]`` restricts the choice (way partitioning).  Empty
-        allowed ways are preferred over evicting.
-        """
-
-    def victim_full(self) -> int:
-        """Victim for the common case: every way occupied, every way
-        allowed.  Must pick the same way :meth:`victim` would; the cache
-        calls this directly on unpartitioned sets to skip the vector
-        bookkeeping."""
 
 
 def _first_free(occupied: list[bool], allowed: list[bool]) -> int | None:
@@ -60,6 +32,12 @@ class LRUPolicy:
         self.on_hit(way)
 
     def victim(self, occupied: list[bool], allowed: list[bool]) -> int:
+        """Pick a way to evict/fill.
+
+        ``occupied[w]`` tells whether way ``w`` holds a valid line;
+        ``allowed[w]`` restricts the choice (way partitioning).  Empty
+        allowed ways are preferred over evicting.
+        """
         free = _first_free(occupied, allowed)
         if free is not None:
             return free
@@ -77,130 +55,9 @@ class LRUPolicy:
         return best
 
     def victim_full(self) -> int:
+        """Victim for the common case: every way occupied, every way
+        allowed.  Picks the same way :meth:`victim` would; the cache
+        calls this directly on unpartitioned sets to skip the vector
+        bookkeeping."""
         last_use = self._last_use
         return last_use.index(min(last_use))
-
-
-class FIFOPolicy:
-    """First-in-first-out: hits do not refresh a line's age."""
-
-    def __init__(self, ways: int) -> None:
-        self.ways = ways
-        self._stamp = 0
-        self._filled_at = [0] * ways
-
-    def on_hit(self, way: int) -> None:
-        pass
-
-    def on_fill(self, way: int) -> None:
-        self._stamp += 1
-        self._filled_at[way] = self._stamp
-
-    def victim(self, occupied: list[bool], allowed: list[bool]) -> int:
-        free = _first_free(occupied, allowed)
-        if free is not None:
-            return free
-        candidates = [w for w in range(self.ways) if allowed[w]]
-        if not candidates:
-            raise ValueError("no way allowed for this domain")
-        return min(candidates, key=lambda w: self._filled_at[w])
-
-    def victim_full(self) -> int:
-        filled_at = self._filled_at
-        return filled_at.index(min(filled_at))
-
-
-class RandomPolicy:
-    """Seeded uniform-random victim selection.
-
-    Random replacement weakens (but does not eliminate) eviction-set
-    construction — a useful contrast case for the ABL-1 defence ablation.
-    """
-
-    def __init__(self, ways: int, seed: int = 0) -> None:
-        self.ways = ways
-        self._rng = random.Random(seed)
-
-    def on_hit(self, way: int) -> None:
-        pass
-
-    def on_fill(self, way: int) -> None:
-        pass
-
-    def victim(self, occupied: list[bool], allowed: list[bool]) -> int:
-        free = _first_free(occupied, allowed)
-        if free is not None:
-            return free
-        candidates = [w for w in range(self.ways) if allowed[w]]
-        if not candidates:
-            raise ValueError("no way allowed for this domain")
-        return self._rng.choice(candidates)
-
-    def victim_full(self) -> int:
-        # choice(range) draws identically to choice over the full
-        # candidate list, so the RNG stream is unchanged.
-        return self._rng.choice(range(self.ways))
-
-
-class TreePLRUPolicy:
-    """Tree pseudo-LRU, the common hardware approximation.
-
-    Maintains a binary tree of direction bits over a power-of-two number of
-    ways; hits flip the bits along the path away from the used way, and the
-    victim follows the bits from the root.
-    """
-
-    def __init__(self, ways: int) -> None:
-        if ways & (ways - 1):
-            raise ValueError("TreePLRU requires a power-of-two way count")
-        self.ways = ways
-        self._bits = [0] * max(ways - 1, 1)
-
-    def _update(self, way: int) -> None:
-        node = 0
-        span = self.ways
-        while span > 1:
-            span //= 2
-            if way < span:
-                self._bits[node] = 1  # point away: right next time
-                node = 2 * node + 1
-            else:
-                self._bits[node] = 0
-                node = 2 * node + 2
-                way -= span
-
-    def on_hit(self, way: int) -> None:
-        if self.ways > 1:
-            self._update(way)
-
-    def on_fill(self, way: int) -> None:
-        self.on_hit(way)
-
-    def victim(self, occupied: list[bool], allowed: list[bool]) -> int:
-        free = _first_free(occupied, allowed)
-        if free is not None:
-            return free
-        if not any(allowed):
-            raise ValueError("no way allowed for this domain")
-        way = self.victim_full()
-        if allowed[way]:
-            return way
-        # Partitioned sets may exclude the tree's choice; fall back to the
-        # first allowed way (hardware PLRU with way-locking does the same).
-        return next(w for w in range(self.ways) if allowed[w])
-
-    def victim_full(self) -> int:
-        if self.ways == 1:
-            return 0
-        node = 0
-        way = 0
-        span = self.ways
-        while span > 1:
-            span //= 2
-            if self._bits[node]:
-                # Bit points right: the victim lives in the right subtree.
-                node = 2 * node + 2
-                way += span
-            else:
-                node = 2 * node + 1
-        return way

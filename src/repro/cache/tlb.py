@@ -118,15 +118,6 @@ class TLB:
         entry.stamp = self._stamp
         self.hits += count
 
-    def contains(self, asid: int, va_page: int) -> bool:
-        """Presence probe without updating LRU state."""
-        return self.peek(asid, va_page) is not None
-
-    def set_occupancy(self, va_page: int) -> int:
-        """Valid entries in the set ``va_page`` maps to (contention probe)."""
-        return sum(1 for entry in self._sets[self._set_index(va_page)]
-                   if entry is not None)
-
     def access_latency(self, hit: bool) -> int:
         """Cycle cost the core charges for a translation."""
         return self.hit_latency if hit else self.miss_penalty

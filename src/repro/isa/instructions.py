@@ -3,8 +3,7 @@
 Instructions are plain frozen dataclasses interpreted by
 :class:`repro.cpu.core.Core`.  Every instruction occupies
 :data:`INSTR_SIZE` bytes of instruction memory so programs have realistic
-program-counter arithmetic (the BTB and branch-shadowing attacks rely on
-branch *addresses*).
+program-counter arithmetic (BTB aliasing relies on branch *addresses*).
 
 Registers are named ``r0`` .. ``r15``; ``r0`` is hard-wired to zero, ``r14``
 is the conventional stack pointer (``sp``) and ``r15`` the link register

@@ -38,7 +38,6 @@ from repro.attacks.cache_sca import (
 )
 from repro.attacks.suites import MatrixKnobs, microarch_suite, physical_suite
 from repro.attacks.timing import KocherTimingAttack
-from repro.cache.policies import FIFOPolicy
 from repro.core.comparison import cache_defence_table
 from repro.core.figure1 import generate_figure1
 from repro.core.platforms import STANDARD_PLATFORMS
@@ -201,16 +200,6 @@ class TestDeclineReasons:
         with obs.activate(obs.Tracer(scope="decline", seed=1)):
             assert try_run_batched(attack) is None
             assert _decline_reasons() == ["bus-controller"]
-
-    def test_custom_policy_hierarchy_declines(self):
-        attack, _, soc = CacheScenario(attack="prime+probe",
-                                       samples_per_value=1).build()
-        llc = soc.hierarchy.l2
-        llc.materialise(0)
-        llc._policies[0] = FIFOPolicy(llc.ways)
-        with obs.activate(obs.Tracer(scope="decline", seed=1)):
-            assert try_run_batched(attack) is None
-            assert _decline_reasons() == ["cache-policy"]
 
     @pytest.mark.parametrize("host", ["sgx", "trustzone", "sanctuary"])
     def test_tee_refused_flush_reload_probe_declines(self, host):

@@ -79,6 +79,29 @@ class TestEviction:
         assert cache.stats.evictions == 1
 
 
+class TestHitAgain:
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_matches_that_many_hitting_accesses(self, is_write):
+        def warm():
+            cache = Cache("h", num_sets=2, ways=4, line_size=64)
+            for addr in (0x000, 0x080, 0x100):  # all set 0; 0x000 is LRU
+                cache.access(addr)
+            return cache
+
+        def state(cache):
+            lines, tags, policy = cache.set_state(0)
+            return (list(tags),
+                    [(ln.tag, ln.addr, ln.domain, ln.dirty) for ln in lines
+                     if ln is not None],
+                    policy._stamp, list(policy._last_use), cache.stats)
+
+        batched, stepped = warm(), warm()
+        batched.hit_again(0x008, 3, is_write)
+        for _ in range(3):
+            assert stepped.access(0x008, is_write).hit
+        assert state(batched) == state(stepped)
+
+
 class TestFlush:
     def test_flush_line(self, cache):
         cache.access(0x1000)

@@ -1,16 +1,10 @@
-"""Replacement policies."""
+"""LRU replacement policy."""
 
 import pytest
 
-from repro.cache.policies import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-)
+from repro.cache.policies import LRUPolicy
 
 ALL = [True] * 4
-NONE_OCCUPIED = [False] * 4
 ALL_OCCUPIED = [True] * 4
 
 
@@ -36,70 +30,3 @@ class TestLRU:
         policy = LRUPolicy(4)
         with pytest.raises(ValueError):
             policy.victim(ALL_OCCUPIED, [False] * 4)
-
-
-class TestFIFO:
-    def test_hits_do_not_refresh(self):
-        policy = FIFOPolicy(4)
-        for way in range(4):
-            policy.on_fill(way)
-        policy.on_hit(0)  # irrelevant for FIFO
-        assert policy.victim(ALL_OCCUPIED, ALL) == 0
-
-    def test_fill_order(self):
-        policy = FIFOPolicy(2)
-        policy.on_fill(1)
-        policy.on_fill(0)
-        assert policy.victim([True, True], [True, True]) == 1
-
-
-class TestRandom:
-    def test_deterministic_with_seed(self):
-        a = RandomPolicy(4, seed=1)
-        b = RandomPolicy(4, seed=1)
-        picks_a = [a.victim(ALL_OCCUPIED, ALL) for _ in range(10)]
-        picks_b = [b.victim(ALL_OCCUPIED, ALL) for _ in range(10)]
-        assert picks_a == picks_b
-
-    def test_covers_all_ways_eventually(self):
-        policy = RandomPolicy(4, seed=3)
-        picks = {policy.victim(ALL_OCCUPIED, ALL) for _ in range(100)}
-        assert picks == {0, 1, 2, 3}
-
-    def test_prefers_free(self):
-        policy = RandomPolicy(4, seed=0)
-        assert policy.victim([True, True, False, True], ALL) == 2
-
-    def test_respects_mask(self):
-        policy = RandomPolicy(4, seed=0)
-        picks = {policy.victim(ALL_OCCUPIED, [False, True, False, True])
-                 for _ in range(50)}
-        assert picks <= {1, 3}
-
-
-class TestTreePLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUPolicy(3)
-
-    def test_single_way(self):
-        policy = TreePLRUPolicy(1)
-        assert policy.victim([True], [True]) == 0
-
-    def test_recent_way_not_evicted(self):
-        policy = TreePLRUPolicy(4)
-        for way in range(4):
-            policy.on_fill(way)
-        policy.on_hit(2)
-        assert policy.victim(ALL_OCCUPIED, ALL) != 2
-
-    def test_fallback_when_choice_masked(self):
-        policy = TreePLRUPolicy(4)
-        for way in range(4):
-            policy.on_fill(way)
-        victim = policy.victim(ALL_OCCUPIED, [True, False, False, False])
-        assert victim == 0
-
-    def test_prefers_free_way(self):
-        policy = TreePLRUPolicy(4)
-        assert policy.victim([True, True, False, True], ALL) == 2

