@@ -2,6 +2,7 @@
 
 :class:`AttackCategory` and :class:`AttackResult` are defined in the
 leaf module :mod:`repro.attacks.result` and re-exported here.
+:func:`measure` picks the lane an attack measures on.
 """
 
 from __future__ import annotations
@@ -10,7 +11,24 @@ from repro.attacks.result import AttackCategory, AttackResult
 from repro.errors import AccessFault, MemoryFault
 from repro.memory.bus import BusMaster, BusTransaction
 
-__all__ = ["AttackCategory", "AttackResult", "AttackerProcess"]
+__all__ = ["AttackCategory", "AttackResult", "AttackerProcess", "measure"]
+
+
+def measure(attack):
+    """What ``attack`` measured, before any grading.
+
+    The batched kernel's measurement (:func:`repro.attacks.batch.
+    try_run_batched`, looked up at call time) unless ``attack.batch`` is
+    false or the kernel declines; then the attack's scalar
+    ``_measure()``, the oracle.  Both lanes return the same value, so
+    the attack grades it and builds its result in one place.
+    """
+    if attack.batch:
+        from repro.attacks.batch import try_run_batched
+        measured = try_run_batched(attack)
+        if measured is not None:
+            return measured
+    return attack._measure()
 
 
 def _modulo_set_lines(pages: list[int], line_size: int, num_sets: int,

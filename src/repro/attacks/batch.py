@@ -1,4 +1,12 @@
-"""Batched attack kernels: vectorized twins of the scalar attack suites.
+"""Batched attack kernels: fast twins of the attacks' scalar measurements.
+
+A kernel measures and nothing else.  It returns what the attack's
+scalar ``_measure()`` returns — Prime+Probe ``(recovered, coverage)``,
+Flush+Reload and Evict+Time ``recovered``, Kocher ``(recovered_bits,
+attack_bits)`` — and the attack's ``run()`` grades that measurement
+and builds its result, the same way on either lane.  Flush+Reload's
+precondition probe runs in ``run()`` before any lane choice, so its
+kernel starts after a probe that succeeded.
 
 The scalar cache side-channel attacks (:mod:`repro.attacks.cache_sca`)
 step the live :class:`~repro.cache.hierarchy.CacheHierarchy` once per
@@ -6,7 +14,7 @@ step the live :class:`~repro.cache.hierarchy.CacheHierarchy` once per
 ``CacheHierarchy.access`` → ``Cache.access`` → policy objects), and the
 Kocher timing attack re-simulates modexp prefix timing sample-by-sample
 with two redundant big-int multiplications per modelled one.  These
-kernels run the *same* experiments in array form:
+kernels run the *same* measurements in array form:
 
 * plaintexts are pre-drawn with :meth:`XorShiftRNG.u64_block` (the RNG
   stream and end state are bit-identical to the scalar per-sample
@@ -28,7 +36,9 @@ kernels run the *same* experiments in array form:
   form (:meth:`_SimHierarchy.sample`), and any other sweep walks;
 * the Kocher measured/lookahead phases share one reduced product per
   modelled multiplication instead of recomputing it for the timing model
-  and the value update separately.
+  and the value update separately (a Python loop over the samples with
+  three big-int multiplications per step and sample, not six); its
+  error correction is the attack's own ``_backtrack`` over this pass.
 
 The victims the kernels model are the shared-library
 :class:`~repro.attacks.cache_sca.SharedAESService` and the enclave
@@ -46,18 +56,18 @@ read once, as one list (``MemoryEncryptionEngine.open_words``, the
 many-word form of its ``on_read``), before the run mutates anything.
 
 **Bit-identical or bust**: every kernel either reproduces the retained
-scalar attack exactly — recovered keys, scores, RNG end states, cache
-contents, replacement state, per-level stats, bus transaction and
-denial counts, TLB and MMU state, MEE counters, core cycle/energy/
-context accounting — or refuses to run (``None`` from
-:func:`try_run_batched`), in which case the caller falls back to the
-scalar oracle.  The gates are type-exact and side-effect-free, and each
-refusal names the first gate that failed in an
-``attack.batch_declined`` trace event.  Declined, among others:
+scalar measurement exactly, with exactly its side effects — the
+measurement itself, RNG end states, cache contents, replacement state,
+per-level stats, bus transaction and denial counts, TLB and MMU state,
+MEE counters, core cycle/energy/context accounting — or refuses to run
+(``None`` from :func:`try_run_batched`), in which case the attack
+measures on the scalar oracle.  The gates are type-exact and
+side-effect-free, and each refusal names the first gate that failed in
+an ``attack.batch_declined`` trace event.  Declined, among others:
 partitions and index functions; a victim whose lines are only partly
 LLC-excluded; bus snoopers, and any controller or transform other than
 the MEE, SGX's EPC check and the TZASC (Sanctum's DMA filter, so
-Sanctum's rows stay scalar); reads those controllers
+Sanctum's Prime+Probe stays scalar); reads those controllers
 would deny; an MEE tag failure; MMU walk hooks or a TLB entry that
 disagrees with the page table; hooked ciphers and subclassed RNGs.
 The bus controllers are pre-run once for every distinct (master, word,
@@ -99,7 +109,7 @@ from repro.crypto.aes_batch import (
     _round_key_matrix,
     _SHIFT_ROWS,
 )
-from repro.crypto.modexp import EXTRA_REDUCTION_COST
+from repro.crypto.modexp import BASE_MULT_COST, EXTRA_REDUCTION_COST
 from repro.crypto.rng import XorShiftRNG
 from repro.crypto.rsa import RSA
 from repro.errors import AccessFault, PageFault
@@ -1319,8 +1329,7 @@ def _attacker_reads_gate(attacker, addrs) -> str | None:
 
 def _build_sim(attack, model) -> _SimHierarchy:
     """Snapshot the live hierarchy and bind the victim model.  Call only
-    after every gate passed (and after any live preconditions ran, so the
-    snapshot captures their effects)."""
+    after every gate passed."""
     sim = _SimHierarchy(attack.attacker.soc.hierarchy)
     model.attach(sim)
     return sim
@@ -1338,7 +1347,7 @@ def _run_prime_probe(attack):
         BYTE_TO_TABLE,
         LINES_PER_TABLE,
         _best_nibble,
-        _grade,
+        _eviction_sets,
         _plaintext_nibbles,
     )
     model = _cache_gates(attack)
@@ -1348,7 +1357,7 @@ def _run_prime_probe(attack):
     # Eviction sets are pure address arithmetic: build them up front so
     # every timed read the probes will issue is checked before any state
     # moves.
-    evictions = [attack._eviction_sets(BYTE_TO_TABLE[b])
+    evictions = [_eviction_sets(attack, BYTE_TO_TABLE[b])
                  for b in cfg.target_bytes]
     covered = [sum(1 for addrs in eviction if len(addrs) >= attack._ways)
                for eviction in evictions]
@@ -1405,25 +1414,14 @@ def _run_prime_probe(attack):
                     samples_closed=sim.samples_closed - samples_closed)
 
     _finalize_cache_run(attack, sim, model, timed_reads)
-    score = _grade(recovered, attack.victim.key)
-    from repro.attacks.base import AttackCategory, AttackResult
-    return AttackResult(
-        name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,
-        success=score >= 0.75 and len(recovered) == len(cfg.target_bytes),
-        score=score,
-        leaked={b: f"high nibble {n:#x}" for b, n in recovered.items()},
-        details={"recovered": recovered, "set_coverage": coverage,
-                 "bytes_attacked": list(cfg.target_bytes)})
+    return recovered, coverage
 
 
 def _run_flush_reload(attack):
-    from repro.attacks.base import AttackCategory, AttackResult
     from repro.attacks.cache_sca import (
         BYTE_TO_TABLE,
-        LINE_SIZE,
         LINES_PER_TABLE,
         _best_nibble,
-        _grade,
         _plaintext_nibbles,
     )
     reason = _attacker_gates(attack)
@@ -1431,18 +1429,11 @@ def _run_flush_reload(attack):
         return reason
     cfg = attack.config
     attacker = attack.attacker
-    base = attack.victim.table_paddr
     lines = [attack._line_paddr(table, line) for table in range(5)
              for line in range(LINES_PER_TABLE)]
-    lo = lines[0]
     if (type(attacker.arch).attacker_can_map
             is not SecurityArchitecture.attacker_can_map):
         return "attacker-map"  # a translation-level defence: not modelled
-    # A refused precondition probe declines too: the scalar attack stops
-    # at that one read, so there is nothing to batch.
-    reason = _bus_reads_gate(attacker.soc.bus, attacker.master, [lo])
-    if reason:
-        return reason
     model = _victim_model(attack.victim, attacker)
     if isinstance(model, str):
         return model
@@ -1452,17 +1443,6 @@ def _run_flush_reload(attack):
     hierarchy = attacker.soc.hierarchy
     if not all(hierarchy._llc_allowed(paddr) for paddr in lines):
         return "llc-exclusion"
-    # Precondition probe, run live (scalar-identical side effects) —
-    # only after the gates passed, so a fallback never double-runs it.
-    ok, _ = attacker.try_read(lo)
-    if not ok:
-        return AttackResult(
-            name=attack.NAME,
-            category=AttackCategory.MICROARCHITECTURAL,
-            success=False, score=0.0,
-            details={"blocked": "victim memory not attacker-addressable"})
-
-    # Snapshot only now, so the live try_read's cache effects are in.
     sim = _build_sim(attack, model)
     shift = sim.shift
     span = obs.span
@@ -1474,8 +1454,7 @@ def _run_flush_reload(attack):
     for target_byte in cfg.target_bytes:
         with span("flush+reload:byte", cat="attack", byte=target_byte):
             table = BYTE_TO_TABLE[target_byte]
-            line_tags = [(base + table * AES_TABLE_STRIDE
-                          + line * LINE_SIZE) >> shift
+            line_tags = [attack._line_paddr(table, line) >> shift
                          for line in range(LINES_PER_TABLE)]
             values = _plaintext_nibbles(cfg)
             samples = cfg.samples_per_value
@@ -1498,21 +1477,15 @@ def _run_flush_reload(attack):
             recovered[target_byte] = _best_nibble(values, counts)
 
     _finalize_cache_run(attack, sim, model, timed_reads)
-    score = _grade(recovered, attack.victim.key)
-    return AttackResult(
-        name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,
-        success=score >= 0.75, score=score,
-        details={"recovered": recovered})
+    return recovered
 
 
 def _run_evict_time(attack):
-    from repro.attacks.base import AttackCategory, AttackResult
     from repro.attacks.cache_sca import (
         BYTE_TO_TABLE,
-        LINE_SIZE,
         LINES_PER_TABLE,
         _best_nibble,
-        _grade,
+        _eviction_sets,
         _plaintext_nibbles,
     )
     if type(attack.victim) is not AESVictim:
@@ -1525,16 +1498,9 @@ def _run_evict_time(attack):
     sim = _build_sim(attack, model)
     cfg = attack.config
     shift = sim.shift
-    llc = attack.attacker.soc.hierarchy.l2
     recovered: dict[int, int] = {}
     for target_byte in cfg.target_bytes:
-        table = BYTE_TO_TABLE[target_byte]
-        eviction = []
-        for line in range(LINES_PER_TABLE):
-            paddr = attack.victim.table_paddr \
-                + table * AES_TABLE_STRIDE + line * LINE_SIZE
-            eviction.append(attack.attacker.eviction_addresses_for_set(
-                llc.set_index(paddr), attack._ways))
+        eviction = _eviction_sets(attack, BYTE_TO_TABLE[target_byte])
         if any(len(addrs) < attack._ways for addrs in eviction):
             continue  # defence: sets unreachable
         ev_tags = [[addr >> shift for addr in addrs] for addrs in eviction]
@@ -1560,17 +1526,18 @@ def _run_evict_time(attack):
         recovered[target_byte] = _best_nibble(values, times)
 
     _finalize_cache_run(attack, sim, model, 0)
-    score = _grade(recovered, attack.victim.key)
-    return AttackResult(
-        name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,
-        success=score >= 0.75 and len(recovered) == len(cfg.target_bytes),
-        score=score,
-        details={"recovered": recovered})
+    return recovered
 
 
 # ---------------------------------------------------------------------------
 # Kocher timing kernel
 # ---------------------------------------------------------------------------
+
+#: A modelled multiplication's time (``repro.crypto.modexp.mult_time``):
+#: ``_SLOW`` when its reduced product needs the extra reduction (it is at
+#: least half the modulus), else ``_FAST``.
+_SLOW = BASE_MULT_COST + EXTRA_REDUCTION_COST
+_FAST = BASE_MULT_COST
 
 
 def _kocher_recover(accs, ts, ciphertexts, measured, n, attack_bits,
@@ -1590,6 +1557,7 @@ def _kocher_recover(accs, ts, ciphertexts, measured, n, attack_bits,
     from repro.attacks.timing import KocherTimingAttack
 
     pdiff = KocherTimingAttack._partition_diff
+    slow, fast = _SLOW, _FAST
     half = n >> 1
     nsamples = len(accs)
     ts = list(ts)
@@ -1608,10 +1576,10 @@ def _kocher_recover(accs, ts, ciphertexts, measured, n, attack_bits,
         f1ps = [0] * nsamples
         for s in range(nsamples):
             a0 = sqs[s]
-            t0 = ts[s] + (3.0 if a0 >= half else 2.0)
+            t0 = ts[s] + (slow if a0 >= half else fast)
             pm = (a0 * ciphertexts[s]) % n
             mul = pm >= half
-            t1 = t0 + (3.0 if mul else 2.0)
+            t1 = t0 + (slow if mul else fast)
             f0p = (a0 * a0) % n
             f1p = (pm * pm) % n
             total = measured[s]
@@ -1644,34 +1612,8 @@ def _kocher_recover(accs, ts, ciphertexts, measured, n, attack_bits,
     return bits, margins
 
 
-def _kocher_backtrack(bits, margins, accs, ts, ciphertexts, measured, n,
-                      attack_bits, rounds=3):
-    """Batched twin of ``KocherTimingAttack._backtrack`` (same flip
-    policy over the batched recover pass)."""
-    tried: set[int] = set()
-    for _ in range(rounds):
-        if len(margins) < 3:
-            return bits
-        tail_mean = sum(margins[-3:]) / 3
-        if tail_mean > EXTRA_REDUCTION_COST / 6:
-            return bits
-        candidates = [i for i in range(len(margins)) if i not in tried]
-        if not candidates:
-            return bits
-        weakest = min(candidates, key=lambda i: margins[i])
-        tried.add(weakest)
-        forced = {i: bits[i] for i in range(weakest)}
-        forced[weakest] = 1 - bits[weakest]
-        alt_bits, alt_margins = _kocher_recover(
-            accs, ts, ciphertexts, measured, n, attack_bits, forced=forced)
-        after = slice(weakest + 1, None)
-        if sum(alt_margins[after]) > sum(margins[after]):
-            bits, margins = alt_bits, alt_margins
-    return bits
-
-
 def _run_kocher_timing(attack):
-    from repro.attacks.base import AttackCategory, AttackResult
+    from repro.attacks.timing import KocherTimingAttack
 
     victim = attack.victim
     if type(victim) is not RSA:
@@ -1686,6 +1628,7 @@ def _run_kocher_timing(attack):
         return "degenerate-key"  # identical scalar error behaviour
     rng = attack.rng
     samples = attack.samples
+    slow, fast = _SLOW, _FAST
     half = n >> 1
     bits_total = d.bit_length()
 
@@ -1702,11 +1645,11 @@ def _run_kocher_timing(attack):
         total = 0.0
         for bit in exp_bits:
             p = (r * r) % n
-            total += 3.0 if p >= half else 2.0
+            total += slow if p >= half else fast
             r = p
             if bit:
                 p = (r * c) % n
-                total += 3.0 if p >= half else 2.0
+                total += slow if p >= half else fast
                 r = p
         measured.append(total)
     if attack.noise_std > 0:
@@ -1720,30 +1663,17 @@ def _run_kocher_timing(attack):
     for c in ciphertexts:
         acc = 1 % n
         p = (acc * acc) % n
-        t = 3.0 if p >= half else 2.0
+        t = slow if p >= half else fast
         acc = p
         p = (acc * c) % n
-        t += 3.0 if p >= half else 2.0
+        t += slow if p >= half else fast
         accs.append(p)
         ts.append(t)
 
     attack_bits = min(attack.max_bits, bits_total - 1)
-    recovered_bits, margins = _kocher_recover(
-        accs, ts, ciphertexts, measured, n, attack_bits)
-    recovered_bits = _kocher_backtrack(
-        recovered_bits, margins, accs, ts, ciphertexts, measured, n,
-        attack_bits)
-
-    truth = [(d >> (bits_total - 2 - i)) & 1 for i in range(attack_bits)]
-    correct = sum(1 for a, b in zip(recovered_bits, truth) if a == b)
-    score = correct / attack_bits if attack_bits else 0.0
-    return AttackResult(
-        name=attack.NAME, category=AttackCategory.PHYSICAL,
-        success=score >= 0.9, score=score,
-        leaked=recovered_bits if score >= 0.9 else None,
-        details={"bits_attacked": attack_bits, "correct": correct,
-                 "constant_time_victim": victim.constant_time,
-                 "samples": attack.samples})
+    recovered_bits = KocherTimingAttack._backtrack(partial(
+        _kocher_recover, accs, ts, ciphertexts, measured, n, attack_bits))
+    return recovered_bits, attack_bits
 
 
 # ---------------------------------------------------------------------------
@@ -1754,7 +1684,9 @@ _KERNELS: dict | None = None
 
 
 def try_run_batched(attack):
-    """Run ``attack``'s batched kernel, or ``None`` for scalar fallback.
+    """Run ``attack``'s batched kernel: its measurement, the value the
+    attack's scalar ``_measure()`` returns, or ``None`` for scalar
+    fallback.
 
     Dispatch is type-exact (``type(attack)``), so subclassed attacks
     always run their own (scalar) code.  A kernel that declines names
@@ -1779,9 +1711,9 @@ def try_run_batched(attack):
     kernel = _KERNELS.get(type(attack))
     if kernel is None:
         return None
-    result = kernel(attack)
-    if isinstance(result, str):
+    measured = kernel(attack)
+    if isinstance(measured, str):
         obs.event("attack.batch_declined", cat="attack", kernel=attack.NAME,
-                  reason=result)
+                  reason=measured)
         return None
-    return result
+    return measured

@@ -3,8 +3,8 @@
 The contract of :mod:`repro.attacks.batch` is **bit-identity**, the same
 bar the CPU fast path (:mod:`repro.cpu.diff`), the power instrument
 (:mod:`repro.power.diff`) and the sweep's lane replay are held to: for any
-attack configuration the kernel accepts, the batched and scalar paths
-must produce
+attack configuration the kernel accepts, ``run()`` on the default lane
+and on ``batch=False`` must produce
 
 * the same :class:`~repro.attacks.base.AttackResult` (name, category,
   success, score, leaked material, details — recovered keys included);
@@ -20,7 +20,8 @@ Scenarios run on every victim host the kernels model (null, SGX,
 TrustZone, Sanctuary) and on Sanctum, which they decline.
 
 :func:`batched_run` and :func:`scalar_run` each build a fresh
-environment from one immutable scenario and return an
+environment from one immutable scenario, call the attack's ``run()``
+(the path users run, grading included) and return an
 :class:`AttackOutcome`; ``repro.lockstep.run_pair(scenario, batched_run,
 scalar_run)`` runs both and raises a
 :class:`~repro.lockstep.Divergence` naming the first mismatching
@@ -169,17 +170,32 @@ class AttackOutcome:
 def scalar_run(scenario) -> AttackOutcome:
     """Run the scenario on the retained scalar oracle."""
     attack, rng, soc = scenario.build()
-    result = attack._run_scalar()
-    return _outcome(attack, result, rng, soc)
+    attack.batch = False
+    return _outcome(attack, attack.run(), rng, soc)
 
 
 def batched_run(scenario) -> AttackOutcome:
-    """Run the scenario through the batched kernel; a declined kernel is
-    a :class:`~repro.lockstep.Divergence` (use
-    :func:`batch.try_run_batched` directly to test fallback behaviour)."""
+    """Run the scenario on the default lane; a declined kernel is a
+    :class:`~repro.lockstep.Divergence` (use :func:`batch.try_run_batched`
+    directly to test fallback behaviour), a run that never reaches it
+    (Flush+Reload's refused probe) is not.  The caller's tracer, if any,
+    records the run."""
     attack, rng, soc = scenario.build()
-    result = batch.try_run_batched(attack)
-    if result is None:
+    declined = []
+    kernel = batch.try_run_batched
+
+    def watched(attack):
+        measured = kernel(attack)
+        if measured is None:
+            declined.append(attack.NAME)
+        return measured
+
+    batch.try_run_batched = watched
+    try:
+        result = attack.run()
+    finally:
+        batch.try_run_batched = kernel
+    if declined:
         raise Divergence(f"batched kernel declined scenario {scenario!r}")
     return _outcome(attack, result, rng, soc)
 

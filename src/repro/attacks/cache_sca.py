@@ -24,9 +24,13 @@ knowledge* (real attackers recover it with an alignment/profiling phase);
 whether the channel exists at all is decided entirely by the architecture
 underneath, which is the property the experiments measure.
 
-``run()`` goes through the bit-identical batched kernels of
-:mod:`repro.attacks.batch` by default, falling back to the scalar loop
-when they decline; ``batch=False`` forces the scalar reference oracle.
+Each attack measures, then grades.  ``run()`` takes the measurement of
+the bit-identical batched kernel in :mod:`repro.attacks.batch` by
+default, or of the scalar loop ``_measure()`` (the reference oracle)
+when the kernel declines or ``batch=False``; it then grades the
+recovered nibbles and builds the :class:`AttackResult`, the same way on
+either lane.  Flush+Reload's precondition probe runs in ``run()``,
+before any lane choice.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ import numpy as np
 
 import repro.obs as obs
 from repro.arch.base import AES_TABLE_STRIDE, AESVictim
-from repro.attacks.base import AttackCategory, AttackResult, AttackerProcess
+from repro.attacks.base import (
+    AttackCategory,
+    AttackResult,
+    AttackerProcess,
+    measure,
+)
 from repro.crypto.aes import TTABLE_LOOKUP_BYTE, TTableAES
 from repro.crypto.rng import XorShiftRNG
 
@@ -55,6 +64,44 @@ def _grade(recovered: dict[int, int], key: bytes) -> float:
     correct = sum(1 for b, nib in recovered.items()
                   if nib == key[b] >> 4)
     return correct / len(recovered)
+
+
+def _verdict(attack, recovered: dict[int, int], every_byte: bool,
+             leaked: object = None, **details) -> AttackResult:
+    """Grade a cache attack's ``recovered`` nibbles: success is a score
+    of at least 0.75, and with ``every_byte`` also a nibble for every
+    target byte."""
+    score = _grade(recovered, attack.victim.key)
+    return AttackResult(
+        name=attack.NAME, category=AttackCategory.MICROARCHITECTURAL,
+        success=score >= 0.75 and (
+            not every_byte
+            or len(recovered) == len(attack.config.target_bytes)),
+        score=score, leaked=leaked,
+        details={"recovered": recovered, **details})
+
+
+def _alloc_eviction_pages(attacker: AttackerProcess) -> int:
+    """Give ``attacker`` the pages its eviction sets draw from; return
+    the LLC's ways, the lines each set needs."""
+    llc = attacker.soc.hierarchy.l2
+    # Enough pages that every LLC set is coverable with `ways` lines
+    # *if the OS hands out uncoloured frames*; under Sanctum's
+    # allocator the enclave-coloured sets stay unreachable no matter
+    # how many pages we ask for.
+    pages_needed = max(llc.ways * llc.num_sets * llc.line_size // 4096, 32)
+    attacker.alloc_pages(min(pages_needed, 1024))
+    return llc.ways
+
+
+def _eviction_sets(attack, table: int) -> list[list[int]]:
+    """Attacker line addresses per line of ``table`` (a set shorter than
+    ``attack._ways`` is unreachable: defended)."""
+    llc = attack.attacker.soc.hierarchy.l2
+    base = attack.victim.table_paddr + table * AES_TABLE_STRIDE
+    return [attack.attacker.eviction_addresses_for_set(
+                llc.set_index(base + line * LINE_SIZE), attack._ways)
+            for line in range(LINES_PER_TABLE)]
 
 
 def _plaintext_nibbles(config: "_CacheAttackConfig") -> list[int]:
@@ -92,10 +139,14 @@ class _CacheAttackConfig:
     target_bytes: tuple[int, ...] = (0, 5, 10, 15)  # one byte per table
 
 
-class PrimeProbeAttack:
-    """Prime+Probe against an enclave-hosted AES service."""
+class _CacheAttack:
+    """The three attacks' constructor: victim, attacker, RNG (seeded with
+    the class's ``SEED`` by default), tuning knobs and lane.  An attack
+    that ``EVICTS`` also gets its eviction sets' pages."""
 
-    NAME = "prime+probe"
+    NAME: str
+    SEED: int
+    EVICTS = True
 
     def __init__(self, victim: AESVictim, attacker: AttackerProcess,
                  rng: XorShiftRNG | None = None,
@@ -103,42 +154,28 @@ class PrimeProbeAttack:
                  batch: bool = True) -> None:
         self.victim = victim
         self.attacker = attacker
-        self.rng = rng or XorShiftRNG(0x9927)
+        self.rng = rng or XorShiftRNG(self.SEED)
         self.config = config or _CacheAttackConfig()
         self.batch = bool(batch)
-        llc = attacker.soc.hierarchy.l2
-        self._ways = llc.ways
-        # Enough pages that every LLC set is coverable with `ways` lines
-        # *if the OS hands out uncoloured frames*; under Sanctum's
-        # allocator the enclave-coloured sets stay unreachable no matter
-        # how many pages we ask for.
-        pages_needed = max(
-            self._ways * llc.num_sets * llc.line_size // 4096, 32)
-        attacker.alloc_pages(min(pages_needed, 1024))
+        if self.EVICTS:
+            self._ways = _alloc_eviction_pages(attacker)
 
-    def _table_line_set(self, table: int, line: int) -> int:
-        llc = self.attacker.soc.hierarchy.l2
-        paddr = self.victim.table_paddr + table * AES_TABLE_STRIDE \
-            + line * LINE_SIZE
-        return llc.set_index(paddr)
 
-    def _eviction_sets(self, table: int) -> list[list[int]]:
-        """Attacker line addresses per table line (may be empty: defended)."""
-        return [
-            self.attacker.eviction_addresses_for_set(
-                self._table_line_set(table, line), self._ways)
-            for line in range(LINES_PER_TABLE)
-        ]
+class PrimeProbeAttack(_CacheAttack):
+    """Prime+Probe against an enclave-hosted AES service."""
+
+    NAME = "prime+probe"
+    SEED = 0x9927
 
     def run(self) -> AttackResult:
-        if self.batch:
-            from repro.attacks.batch import try_run_batched
-            result = try_run_batched(self)
-            if result is not None:
-                return result
-        return self._run_scalar()
+        recovered, coverage = measure(self)
+        return _verdict(
+            self, recovered, every_byte=True,
+            leaked={b: f"high nibble {n:#x}" for b, n in recovered.items()},
+            set_coverage=coverage,
+            bytes_attacked=list(self.config.target_bytes))
 
-    def _run_scalar(self) -> AttackResult:
+    def _measure(self) -> tuple[dict[int, int], float]:
         cfg = self.config
         span = obs.span  # hoisted: shared-nullcontext lookup, once
         recovered: dict[int, int] = {}
@@ -147,7 +184,7 @@ class PrimeProbeAttack:
             with span("prime+probe:byte", cat="attack",
                       byte=target_byte):
                 table = BYTE_TO_TABLE[target_byte]
-                eviction = self._eviction_sets(table)
+                eviction = _eviction_sets(self, table)
                 covered = sum(1 for addrs in eviction
                               if len(addrs) >= self._ways)
                 coverage = max(coverage, covered / LINES_PER_TABLE)
@@ -175,56 +212,35 @@ class PrimeProbeAttack:
                              for addrs in eviction),
                             dtype=np.float64, count=LINES_PER_TABLE)
                 recovered[target_byte] = _best_nibble(values, counts)
-
-        score = _grade(recovered, self.victim.key)
-        return AttackResult(
-            name=self.NAME, category=AttackCategory.MICROARCHITECTURAL,
-            success=score >= 0.75 and len(recovered) == len(cfg.target_bytes),
-            score=score,
-            leaked={b: f"high nibble {n:#x}" for b, n in recovered.items()},
-            details={"recovered": recovered, "set_coverage": coverage,
-                     "bytes_attacked": list(cfg.target_bytes)})
+        return recovered, coverage
 
 
-class FlushReloadAttack:
+class FlushReloadAttack(_CacheAttack):
     """Flush+Reload; needs attacker-addressable victim table lines."""
 
     NAME = "flush+reload"
-
-    def __init__(self, victim, attacker: AttackerProcess,
-                 rng: XorShiftRNG | None = None,
-                 config: _CacheAttackConfig | None = None,
-                 batch: bool = True) -> None:
-        self.victim = victim
-        self.attacker = attacker
-        self.rng = rng or XorShiftRNG(0xF77E)
-        self.config = config or _CacheAttackConfig()
-        self.batch = bool(batch)
+    SEED = 0xF77E
+    EVICTS = False
 
     def _line_paddr(self, table: int, line: int) -> int:
         return self.victim.table_paddr + table * AES_TABLE_STRIDE \
             + line * LINE_SIZE
 
     def run(self) -> AttackResult:
-        if self.batch:
-            from repro.attacks.batch import try_run_batched
-            result = try_run_batched(self)
-            if result is not None:
-                return result
-        return self._run_scalar()
-
-    def _run_scalar(self) -> AttackResult:
-        cfg = self.config
         # Precondition: the table lines must be attacker-loadable (shared
         # pages).  Against enclave memory the very first access is denied.
         ok, _ = self.attacker.try_read(self._line_paddr(0, 0))
         if not ok:
+            obs.event("flush+reload.blocked", cat="attack")
             return AttackResult(
                 name=self.NAME,
                 category=AttackCategory.MICROARCHITECTURAL,
                 success=False, score=0.0,
                 details={"blocked": "victim memory not attacker-addressable"})
+        return _verdict(self, measure(self), every_byte=False)
 
+    def _measure(self) -> dict[int, int]:
+        cfg = self.config
         recovered: dict[int, int] = {}
         span = obs.span  # hoisted: shared-nullcontext lookup, once
         for target_byte in cfg.target_bytes:
@@ -248,33 +264,14 @@ class FlushReloadAttack:
                             dtype=np.float64, count=LINES_PER_TABLE)
                         counts[vi] += latencies <= self.attacker.hit_threshold
                 recovered[target_byte] = _best_nibble(values, counts)
-
-        score = _grade(recovered, self.victim.key)
-        return AttackResult(
-            name=self.NAME, category=AttackCategory.MICROARCHITECTURAL,
-            success=score >= 0.75, score=score,
-            details={"recovered": recovered})
+        return recovered
 
 
-class EvictTimeAttack:
+class EvictTimeAttack(_CacheAttack):
     """Evict+Time: evict a table line, time the victim's encryption."""
 
     NAME = "evict+time"
-
-    def __init__(self, victim: AESVictim, attacker: AttackerProcess,
-                 rng: XorShiftRNG | None = None,
-                 config: _CacheAttackConfig | None = None,
-                 batch: bool = True) -> None:
-        self.victim = victim
-        self.attacker = attacker
-        self.rng = rng or XorShiftRNG(0xE71C)
-        self.config = config or _CacheAttackConfig()
-        self.batch = bool(batch)
-        llc = attacker.soc.hierarchy.l2
-        self._ways = llc.ways
-        pages_needed = max(
-            self._ways * llc.num_sets * llc.line_size // 4096, 32)
-        attacker.alloc_pages(min(pages_needed, 1024))
+    SEED = 0xE71C
 
     def _victim_cycles(self, pt: bytes) -> int:
         core = self.victim.arch.soc.cores[self.victim.core_id]
@@ -283,26 +280,13 @@ class EvictTimeAttack:
         return core.cycles - before
 
     def run(self) -> AttackResult:
-        if self.batch:
-            from repro.attacks.batch import try_run_batched
-            result = try_run_batched(self)
-            if result is not None:
-                return result
-        return self._run_scalar()
+        return _verdict(self, measure(self), every_byte=True)
 
-    def _run_scalar(self) -> AttackResult:
+    def _measure(self) -> dict[int, int]:
         cfg = self.config
-        llc = self.attacker.soc.hierarchy.l2
         recovered: dict[int, int] = {}
         for target_byte in cfg.target_bytes:
-            table = BYTE_TO_TABLE[target_byte]
-            # Eviction addresses per line of the target table.
-            eviction = []
-            for line in range(LINES_PER_TABLE):
-                paddr = self.victim.table_paddr \
-                    + table * AES_TABLE_STRIDE + line * LINE_SIZE
-                eviction.append(self.attacker.eviction_addresses_for_set(
-                    llc.set_index(paddr), self._ways))
+            eviction = _eviction_sets(self, BYTE_TO_TABLE[target_byte])
             if any(len(addrs) < self._ways for addrs in eviction):
                 continue  # defence: sets unreachable
             values = _plaintext_nibbles(cfg)
@@ -316,13 +300,7 @@ class EvictTimeAttack:
                             self.attacker.touch(addr)
                         times[vi, line] += self._victim_cycles(bytes(pt))
             recovered[target_byte] = _best_nibble(values, times)
-
-        score = _grade(recovered, self.victim.key)
-        return AttackResult(
-            name=self.NAME, category=AttackCategory.MICROARCHITECTURAL,
-            success=score >= 0.75 and len(recovered) == len(cfg.target_bytes),
-            score=score,
-            details={"recovered": recovered})
+        return recovered
 
 
 class SharedAESService:

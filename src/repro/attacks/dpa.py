@@ -22,7 +22,6 @@ import functools
 
 import numpy as np
 
-from repro.common import accepts_keyword
 from repro.crypto.aes import SBOX
 from repro.power.trace import TraceSet
 
@@ -136,27 +135,16 @@ def key_recovery_rate(recovered: bytes, true_key: bytes) -> float:
 
 def traces_to_success(acquire, analyse, true_key: bytes,
                       trace_counts: list[int],
-                      threshold: float = 1.0,
-                      batch: bool = True) -> dict[int, float]:
+                      threshold: float = 1.0) -> dict[int, float]:
     """Recovery rate as a function of trace count (the classic SCA curve).
 
-    ``acquire(n)`` returns a TraceSet of ``n`` traces; ``analyse`` is one
-    of the ``*_recover_key`` functions.  Acquires once at the maximum and
-    re-analyses prefixes, as real evaluations do — ``subset`` hands back
-    O(1) read-only views, so the sweep never copies the sample matrix.
-
-    When ``acquire`` accepts a ``batch`` keyword it is forwarded
-    (defaulting to the vectorized, bit-identical acquisition path); an
-    acquire callable without the knob is invoked unchanged.  Acceptance
-    is resolved with :func:`repro.common.accepts_keyword`, which sees
-    through ``functools.partial`` chains, ``__wrapped__`` decorators and
-    ``**kwargs`` forwarders — a bare ``inspect.signature(...).parameters``
-    check silently dropped those wrappers back onto the scalar path.
+    ``acquire(n)`` returns a TraceSet of ``n`` traces (it picks its own
+    capture lane); ``analyse`` is one of the ``*_recover_key``
+    functions.  Acquires once at the maximum and re-analyses prefixes,
+    as real evaluations do — ``subset`` hands back O(1) read-only views,
+    so the sweep never copies the sample matrix.
     """
-    if accepts_keyword(acquire, "batch"):
-        full = acquire(max(trace_counts), batch=batch)
-    else:
-        full = acquire(max(trace_counts))
+    full = acquire(max(trace_counts))
     rates: dict[int, float] = {}
     for count in sorted(trace_counts):
         rates[count] = key_recovery_rate(analyse(full.subset(count)),

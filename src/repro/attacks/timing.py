@@ -16,14 +16,20 @@ Against the Montgomery ladder every operation is charged worst-case
 constant time, the partition difference carries no signal, and recovered
 bits collapse to chance.
 
-``run()`` goes through the bit-identical batched kernel of
-:mod:`repro.attacks.batch` by default (constant-time victims fall back
-to the scalar loop); ``batch=False`` forces the scalar reference oracle.
+The attack measures, then grades.  ``run()`` takes the recovered bits
+from the bit-identical batched kernel in :mod:`repro.attacks.batch` by
+default, or from the scalar loop ``_measure()`` (the reference oracle)
+when the kernel declines (constant-time victims) or ``batch=False``; it
+then grades them against the private exponent, the same way on either
+lane.  Both lanes correct errors with one policy,
+``KocherTimingAttack._backtrack``, over their own recovery pass.
 """
 
 from __future__ import annotations
 
-from repro.attacks.base import AttackCategory, AttackResult
+from functools import partial
+
+from repro.attacks.base import AttackCategory, AttackResult, measure
 from repro.crypto.modexp import (
     BASE_MULT_COST,
     EXTRA_REDUCTION_COST,
@@ -50,17 +56,26 @@ class KocherTimingAttack:
         self.batch = bool(batch)
 
     def run(self) -> AttackResult:
-        if self.batch:
-            from repro.attacks.batch import try_run_batched
-            result = try_run_batched(self)
-            if result is not None:
-                return result
-        return self._run_scalar()
-
-    def _run_scalar(self) -> AttackResult:
-        n = self.victim.key.n
+        recovered_bits, attack_bits = measure(self)
         d = self.victim.key.d  # ground truth, used ONLY for grading
         bits_total = d.bit_length()
+        truth = [(d >> (bits_total - 2 - i)) & 1
+                 for i in range(attack_bits)]
+        correct = sum(1 for a, b in zip(recovered_bits, truth) if a == b)
+        score = correct / attack_bits if attack_bits else 0.0
+        return AttackResult(
+            name=self.NAME, category=AttackCategory.PHYSICAL,
+            success=score >= 0.9, score=score,
+            leaked=recovered_bits if score >= 0.9 else None,
+            details={"bits_attacked": attack_bits, "correct": correct,
+                     "constant_time_victim": self.victim.constant_time,
+                     "samples": self.samples})
+
+    def _measure(self) -> tuple[list[int], int]:
+        """The recovered exponent bits after the leading 1, and how many
+        bits were attacked."""
+        n = self.victim.key.n
+        bits_total = self.victim.key.d.bit_length()
 
         ciphertexts = [self.rng.next_below(n - 2) + 1
                        for _ in range(self.samples)]
@@ -80,28 +95,10 @@ class KocherTimingAttack:
             states.append((acc, t))
 
         attack_bits = min(self.max_bits, bits_total - 1)
-        recovered_bits, _margins = self._recover_path(
-            states, ciphertexts, measured, n, attack_bits)
-        # Single-error backtracking: after a wrong commitment the
-        # simulated trajectory decorrelates and every later decision's
-        # margin collapses toward zero.  Detect the collapse point, flip
-        # that bit, and keep the path whose downstream margins are wider —
-        # exactly the error-correction step Kocher describes.
-        recovered_bits = self._backtrack(recovered_bits, _margins, states,
-                                         ciphertexts, measured, n,
-                                         attack_bits)
-
-        truth = [(d >> (bits_total - 2 - i)) & 1
-                 for i in range(attack_bits)]
-        correct = sum(1 for a, b in zip(recovered_bits, truth) if a == b)
-        score = correct / attack_bits if attack_bits else 0.0
-        return AttackResult(
-            name=self.NAME, category=AttackCategory.PHYSICAL,
-            success=score >= 0.9, score=score,
-            leaked=recovered_bits if score >= 0.9 else None,
-            details={"bits_attacked": attack_bits, "correct": correct,
-                     "constant_time_victim": self.victim.constant_time,
-                     "samples": self.samples})
+        recovered_bits = self._backtrack(partial(
+            self._recover_path, states, ciphertexts, measured, n,
+            attack_bits))
+        return recovered_bits, attack_bits
 
     # -- internals -----------------------------------------------------------
 
@@ -169,16 +166,22 @@ class KocherTimingAttack:
             states = next1 if bit else next0
         return bits, margins
 
-    def _backtrack(self, bits, margins, states, ciphertexts, measured, n,
-                   attack_bits, rounds: int = 3) -> list[int]:
-        """Flip weak decisions while the tail signal looks decorrelated.
+    @staticmethod
+    def _backtrack(recover, rounds: int = 3) -> list[int]:
+        """Recover the bits, then flip weak decisions while the tail
+        signal looks decorrelated.
 
-        After a wrong commitment the lookahead statistic loses its anchor
-        and downstream margins collapse; flipping the weakest decision and
-        re-running restores them if the flip was the error.  Up to
-        ``rounds`` corrections (Kocher's error-correction property: wrong
-        guesses are detectable because the signal disappears).
+        ``recover(forced=None)`` is one MSB-first pass returning
+        ``(bits, margins)``: :meth:`_recover_path` bound to the scalar
+        states, or the batched kernel's twin bound to its own.  After a
+        wrong commitment the simulated trajectory decorrelates and every
+        later decision's margin collapses toward zero; flipping the
+        weakest decision and re-running restores them if the flip was
+        the error.  Up to ``rounds`` corrections (Kocher's
+        error-correction property: wrong guesses are detectable because
+        the signal disappears).
         """
+        bits, margins = recover()
         tried: set[int] = set()
         for _ in range(rounds):
             if len(margins) < 3:
@@ -193,9 +196,7 @@ class KocherTimingAttack:
             tried.add(weakest)
             forced = {i: bits[i] for i in range(weakest)}
             forced[weakest] = 1 - bits[weakest]
-            alt_bits, alt_margins = self._recover_path(
-                states, ciphertexts, measured, n, attack_bits,
-                forced=forced)
+            alt_bits, alt_margins = recover(forced=forced)
             after = slice(weakest + 1, None)
             if sum(alt_margins[after]) > sum(margins[after]):
                 bits, margins = alt_bits, alt_margins

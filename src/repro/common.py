@@ -4,35 +4,9 @@ from __future__ import annotations
 
 import enum
 import importlib
-import inspect
 import os
 import re
 import sys
-
-
-def accepts_keyword(fn, name: str) -> bool:
-    """True when calling ``fn(..., name=value)`` can succeed.
-
-    ``inspect.signature`` already resolves ``functools.partial`` chains
-    and follows ``__wrapped__``; what naive ``name in parameters`` checks
-    miss is ``**kwargs`` forwarders, which accept *every* keyword without
-    listing any — exactly the shape of the wrapper callables attack
-    suites hand to :func:`repro.attacks.dpa.traces_to_success`.  A
-    keyword a partial has pre-bound still counts as accepted: a call-site
-    keyword overrides the bound one (``functools.partial`` merges with
-    call-site precedence).  Builtins whose signature cannot be
-    introspected report False — the caller must then invoke ``fn``
-    without the keyword.
-    """
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-    param = params.get(name)
-    if param is not None:
-        return param.kind is not inspect.Parameter.POSITIONAL_ONLY
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in params.values())
 
 
 def hostname() -> str:

@@ -189,12 +189,13 @@ def execute_cache_defence_cell(spec: CellSpec, reference: bool = False
     attack draws from its own digest-derived stream, so rows are
     independent of each other and of attack ordering within the row.
     The payload carries no ``cell_instret``: the field is fingerprinted,
-    so adding it would change every row's fingerprint.  The attacks run
-    their batched lane unless ``reference`` is set.  The kernels model
-    the baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's
-    DMA filter fails their side-effect-free gates, so its row runs the
-    scalar loops, as does Flush+Reload on every TEE host, whose first
-    probe the host refuses.
+    so adding it would change every row's fingerprint.  The attacks
+    measure on their batched lane unless ``reference`` is set, and grade
+    the measurement the same way on either lane.  The kernels model the
+    baseline, SGX, TrustZone and Sanctuary victims exactly; Sanctum's
+    DMA filter fails their side-effect-free gates, so its Prime+Probe
+    measures on the scalar loop.  Flush+Reload on every TEE host stops
+    at its first probe, which the host refuses, before any lane choice.
     """
     from repro.arch.null import NullArchitecture
     from repro.arch.sanctuary import Sanctuary

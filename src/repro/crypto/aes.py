@@ -1,6 +1,6 @@
 """AES-128 from scratch, in the three variants Section 5 contrasts.
 
-* :class:`AES128` — reference S-box implementation (also the decryptor).
+* :class:`AES128` — reference S-box implementation.
 * :class:`TTableAES` — the classic 32-bit T-table implementation.  Every
   table lookup is reported through ``on_lookup`` (table id, index), which
   the victim harness binds to simulated memory — producing the secret-
@@ -155,14 +155,6 @@ def _shift_rows(state: bytearray) -> bytearray:
     return out
 
 
-def _inv_shift_rows(state: bytearray) -> bytearray:
-    out = bytearray(16)
-    for col in range(4):
-        for row in range(4):
-            out[(4 * (col + row) + row) % 16] = state[4 * col + row]
-    return out
-
-
 def _mix_single_column(col: bytearray) -> bytearray:
     a = list(col)
     return bytearray([
@@ -177,19 +169,6 @@ def _mix_columns(state: bytearray) -> bytearray:
     out = bytearray()
     for col in range(4):
         out.extend(_mix_single_column(state[4 * col:4 * col + 4]))
-    return out
-
-
-def _inv_mix_columns(state: bytearray) -> bytearray:
-    out = bytearray()
-    for col in range(4):
-        a = state[4 * col:4 * col + 4]
-        out.extend([
-            gf_mul(a[0], 14) ^ gf_mul(a[1], 11) ^ gf_mul(a[2], 13) ^ gf_mul(a[3], 9),
-            gf_mul(a[0], 9) ^ gf_mul(a[1], 14) ^ gf_mul(a[2], 11) ^ gf_mul(a[3], 13),
-            gf_mul(a[0], 13) ^ gf_mul(a[1], 9) ^ gf_mul(a[2], 14) ^ gf_mul(a[3], 11),
-            gf_mul(a[0], 11) ^ gf_mul(a[1], 13) ^ gf_mul(a[2], 9) ^ gf_mul(a[3], 14),
-        ])
     return out
 
 
@@ -231,21 +210,6 @@ class AES128:
         state = bytearray(a ^ b for a, b in
                           zip(state, self.round_keys[NUM_ROUNDS]))
         return bytes(state)
-
-    def decrypt_block(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) != BLOCK_SIZE:
-            raise ValueError("ciphertext block must be 16 bytes")
-        state = bytearray(a ^ b for a, b in
-                          zip(ciphertext, self.round_keys[NUM_ROUNDS]))
-        state = _inv_shift_rows(state)
-        state = bytearray(INV_SBOX[b] for b in state)
-        for rnd in range(NUM_ROUNDS - 1, 0, -1):
-            state = bytearray(a ^ b for a, b in
-                              zip(state, self.round_keys[rnd]))
-            state = _inv_mix_columns(state)
-            state = _inv_shift_rows(state)
-            state = bytearray(INV_SBOX[b] for b in state)
-        return bytes(a ^ b for a, b in zip(state, self.round_keys[0]))
 
 
 class TTableAES(AES128):

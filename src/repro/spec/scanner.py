@@ -210,6 +210,16 @@ def scan_config_for(name: str) -> ScanConfig:
 # -- cell execution ----------------------------------------------------------
 
 
+def _row(config: ScanConfig, gadget: Gadget, leaked, channels, origins,
+         events: int, truncated: bool) -> ScanRow:
+    """``gadget``'s verdict under ``config``, from either scan lane."""
+    return ScanRow(
+        config=config.name, gadget=gadget.name, family=gadget.family,
+        leaked=leaked, expected=config.expects_leak(gadget),
+        channels=channels, origins=origins, events=events,
+        window=config.window, truncated=truncated)
+
+
 def _scan_gadget(config: ScanConfig, gadget: Gadget) -> tuple[ScanRow, int]:
     soc = config.build()
     instance: GadgetInstance = gadget.build(soc)
@@ -219,12 +229,9 @@ def _scan_gadget(config: ScanConfig, gadget: Gadget) -> tuple[ScanRow, int]:
     explorer.injection_targets = list(instance.injection_targets)
     explorer.run(instance.program, instance.entry, regs=instance.regs,
                  max_steps=instance.max_steps)
-    row = ScanRow(
-        config=config.name, gadget=gadget.name, family=gadget.family,
-        leaked=explorer.leaked, expected=config.expects_leak(gadget),
-        channels=explorer.channels(), origins=explorer.origins(),
-        events=len(explorer.transient_leaks()),
-        window=config.window, truncated=explorer.truncated)
+    row = _row(config, gadget, explorer.leaked, explorer.channels(),
+               explorer.origins(), len(explorer.transient_leaks()),
+               explorer.truncated)
     return row, sum(core.instret for core in soc.cores)
 
 
@@ -264,12 +271,8 @@ def _scan_gadget_memo(config: ScanConfig, gadget: Gadget,
         memo.store(signature, record)
         if not record.replayable:
             return _scan_gadget(config, gadget)
-    leaked, channels, origins, events = record.verdict_for(config.window)
-    row = ScanRow(
-        config=config.name, gadget=gadget.name, family=gadget.family,
-        leaked=leaked, expected=config.expects_leak(gadget),
-        channels=channels, origins=origins, events=events,
-        window=config.window, truncated=False)
+    row = _row(config, gadget, *record.verdict_for(config.window),
+               truncated=False)
     return row, record.instret
 
 

@@ -14,6 +14,9 @@ their decline reasons, and the matrix-level invariants (payload
 fingerprints and cache keys unchanged by ``batch=``).
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.arch.base import AES_KEY_OFFSET
 from repro.arch.null import NullArchitecture
+from repro.attacks import batch
 from repro.attacks.base import AttackerProcess
 from repro.attacks.batch import _enclave_active, try_run_batched
 from repro.attacks.batch_diff import (
@@ -74,8 +78,9 @@ class TestCacheHypothesis:
                                          cold_tlb, dirty_core, seed,
                                          samples, values, targets):
         host, platform = hosted
-        # A TEE refuses Flush+Reload's first probe of enclave memory, so
-        # the kernel declines (TestDeclineReasons pins that case).
+        # A TEE refuses Flush+Reload's first probe of enclave memory
+        # before any lane choice, so such a run measures nothing
+        # (TestDeclineReasons pins that case).
         assume(not (attack == "flush+reload" and enclave and host != "null"))
         run_pair(CacheScenario(
             attack=attack, platform=platform, host=host,
@@ -184,7 +189,7 @@ class TestTEEHosts:
         with pytest.raises(SecurityViolation) as via_fallback:
             attack.run()
         with pytest.raises(SecurityViolation) as scalar:
-            build()[0]._run_scalar()
+            build()[0]._measure()
         assert str(via_fallback.value) == str(scalar.value)
 
 
@@ -215,6 +220,32 @@ class TestDeclineReasons:
         scalar = scalar_run(scenario)
         assert (attack.run(), rng._state, soc_state(soc, arch)) \
             == (scalar.result, scalar.rng_state, scalar.soc)
+
+    @pytest.mark.parametrize("host", ["sgx", "trustzone", "sanctuary",
+                                      "sanctum"])
+    def test_tee_blocks_flush_reload_before_any_lane(self, host,
+                                                     monkeypatch):
+        # The refused probe runs in run(), before the lane choice: the
+        # kernel is never asked, and both lanes return one blocked result.
+        def kernel(attack):
+            raise AssertionError("a blocked Flush+Reload reached the kernel")
+
+        monkeypatch.setattr(batch, "try_run_batched", kernel)
+        scenario = CacheScenario(attack="flush+reload", host=host,
+                                 platform="mobile", samples_per_value=1)
+        lanes = []
+        for lane in (True, False):
+            attack, rng, soc = scenario.build()
+            attack.batch = lane
+            with obs.activate(obs.Tracer(scope="blocked", seed=1)) as tracer:
+                result = attack.run()
+            assert [r["name"] for r in tracer.records] \
+                == ["flush+reload.blocked"]
+            lanes.append((result, rng._state,
+                          soc_state(soc, attack.victim.arch)))
+        assert lanes[0] == lanes[1]
+        assert lanes[0][0].details == {
+            "blocked": "victim memory not attacker-addressable"}
 
     def test_accepted_run_emits_no_decline(self):
         attack, _, _ = CacheScenario(attack="prime+probe",
@@ -281,9 +312,12 @@ class TestDifferentialEdges:
     def test_observed_and_unobserved_batched_runs_identical(self):
         sc = CacheScenario(attack="flush+reload", enclave_victim=False)
         unobserved = batched_run(sc)
-        with obs.activate(obs.Tracer(scope="attack-diff", seed=7)):
+        with obs.activate(obs.Tracer(scope="attack-diff", seed=7)) as tracer:
             observed = batched_run(sc)
-            assert obs.current_tracer().records  # spans actually taken
+            assert obs.current_tracer() is tracer
+        # The harness records into the caller's tracer, never its own.
+        assert [r["args"]["byte"] for r in tracer.records
+                if r["name"] == "flush+reload:byte"] == list(sc.target_bytes)
         assert observed.result.details == unobserved.result.details
         assert observed.soc == unobserved.soc
 
@@ -299,6 +333,21 @@ class TestDifferentialEdges:
 
         assert records(8) == records(2)
         assert records(2) <= 2 * len(CacheScenario().target_bytes) + 2
+
+
+def test_kernels_return_measurements_not_results():
+    """The kernels measure; grading and the result are the attacks'."""
+    tree = ast.parse(Path(batch.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.asname or alias.name.rpartition(".")[2]
+                         for alias in node.names)
+    assert not {"AttackResult", "AttackCategory", "_grade"} & named
 
 
 def _cache_attack(cls, enclave=False, rng_cls=XorShiftRNG, batch=False):

@@ -138,8 +138,9 @@ class TestCLI:
     def test_traced_run_records_in_cell_spans_and_declines(
             self, tmp_path, capsys):
         """Rows run under the per-cell tracer: the trace holds every
-        row's Prime+Probe byte spans and the gate that turned each
-        declined kernel away, and the metrics hold the rows' caches."""
+        row's Prime+Probe byte spans, the gate that turned each declined
+        kernel away and each TEE's refusal of Flush+Reload's first
+        probe, and the metrics hold the rows' caches."""
         trace = tmp_path / "tab-s41.json"
         metrics = tmp_path / "tab-s41.prom"
         assert cli.main(["cache", "--no-cache", "--trace", str(trace),
@@ -153,12 +154,12 @@ class TestCLI:
             (r["scope"].partition("/")[0], r["args"]["kernel"],
              r["args"]["reason"])
             for r in records if r["name"] == "attack.batch_declined")
-        assert declined == [
-            ("sanctuary", "flush+reload", "bus-denied"),
-            ("sanctum", "flush+reload", "bus-controller"),
-            ("sanctum", "prime+probe", "bus-controller"),
-            ("sgx", "flush+reload", "bus-denied"),
-            ("trustzone", "flush+reload", "bus-denied")]
+        assert declined == [("sanctum", "prime+probe", "bus-controller")]
+        # Flush+Reload's probe runs before any lane choice: a TEE's
+        # refusal never reaches the kernel.
+        blocked = sorted(r["scope"].partition("/")[0] for r in records
+                         if r["name"] == "flush+reload.blocked")
+        assert blocked == ["sanctuary", "sanctum", "sgx", "trustzone"]
         prom = metrics.read_text(encoding="utf-8")
         for host in HOSTS:
             assert (f'repro_cache_hit_rate{{cell="{host}/'

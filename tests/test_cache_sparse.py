@@ -164,6 +164,6 @@ def test_batched_attack_allocates_the_sets_the_scalar_one_touches(
     fast, _, fast_soc = scenario.build()
     assert batch.try_run_batched(fast) is not None
     scalar, _, scalar_soc = scenario.build()
-    scalar._run_scalar()
+    scalar._measure()
     assert twin == [_touched(scalar_soc)]
     assert _touched(fast_soc) == _touched(scalar_soc)

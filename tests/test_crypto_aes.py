@@ -98,17 +98,9 @@ class TestVariantsAgree:
             pt = rng.bytes(16)
             assert masked.encrypt_block(pt) == reference.encrypt_block(pt)
 
-    def test_decrypt_inverts_encrypt(self, rng):
-        cipher = AES128(AES_KEY2)
-        for _ in range(10):
-            pt = rng.bytes(16)
-            assert cipher.decrypt_block(cipher.encrypt_block(pt)) == pt
-
     def test_block_size_validated(self):
         with pytest.raises(ValueError):
             AES128(AES_KEY).encrypt_block(b"short")
-        with pytest.raises(ValueError):
-            AES128(AES_KEY).decrypt_block(b"short")
 
 
 class TestHooks:

@@ -116,8 +116,10 @@ class TestStrategyDefaults:
             params = inspect.signature(fn).parameters
             assert not {"reference", "ensemble", "batch", "memo"} \
                 & set(params), fn
-        assert "ensemble" not in inspect.signature(
-            traces_to_success).parameters
+        # The power curve takes no lane parameter at all: a caller picks
+        # the capture lane inside its own ``acquire``.
+        assert not {"reference", "ensemble", "batch", "memo"} & set(
+            inspect.signature(traces_to_success).parameters)
         assert not {"ensemble", "batch", "memo"} & set(JobSpec().to_dict())
 
     def test_cell_entry_points_and_suites_take_only_reference(self):
@@ -185,8 +187,9 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
     """TAB-S41 rows are identical on the default lane and on
     ``ExperimentRunner(reference=True)``, which never reaches the
     kernels.  Prime+Probe batches on every host but Sanctum;
-    Flush+Reload batches only on the baseline host, since every TEE
-    refuses its first probe.  Every attacker prime and probe of the four
+    Flush+Reload reaches the kernel only on the baseline host, since
+    every TEE refuses its first probe, which runs before any lane
+    choice.  Every attacker prime and probe of the four
     batched Prime+Probe rows takes the closed-form set sweep (the
     ``prime+probe:byte`` span's ``sweeps_closed``/``sweeps_walked``),
     none the per-access walk, and every sample but each byte's first
@@ -213,10 +216,10 @@ def test_tab_s41_batches_every_modelled_host(monkeypatch):
         == [dataclasses.asdict(r) for r in scalar_rows]
     assert len(rows) == 5
     assert accepted == {"none": [True, True],
-                        "sgx": [True, False],
-                        "sanctum": [False, False],
-                        "trustzone": [True, False],
-                        "sanctuary": [True, False]}
+                        "sgx": [True],
+                        "sanctum": [False],
+                        "trustzone": [True],
+                        "sanctuary": [True]}
     sweeps = [(r["args"]["sweeps_closed"], r["args"]["sweeps_walked"],
                r["args"]["samples_closed"])
               for r in tracer.records if r["name"] == "prime+probe:byte"

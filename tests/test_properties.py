@@ -29,12 +29,6 @@ blocks16 = st.binary(min_size=16, max_size=16)
 
 class TestCryptoProperties:
     @_slow
-    @given(key=keys16, pt=blocks16)
-    def test_aes_decrypt_inverts_encrypt(self, key, pt):
-        cipher = AES128(key)
-        assert cipher.decrypt_block(cipher.encrypt_block(pt)) == pt
-
-    @_slow
     @given(key=keys16, pt=blocks16, seed=st.integers(1, 2**32))
     def test_masked_aes_equals_reference(self, key, pt, seed):
         masked = MaskedAES(key, XorShiftRNG(seed))

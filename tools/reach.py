@@ -27,7 +27,9 @@ SRC = ROOT / "src" / "repro"
 PY = sys.executable
 
 #: Every way the project runs: the artefact commands, the artefact shape
-#: checks, the differential oracles, the chaos suites and the service.
+#: checks, the differential oracles, the chaos suites, the service and
+#: its CLI (submit, serve, status, then a worker that finds the queue
+#: drained, all on one queue).
 ENTRY_POINTS = {
     "all": [PY, "-m", "repro", "all"],
     "all --full": [PY, "-m", "repro", "all", "--full"],
@@ -41,6 +43,11 @@ ENTRY_POINTS = {
     "make diff": ["make", "diff"],
     "make chaos": ["make", "chaos"],
     "make serve-smoke": ["make", "serve-smoke"],
+    "submit": [PY, "-m", "repro", "submit", "--queue", "{tmp}/queue"],
+    "serve": [PY, "-m", "repro", "serve", "--queue", "{tmp}/queue",
+              "--workers", "2"],
+    "status": [PY, "-m", "repro", "status", "--queue", "{tmp}/queue"],
+    "worker": [PY, "-m", "repro", "worker", "--queue", "{tmp}/queue"],
 }
 
 #: Unreached code kept on purpose, with the reason: a module (relative to
